@@ -23,10 +23,10 @@ import time
 
 import numpy as np
 
-from . import __version__, figures, harness, huber_theory, logistic_theory
+from . import __version__, figures, harness, models
 from . import privacy as privacy_mod
 from . import state_evolution
-from .errors import ConfigError, NonConvergenceError, NumericError
+from .errors import ConfigError, NumericError
 from .laws import parse_law
 
 _STEPS_CAP = state_evolution.MAX_STEPS
@@ -89,7 +89,10 @@ class _ManifestWriter:
 
 
 def _write_json(payload, out_path: str | None, manifest: _ManifestWriter | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # nan or inf: strict JSON has no spelling for them
+        raise NumericError(f"non-finite number in the output: {exc}") from None
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -129,19 +132,26 @@ def _master_seed(args) -> int:
 # --- theory ------------------------------------------------------------------
 
 
+def finite(text: str) -> float:
+    """Float argument type: rejects nan and +/-inf along with non-numbers."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [finite(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+        raise ConfigError(f"{flag}: want comma-separated finite numbers, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag}: empty list")
     return values
 
 
 def _validate_theory_inputs(args) -> None:
-    if args.lam < huber_theory.MIN_LAMBDA and not args.model.endswith("_dpsgd_ce"):
-        raise ConfigError(f"--lambda must be >= {huber_theory.MIN_LAMBDA}")
+    models.get(args.model).check_lambda(args.lam)
     if args.nu < 0:
         raise ConfigError("--nu must be >= 0")
     if args.L <= 0:
@@ -155,76 +165,38 @@ def _validate_theory_inputs(args) -> None:
             raise ConfigError("--delta values must be > 0")
 
 
-def _theory_point(args, delta: float, index: int) -> dict:
-    signal = parse_law(args.signal if args.signal else f"gaussian:{args.kappa}")
+def _theory_point(args, delta: float) -> dict:
+    spec = models.get(args.model)
+    signal_text = args.signal or f"gaussian:{args.kappa}"
+    signal = parse_law(signal_text)
     noise = parse_law(args.noise)
-    kappa = math.sqrt(signal.second_moment)
     inputs = {
         "model": args.model,
         "delta": delta,
         "lambda": args.lam,
         "nu": args.nu,
         "L": args.L,
-        "kappa": kappa,
-        "signal": args.signal or f"gaussian:{args.kappa}",
+        "kappa": math.sqrt(signal.second_moment),
+        "signal": signal_text,
         "noise": args.noise,
+        **spec.trace_inputs(delta, args.steps, args.step_size, args.mc_samples),
     }
     try:
-        if args.model in ("huber_objective", "huber_output"):
-            nu_solve = 0.0 if args.model == "huber_output" else args.nu
-            sol = huber_theory.solve_huber_system(
-                delta, args.lam, nu_solve, args.L, signal, noise
-            )
-            if args.model == "huber_output":
-                preds = huber_theory.output_perturbation_predictions(sol, args.nu)
-            else:
-                preds = huber_theory.huber_predictions(sol)
-            return {"inputs": inputs, "solution": sol.as_dict(), "predictions": preds}
-        if args.model in ("logistic_objective", "logistic_output"):
-            nu_solve = 0.0 if args.model == "logistic_output" else args.nu
-            sol = logistic_theory.solve_logistic_system(delta, args.lam, nu_solve, kappa)
-            if args.model == "logistic_output":
-                preds = logistic_theory.output_perturbation_predictions(sol, args.nu)
-            else:
-                preds = logistic_theory.logistic_predictions(sol)
-            return {"inputs": inputs, "solution": sol.as_dict(), "predictions": preds}
-        # noisy-GD error traces
-        step = args.step_size if args.step_size is not None else 0.5 / (1.0 + delta)
-        inputs.update({"steps": args.steps, "step_size": step, "mc_samples": args.mc_samples})
-        seed = _master_seed(args)
-        if args.model == "huber_dpsgd_ce":
-            trace = state_evolution.state_evolution_huber(
-                args.steps, step, args.nu, delta, signal, noise, args.L,
-                mc_samples=args.mc_samples, seed=seed,
-            )
-        else:
-            trace = state_evolution.state_evolution_logistic(
-                args.steps, step, args.nu, delta, signal,
-                mc_samples=args.mc_samples, seed=seed,
-            )
-        predictions = {}
-        for t in range(1, args.steps + 1):
-            predictions[f"estimation_error_t{t}"] = float(trace.mse[t])
-            predictions[f"bias_t{t}"] = float(trace.bias[t])
-        solution = {
-            "mse": [float(v) for v in trace.mse],
-            "bias": [float(v) for v in trace.bias],
-            "mse_mc": [float(v) for v in trace.mse_mc],
-            "bias_mc": [float(v) for v in trace.bias_mc],
-            "mse_stderr": [float(v) for v in trace.mse_stderr],
-            "bias_stderr": [float(v) for v in trace.bias_stderr],
-            "seed": trace.seed,
-        }
-        return {"inputs": inputs, "solution": solution, "predictions": predictions}
-    except (NonConvergenceError, NumericError, ConfigError) as exc:
+        theory = spec.solve(
+            delta, lam=args.lam, nu=args.nu, L=args.L, signal=signal, noise=noise,
+            steps=args.steps, step_size=args.step_size, mc_samples=args.mc_samples,
+            seed=lambda: _master_seed(args),
+        )
+    except (NumericError, ConfigError) as exc:
         return {"inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}
+    return {"inputs": inputs, "solution": theory.solution, "predictions": theory.predictions}
 
 
 def cmd_theory(args) -> int:
     """Solve the asymptotic system at each grid point; JSON to stdout/--out."""
     args.deltas = _parse_float_list(args.delta, "--delta")
     _validate_theory_inputs(args)
-    results = [_theory_point(args, delta, i) for i, delta in enumerate(args.deltas)]
+    results = [_theory_point(args, delta) for delta in args.deltas]
     manifest = _ManifestWriter(
         {"command": "theory", **{k: v for k, v in vars(args).items() if k != "func"}},
         _master_seed(args),
@@ -425,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     theory = sub.add_parser("theory", help="solve the asymptotic fixed-point systems")
     theory.add_argument("--model", required=True, choices=harness.MODELS)
     theory.add_argument("--delta", required=True, help="comma-separated d/n ratios")
-    theory.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    theory.add_argument("--nu", type=float, default=0.0)
-    theory.add_argument("--L", type=float, default=1.0)
-    theory.add_argument("--kappa", type=float, default=1.0)
+    theory.add_argument("--lambda", dest="lam", type=finite, default=1.0)
+    theory.add_argument("--nu", type=finite, default=0.0)
+    theory.add_argument("--L", type=finite, default=1.0)
+    theory.add_argument("--kappa", type=finite, default=1.0)
     theory.add_argument("--signal", default=None, help="signal law, e.g. gaussian:1")
     theory.add_argument("--noise", default="gaussian:0.2")
     theory.add_argument("--steps", type=int, default=3)
-    theory.add_argument("--step-size", dest="step_size", type=float, default=None)
+    theory.add_argument("--step-size", dest="step_size", type=finite, default=None)
     theory.add_argument("--mc-samples", dest="mc_samples", type=int, default=100_000)
     theory.add_argument("--seed", type=int, default=0)
     theory.add_argument("--out", default=None)
@@ -446,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--ratios", default=None, help="comma-separated n/(n+d)")
     simulate.add_argument("--signal", default=None)
     simulate.add_argument("--noise", default=None)
-    simulate.add_argument("--L", type=float, default=None)
-    simulate.add_argument("--lambda", dest="lam", type=float, default=None)
-    simulate.add_argument("--nu", type=float, default=None)
-    simulate.add_argument("--step-size", dest="step_size", type=float, default=None)
+    simulate.add_argument("--L", type=finite, default=None)
+    simulate.add_argument("--lambda", dest="lam", type=finite, default=None)
+    simulate.add_argument("--nu", type=finite, default=None)
+    simulate.add_argument("--step-size", dest="step_size", type=finite, default=None)
     simulate.add_argument("--steps", type=int, default=None)
     simulate.add_argument("--replicates", type=int, default=None)
     simulate.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
@@ -461,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     privacy = sub.add_parser("privacy", help="closed-form privacy accounting")
     privacy.add_argument("mechanism", choices=("objective", "output", "dpsgd"))
-    privacy.add_argument("--L", type=float, default=1.0, help="loss Lipschitz bound")
-    privacy.add_argument("--s", type=float, default=1.0, help="loss smoothness bound")
-    privacy.add_argument("--R", type=float, default=1.0, help="feature-norm bound")
-    privacy.add_argument("--lambda", dest="lam", type=float, default=None)
-    privacy.add_argument("--nu", type=float, required=True)
+    privacy.add_argument("--L", type=finite, default=1.0, help="loss Lipschitz bound")
+    privacy.add_argument("--s", type=finite, default=1.0, help="loss smoothness bound")
+    privacy.add_argument("--R", type=finite, default=1.0, help="feature-norm bound")
+    privacy.add_argument("--lambda", dest="lam", type=finite, default=None)
+    privacy.add_argument("--nu", type=finite, required=True)
     privacy.add_argument("--T", type=int, default=None)
-    privacy.add_argument("--epsilon", type=float, default=1.0)
+    privacy.add_argument("--epsilon", type=finite, default=1.0)
     privacy.add_argument("--alphas", default=None, help="comma-separated RDP orders")
     privacy.add_argument("--out", default=None)
     privacy.set_defaults(func=cmd_privacy)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import huber_theory, logistic_theory, privacy, state_evolution
-from .errors import ConfigError, NonConvergenceError, NumericError
+from . import models, privacy
+from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig
 from .laws import parse_law
 from .rng import child_seed
@@ -49,71 +49,26 @@ def _row(name: str, label: str, ratio: float, nu: float, metric: str, value: flo
     }
 
 
-def _huber_curve_rows(name, label, nu, lam, L, signal, noise, *, output=False):
-    """Warm-started sweep of the robust-regression system along the grid."""
+def _curve_rows(name, label, model, nu, *, lam=1.0, L=10.0, noise="gaussian:0.2", seed=0):
+    """One model's predictions along the dense grid, each fixed-point solve
+    warm-started from the previous grid point's solution to stay on the
+    continuous branch; grid points whose solve fails are left out."""
+    spec = models.get(model)
+    signal_law, noise_law = parse_law("gaussian:1"), parse_law(noise)
     rows = []
     guess = None
-    for ratio in DENSE_RATIOS:
-        delta = (1.0 - ratio) / ratio
-        try:
-            base = huber_theory.solve_huber_system(
-                delta, lam, 0.0 if output else nu, L, signal, noise, initial=guess
-            )
-        except (NonConvergenceError, NumericError):
-            guess = None
-            continue
-        guess = (base.sigma_star, base.tau_star)
-        if output:
-            preds = huber_theory.output_perturbation_predictions(base, nu)
-        else:
-            preds = huber_theory.huber_predictions(base)
-        rows.extend(_row(name, label, ratio, nu, k, v) for k, v in preds.items())
-    return rows
-
-
-def _logistic_curve_rows(name, label, nu, lam, kappa, *, output=False):
-    rows = []
-    guess = None
-    for ratio in DENSE_RATIOS:
-        delta = (1.0 - ratio) / ratio
-        try:
-            base = logistic_theory.solve_logistic_system(
-                delta, lam, 0.0 if output else nu, kappa, initial=guess
-            )
-        except (NonConvergenceError, NumericError, ConfigError):
-            guess = None
-            continue
-        guess = (base.alpha_star, base.sigma_star, base.gamma_star)
-        if output:
-            preds = logistic_theory.output_perturbation_predictions(base, nu)
-        else:
-            preds = logistic_theory.logistic_predictions(base)
-        rows.extend(_row(name, label, ratio, nu, k, v) for k, v in preds.items())
-    return rows
-
-
-def _dpsgd_curve_rows(name, label, nu, steps, signal_str, noise_str, L, *, huber, seed):
-    signal = parse_law(signal_str)
-    rows = []
     for index, ratio in enumerate(DENSE_RATIOS):
-        delta = (1.0 - ratio) / ratio
-        step = 0.5 / (1.0 + delta)
-        point_seed = child_seed(seed, index)
         try:
-            if huber:
-                trace = state_evolution.state_evolution_huber(
-                    steps, step, nu, delta, signal, parse_law(noise_str), L,
-                    seed=point_seed,
-                )
-            else:
-                trace = state_evolution.state_evolution_logistic(
-                    steps, step, nu, delta, signal, seed=point_seed
-                )
+            theory = spec.solve(
+                (1.0 - ratio) / ratio, lam=lam, nu=nu, L=L, signal=signal_law,
+                noise=noise_law, seed=lambda: child_seed(seed, index),
+                initial=guess,
+            )
         except (NumericError, ConfigError):
+            guess = None
             continue
-        for t in range(1, steps + 1):
-            rows.append(_row(name, label, ratio, nu, f"estimation_error_t{t}", trace.mse[t]))
-            rows.append(_row(name, label, ratio, nu, f"bias_t{t}", trace.bias[t]))
+        guess = theory.guess
+        rows.extend(_row(name, label, ratio, nu, k, v) for k, v in theory.predictions.items())
     return rows
 
 
@@ -126,10 +81,9 @@ _FIG1_COMMON = dict(
 
 
 def _fig1_theory():
-    signal, noise = parse_law("gaussian:1"), parse_law("gaussian:0.2")
     rows = []
     for nu in (0.0, 0.2):
-        rows += _huber_curve_rows("fig1", f"objective nu={nu:g}", nu, 1.0, 10.0, signal, noise)
+        rows += _curve_rows("fig1", f"objective nu={nu:g}", "huber_objective", nu)
     return rows
 
 
@@ -149,7 +103,6 @@ FIG1 = FigureSpec(
 
 
 def _fig2_theory():
-    signal, noise = parse_law("gaussian:1"), parse_law("gaussian:0.1")
     lam = 1.0
     rows = []
     for rho in (1.0, 2.0):
@@ -162,16 +115,10 @@ def _fig2_theory():
                 ("output", privacy.output_perturbation_nu_for_zcdp),
             ):
                 nu = calibrate(glm, lam, rho)
-                label = f"{loss_name} {mechanism} rho={rho:g}"
-                if loss_name == "huber":
-                    rows += _huber_curve_rows(
-                        "fig2", label, nu, lam, 1.0, signal, noise,
-                        output=(mechanism == "output"),
-                    )
-                else:
-                    rows += _logistic_curve_rows(
-                        "fig2", label, nu, lam, 1.0, output=(mechanism == "output")
-                    )
+                rows += _curve_rows(
+                    "fig2", f"{loss_name} {mechanism} rho={rho:g}",
+                    f"{loss_name}_{mechanism}", nu, lam=lam, L=1.0, noise="gaussian:0.1",
+                )
     return [r for r in rows if r["metric"] == "estimation_error"]
 
 
@@ -190,7 +137,7 @@ FIG2 = FigureSpec(
 def _fig4_theory():
     rows = []
     for nu in (0.0, 0.2):
-        rows += _logistic_curve_rows("fig4", f"objective nu={nu:g}", nu, 1.0, 1.0)
+        rows += _curve_rows("fig4", f"objective nu={nu:g}", "logistic_objective", nu)
     return rows
 
 
@@ -213,15 +160,12 @@ FIG4 = FigureSpec(
 
 
 def _fig5_theory():
-    signal, noise = parse_law("gaussian:1"), parse_law("gaussian:0.2")
     rows = []
     for nu in (0.0, 0.5):
-        rows += _huber_curve_rows(
-            "fig5", f"huber output nu={nu:g}", nu, 1.0, 10.0, signal, noise, output=True
-        )
-        rows += _logistic_curve_rows(
-            "fig5", f"logistic output nu={nu:g}", nu, 1.0, 1.0, output=True
-        )
+        for loss_name in ("huber", "logistic"):
+            rows += _curve_rows(
+                "fig5", f"{loss_name} output nu={nu:g}", f"{loss_name}_output", nu
+            )
     return rows
 
 
@@ -247,14 +191,10 @@ FIG5 = FigureSpec(
 def _fig6_theory():
     rows = []
     for nu in (0.0, 0.1):
-        rows += _dpsgd_curve_rows(
-            "fig6", f"huber_ce nu={nu:g}", nu, 3, "gaussian:1", "gaussian:0.2",
-            10.0, huber=True, seed=106,
-        )
-        rows += _dpsgd_curve_rows(
-            "fig6", f"logistic_ce nu={nu:g}", nu, 3, "gaussian:1", "", 0.0,
-            huber=False, seed=106,
-        )
+        for loss_name in ("huber", "logistic"):
+            rows += _curve_rows(
+                "fig6", f"{loss_name}_ce nu={nu:g}", f"{loss_name}_dpsgd_ce", nu, seed=106
+            )
     return rows
 
 

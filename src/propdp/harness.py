@@ -17,23 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import erm, huber_theory, logistic_theory, state_evolution
+from . import models
 from .errors import ConfigError, NumericError
 from .laws import ScalarLaw, parse_law
-from .losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from .rng import box_muller, child_seed, stream
-from .scalars import clip, logistic_rho_prime
+from .scalars import logistic_rho_prime
 
 RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-MODELS = (
-    "huber_objective",
-    "huber_output",
-    "logistic_objective",
-    "logistic_output",
-    "huber_dpsgd_ce",
-    "logistic_dpsgd_ce",
-)
+MODELS = tuple(models.SPECS)
 DESIGNS = ("rademacher", "gaussian", "bounded_uniform")
 
 
@@ -70,14 +62,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"ExperimentConfig: unknown model {self.model!r}")
+        spec = models.get(self.model)
         if self.design not in DESIGNS:
             raise ConfigError(f"ExperimentConfig: unknown design {self.design!r}")
         if self.replicates < 1:
             raise ConfigError("ExperimentConfig: replicates must be >= 1")
+        for name in ("L", "lam", "nu", "step_size"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"ExperimentConfig: {name} must be finite, got {value!r}")
         if self.nu < 0 or self.lam < 0 or self.L <= 0:
             raise ConfigError("ExperimentConfig: scales out of range")
+        spec.check_trace(self.steps, self.mc_samples)
         if self.nu > 0 and self.design == "gaussian":
             raise ConfigError(
                 "ExperimentConfig: gaussian designs have unbounded rows and are "
@@ -93,7 +89,7 @@ class ExperimentConfig:
         return grid_from_ratios(self.total, self.ratios)
 
     def step_size_at(self, delta: float) -> float:
-        return self.step_size if self.step_size is not None else 0.5 / (1.0 + delta)
+        return models.step_size_at(delta, self.step_size)
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,7 @@ class MetricRecord:
     kappa: float
     sigma_eps: str
     replicate: int
+    grid_index: int
     seed: int
     empirical: dict
     theory: dict | None
@@ -155,174 +152,46 @@ def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int) -> np.n
     return (stream(seed, "labels").random(X.shape[0]) < probs).astype(float)
 
 
-def empirical_metrics(
-    beta_hat: np.ndarray,
-    beta_star: np.ndarray,
-    xi: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    model: str,
-    *,
-    L: float = 1.0,
-    beta_tilde: np.ndarray | None = None,
-) -> dict:
-    """Per-replicate summary statistics of one fitted coefficient vector."""
-    d = beta_star.shape[0]
-    n = X.shape[0]
-    error = beta_hat - beta_star
-    metrics = {
-        "estimation_error": float(error @ error) / d,
-        "bias": float(beta_hat @ beta_star) / d,
-    }
-    if model.endswith("_output"):
-        if beta_tilde is None:
-            raise ConfigError("empirical_metrics: output models need beta_tilde")
-        metrics["xi_correlation"] = float((beta_hat - beta_tilde) @ xi) / d
-    else:
-        metrics["xi_correlation"] = float(error @ xi) / d
-    if model.startswith("huber"):
-        residual = clip(y - X @ beta_hat, L)
-        metrics["truncated_residual"] = float(residual @ residual) / n
-    else:
-        diff = logistic_rho_prime(X @ beta_star) - logistic_rho_prime(X @ beta_hat)
-        metrics["rho_diff"] = float(diff @ diff) / n
-    return metrics
-
-
-def _noise_echo(config: ExperimentConfig) -> str:
-    if config.model.startswith("logistic"):
-        return ""
-    law = parse_law(config.noise)
-    if law.weights == (1.0,) and law.locs == (0.0,):
-        return repr(float(law.scales[0]))
-    return config.noise
-
-
 def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> dict | None:
     """Predictions for one grid point; None when the solver fails."""
-    delta = d / n
-    signal = parse_law(config.signal)
-    noise = parse_law(config.noise)
-    kappa = math.sqrt(signal.second_moment)
     try:
-        if config.model == "huber_objective":
-            sol = huber_theory.solve_huber_system(
-                delta, config.lam, config.nu, config.L, signal, noise
-            )
-            return huber_theory.huber_predictions(sol)
-        if config.model == "huber_output":
-            base = huber_theory.solve_huber_system(
-                delta, config.lam, 0.0, config.L, signal, noise
-            )
-            return huber_theory.output_perturbation_predictions(base, config.nu)
-        if config.model == "logistic_objective":
-            sol = logistic_theory.solve_logistic_system(
-                delta, config.lam, config.nu, kappa
-            )
-            return logistic_theory.logistic_predictions(sol)
-        if config.model == "logistic_output":
-            base = logistic_theory.solve_logistic_system(delta, config.lam, 0.0, kappa)
-            return logistic_theory.output_perturbation_predictions(base, config.nu)
-        trace = _solve_trace(config, delta, grid_index)
-        out = {}
-        for t in range(1, config.steps + 1):
-            out[f"estimation_error_t{t}"] = float(trace.mse[t])
-            out[f"bias_t{t}"] = float(trace.bias[t])
-        return out
+        return models.get(config.model).solve(
+            d / n, lam=config.lam, nu=config.nu, L=config.L,
+            signal=parse_law(config.signal), noise=parse_law(config.noise),
+            steps=config.steps, step_size=config.step_size, mc_samples=config.mc_samples,
+            seed=lambda: child_seed(config.seed, grid_index),
+        ).predictions
     except (NumericError, ConfigError):
         return None
-
-
-def _solve_trace(config: ExperimentConfig, delta: float, grid_index: int):
-    signal = parse_law(config.signal)
-    seed = child_seed(config.seed, grid_index)
-    if config.model == "huber_dpsgd_ce":
-        return state_evolution.state_evolution_huber(
-            config.steps,
-            config.step_size_at(delta),
-            config.nu,
-            delta,
-            signal,
-            parse_law(config.noise),
-            config.L,
-            mc_samples=config.mc_samples,
-            seed=seed,
-        )
-    return state_evolution.state_evolution_logistic(
-        config.steps,
-        config.step_size_at(delta),
-        config.nu,
-        delta,
-        signal,
-        mc_samples=config.mc_samples,
-        seed=seed,
-    )
 
 
 def _run_cell(args) -> MetricRecord:
     config, grid_index, n, d, replicate, theory = args
     started = time.perf_counter()
+    spec = models.get(config.model)
     seed = child_seed(config.seed, grid_index, replicate)
     signal = parse_law(config.signal)
     noise = parse_law(config.noise)
-    delta = d / n
 
     X = gen_design(n, d, config.design, seed)
     beta_star = gen_signal(d, signal, seed)
-    radius = design_radius(X, config.design)
-
-    if config.model.endswith("_dpsgd_ce"):
-        y = X @ beta_star
-        data = erm.Dataset(X, y, radius)
-        if config.model == "huber_dpsgd_ce":
-            loss = HuberCeLoss(config.L, noise)
-        else:
-            loss = LogisticCeLoss()
-        trajectory = erm.run_noisy_gd(
-            data, loss, config.step_size_at(delta), config.nu, config.steps, seed
-        )
-        empirical = {}
-        for t in range(1, config.steps + 1):
-            err = trajectory[t] - beta_star
-            empirical[f"estimation_error_t{t}"] = float(err @ err) / d
-            empirical[f"bias_t{t}"] = float(trajectory[t] @ beta_star) / d
-    else:
-        if config.model.startswith("huber"):
-            y = gen_linear_labels(X, beta_star, noise, seed)
-            loss = HuberLoss(config.L)
-        else:
-            y = gen_logistic_labels(X, beta_star, seed)
-            loss = LogisticLoss()
-        data = erm.Dataset(X, y, radius)
-        if config.model.endswith("_objective"):
-            fit = erm.fit_objective_perturbation(
-                data, loss, config.lam, config.nu, seed
-            )
-        else:
-            fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
-        empirical = empirical_metrics(
-            fit.beta_hat,
-            beta_star,
-            fit.xi,
-            X,
-            y,
-            config.model,
-            L=config.L,
-            beta_tilde=fit.beta_tilde,
-        )
+    empirical = spec.replicate(
+        config, X, beta_star, design_radius(X, config.design), noise, seed
+    )
 
     return MetricRecord(
         model=config.model,
         design=config.design,
         n=n,
         d=d,
-        delta=delta,
+        delta=d / n,
         lam=config.lam,
         nu=config.nu,
         L=config.L,
         kappa=math.sqrt(signal.second_moment),
-        sigma_eps=_noise_echo(config),
+        sigma_eps=spec.noise_echo(noise, config.noise),
         replicate=replicate,
+        grid_index=grid_index,
         seed=seed,
         empirical=empirical,
         theory=theory,
@@ -349,9 +218,10 @@ def summarize(records: list[MetricRecord]) -> list[dict]:
     """Per-grid-point means, standard errors, theory values, and z-scores."""
     groups: dict[tuple, list[MetricRecord]] = {}
     for record in records:
-        groups.setdefault((record.n, record.d, record.nu), []).append(record)
+        key = (record.n, record.d, record.nu, record.grid_index)
+        groups.setdefault(key, []).append(record)
     rows = []
-    for (n, d, nu), members in sorted(groups.items()):
+    for (n, d, nu, _), members in sorted(groups.items()):
         head = members[0]
         metrics = sorted(head.empirical)
         for metric in metrics:

@@ -10,7 +10,7 @@ kink-aware Gauss-Legendre panel rule is kept for independent verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class HuberSolution:
     noise: ScalarLaw
     iterations: int = 0
     condition_number: float = float("nan")
-    roots: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def as_dict(self) -> dict:
         return {
@@ -164,7 +163,6 @@ def solve_huber_system(
     noise: ScalarLaw,
     *,
     initial: tuple[float, float] | None = None,
-    enumerate_all_roots: bool = False,
 ) -> HuberSolution:
     """Solve the two-equation system for (sigma*, tau*).
 
@@ -184,9 +182,6 @@ def solve_huber_system(
         [max(kappa, 1e-2), 1.0 / (2.0 * lam + 1.0)]
     )
     res = newton.solve_with_multistart(f, x0)
-    roots: tuple[tuple[float, float], ...] = ()
-    if enumerate_all_roots:
-        roots = tuple((float(r.x[0]), float(r.x[1])) for r in newton.enumerate_roots(f, x0))
     return HuberSolution(
         sigma_star=float(res.x[0]),
         tau_star=float(res.x[1]),
@@ -200,7 +195,6 @@ def solve_huber_system(
         noise=noise,
         iterations=res.iterations,
         condition_number=res.condition_number,
-        roots=roots,
     )
 
 
@@ -263,17 +257,3 @@ def residual_pair_moment(sol: HuberSolution, fn, *, nodes: int = quadrature.DEFA
         total += wc * float(np.sum(weights * fn(eps, trunc)))
     return total
 
-
-def output_perturbation_predictions(base: HuberSolution, nu: float) -> dict[str, float]:
-    """Metrics for adding nu*xi to the non-private minimizer (base has nu=0)."""
-    if base.nu != 0.0:
-        raise ConfigError("output_perturbation_predictions: base solution must have nu = 0")
-    if nu < 0:
-        raise ConfigError("output_perturbation_predictions: nu must be >= 0")
-    preds = huber_predictions(base)
-    return {
-        "estimation_error": preds["estimation_error"] + nu**2,
-        "bias": preds["bias"],
-        "xi_correlation": nu,
-        # the truncated residual of the perturbed output has no closed form here
-    }

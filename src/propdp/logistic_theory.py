@@ -9,7 +9,7 @@ the two Bernoulli branches weighted by sigmoid(+/- kappa Z1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class LogisticSolution:
     kappa: float
     iterations: int = 0
     condition_number: float = float("nan")
-    roots: tuple[tuple[float, float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.sigma_star < self.gamma_star * self.nu - 1e-9:
@@ -101,7 +100,6 @@ def solve_logistic_system(
     *,
     nodes: int = quadrature.DEFAULT_NODES_2D,
     initial: tuple[float, float, float] | None = None,
-    enumerate_all_roots: bool = False,
 ) -> LogisticSolution:
     """Solve the three-equation system for (alpha*, sigma*, gamma*)."""
     if delta <= 0:
@@ -122,11 +120,6 @@ def solve_logistic_system(
         [1.0, kappa, 1.0 / (2.0 * lam + 1.0)]
     )
     res = newton.solve_with_multistart(f, x0)
-    roots: tuple[tuple[float, float, float], ...] = ()
-    if enumerate_all_roots:
-        roots = tuple(
-            (float(r.x[0]), float(r.x[1]), float(r.x[2])) for r in newton.enumerate_roots(f, x0)
-        )
     return LogisticSolution(
         alpha_star=float(res.x[0]),
         sigma_star=float(res.x[1]),
@@ -138,7 +131,6 @@ def solve_logistic_system(
         kappa=kappa,
         iterations=res.iterations,
         condition_number=res.condition_number,
-        roots=roots,
     )
 
 
@@ -169,17 +161,3 @@ def logistic_predictions(sol: LogisticSolution) -> dict[str, float]:
         "rho_diff": rho_prime_difference(sol),
     }
 
-
-def output_perturbation_predictions(base: LogisticSolution, nu: float) -> dict[str, float]:
-    """Metrics for adding nu*xi to the non-private minimizer (base has nu=0)."""
-    if base.nu != 0.0:
-        raise ConfigError("output_perturbation_predictions: base solution must have nu = 0")
-    if nu < 0:
-        raise ConfigError("output_perturbation_predictions: nu must be >= 0")
-    preds = logistic_predictions(base)
-    return {
-        "estimation_error": preds["estimation_error"] + nu**2,
-        "bias": preds["bias"],
-        "xi_correlation": nu,
-        # rho_diff of the perturbed output has no closed form here
-    }

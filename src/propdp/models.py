@@ -1,0 +1,244 @@
+"""The six learner/model pairs in one table: a loss family (Huber or
+logistic regression) crossed with a privacy mechanism (objective
+perturbation, output perturbation, or noisy GD on the smoothed loss).
+
+Everything that depends on the model is decided here; the harness, the CLI
+and the figures look a model up by name and never test the name, so adding
+a model means adding one entry to ``SPECS``.  Output perturbation is "solve
+the non-private system at nu = 0, then shift by nu" (Chaudhuri, Monteleoni &
+Sarwate, JMLR 2011).  Solvers, learners and label generators are reached
+through their module attributes at call time, never stored in the table, so
+instrumentation that replaces those attributes sees every call.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
+
+import numpy as np
+
+# harness imports this module for its model list and is only used here at
+# call time (for its label generators), so the import cycle is harmless
+from . import erm, harness, huber_theory, logistic_theory, losses, state_evolution
+from .errors import ConfigError, NumericError
+from .laws import ScalarLaw
+from .scalars import clip, logistic_rho_prime
+
+# keys of a noisy-GD trace echoed as the theory command's "solution"
+_TRACE_ECHO = ("mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr", "seed")
+
+
+def step_size_at(delta: float, step_size: float | None = None) -> float:
+    """Noisy-GD step size: the given one, else the default 0.5 / (1 + delta)."""
+    return step_size if step_size is not None else 0.5 / (1.0 + delta)
+
+
+def _per_step(mse, bias) -> dict[str, float]:
+    """``estimation_error_t{t}`` and ``bias_t{t}`` for iterates t = 1..T."""
+    out = {}
+    for t in range(1, len(mse)):
+        out[f"estimation_error_t{t}"] = float(mse[t])
+        out[f"bias_t{t}"] = float(bias[t])
+    return out
+
+
+def _predictions(sol) -> dict[str, float]:
+    if isinstance(sol, huber_theory.HuberSolution):
+        return huber_theory.huber_predictions(sol)
+    return logistic_theory.logistic_predictions(sol)
+
+
+def output_perturbation_predictions(base, nu: float) -> dict[str, float]:
+    """Metrics for adding nu*xi to the non-private minimizer.
+
+    ``base`` is a Huber or logistic solution at nu = 0.  The loss-specific
+    fourth metric of the perturbed output has no closed form and is left out.
+    """
+    if base.nu != 0.0:
+        raise ConfigError("output_perturbation_predictions: base solution must have nu = 0")
+    if nu < 0:
+        raise ConfigError("output_perturbation_predictions: nu must be >= 0")
+    preds = _predictions(base)
+    return {
+        "estimation_error": preds["estimation_error"] + nu**2,
+        "bias": preds["bias"],
+        "xi_correlation": nu,
+    }
+
+
+@dataclass(frozen=True)
+class Theory:
+    """One solved point: a JSON-ready echo of the solver's output, the
+    predicted metrics, and the warm start for a neighbouring point."""
+
+    solution: dict
+    predictions: dict
+    guess: tuple | None
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    name: str
+    loss: str  # "huber" or "logistic"
+    mechanism: str  # "objective", "output" or "dpsgd"
+
+    def check_lambda(self, lam: float) -> None:
+        """The fixed-point systems need lam above a conditioning floor; noisy
+        GD has no ridge term."""
+        if self.mechanism != "dpsgd" and lam < huber_theory.MIN_LAMBDA:
+            raise ConfigError(f"{self.name}: lambda must be >= {huber_theory.MIN_LAMBDA}")
+
+    def check_trace(self, steps: int, mc_samples: int) -> None:
+        """Noisy-GD models need settings the state-evolution solver accepts."""
+        top, least = state_evolution.MAX_STEPS, state_evolution.MIN_MC_SAMPLES
+        if self.mechanism == "dpsgd" and not 1 <= steps <= top:
+            raise ConfigError(f"{self.name}: steps must be in [1, {top}]")
+        if self.mechanism == "dpsgd" and mc_samples < least:
+            raise ConfigError(f"{self.name}: mc_samples must be >= {least}")
+
+    def trace_inputs(self, delta, steps, step_size, mc_samples) -> dict:
+        """The noisy-GD settings a theory point echoes (none for other models)."""
+        if self.mechanism != "dpsgd":
+            return {}
+        step = step_size_at(delta, step_size)
+        return {"steps": steps, "step_size": step, "mc_samples": mc_samples}
+
+    def noise_echo(self, noise: ScalarLaw, text: str) -> str:
+        """The sigma_eps column: the std of centred Gaussian noise, else the
+        law text; empty for logistic models, whose labels use no noise law."""
+        if self.loss == "logistic":
+            return ""
+        if noise.weights == (1.0,) and noise.locs == (0.0,):
+            return repr(float(noise.scales[0]))
+        return text
+
+    def solve(
+        self, delta: float, *, lam: float, nu: float, L: float, signal: ScalarLaw,
+        noise: ScalarLaw, steps: int = 3, step_size: float | None = None,
+        mc_samples: int = 100_000, seed: Callable[[], int] = lambda: 0,
+        initial: tuple | None = None,
+    ) -> Theory:
+        """Solve the model's limit at one delta.
+
+        ``initial`` warm-starts the fixed-point solvers; ``seed`` is called
+        only by the noisy-GD models, whose state evolution is sampled.
+        Overflow or a singular Newton system at extreme inputs, and
+        non-finite predictions, raise NumericError.
+        """
+        try:
+            if self.mechanism == "dpsgd":
+                step = step_size_at(delta, step_size)
+                theory = self._trace(delta, nu, L, signal, noise, steps, step, mc_samples, seed())
+            else:
+                theory = self._fixed_point(delta, lam, nu, L, signal, noise, initial)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            raise NumericError(f"{self.name} at delta={delta!r}: {exc}") from None
+        if not all(math.isfinite(v) for v in theory.predictions.values()):
+            raise NumericError(f"{self.name} at delta={delta!r}: non-finite prediction")
+        return theory
+
+    def _trace(self, delta, nu, L, signal, noise, steps, step, mc_samples, seed) -> Theory:
+        if self.loss == "huber":
+            trace = state_evolution.state_evolution_huber(
+                steps, step, nu, delta, signal, noise, L, mc_samples=mc_samples, seed=seed
+            )
+        else:
+            trace = state_evolution.state_evolution_logistic(
+                steps, step, nu, delta, signal, mc_samples=mc_samples, seed=seed
+            )
+        echo = trace.as_dict()
+        solution = {key: echo[key] for key in _TRACE_ECHO}
+        return Theory(solution, _per_step(trace.mse, trace.bias), None)
+
+    def _fixed_point(self, delta, lam, nu, L, signal, noise, initial) -> Theory:
+        nu_solve = 0.0 if self.mechanism == "output" else nu
+        if self.loss == "huber":
+            sol = huber_theory.solve_huber_system(
+                delta, lam, nu_solve, L, signal, noise, initial=initial
+            )
+            guess = (sol.sigma_star, sol.tau_star)
+        else:
+            sol = logistic_theory.solve_logistic_system(
+                delta, lam, nu_solve, math.sqrt(signal.second_moment), initial=initial
+            )
+            guess = (sol.alpha_star, sol.sigma_star, sol.gamma_star)
+        if self.mechanism == "output":
+            return Theory(sol.as_dict(), output_perturbation_predictions(sol, nu), guess)
+        return Theory(sol.as_dict(), _predictions(sol), guess)
+
+    def replicate(self, config, X, beta_star, radius: float, noise: ScalarLaw, seed: int) -> dict:
+        """Label, fit and score one replicate of ``config`` (an ExperimentConfig)."""
+        d = beta_star.shape[0]
+        if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
+            if self.loss == "huber":
+                loss = losses.HuberCeLoss(config.L, noise)
+            else:
+                loss = losses.LogisticCeLoss()
+            step = step_size_at(d / X.shape[0], config.step_size)
+            trajectory = erm.run_noisy_gd(
+                erm.Dataset(X, X @ beta_star, radius), loss, step, config.nu, config.steps, seed
+            )
+            errors = trajectory - beta_star
+            return _per_step(
+                [float(e @ e) / d for e in errors], [float(b @ beta_star) / d for b in trajectory]
+            )
+        if self.loss == "huber":
+            y = harness.gen_linear_labels(X, beta_star, noise, seed)
+            loss = losses.HuberLoss(config.L)
+        else:
+            y = harness.gen_logistic_labels(X, beta_star, seed)
+            loss = losses.LogisticLoss()
+        data = erm.Dataset(X, y, radius)
+        if self.mechanism == "objective":
+            fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
+        else:
+            fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
+        return empirical_metrics(
+            fit.beta_hat, beta_star, fit.xi, X, y, self.name, L=config.L, beta_tilde=fit.beta_tilde
+        )
+
+
+SPECS = {
+    spec.name: spec
+    for spec in (
+        ModelSpec("huber_objective", "huber", "objective"),
+        ModelSpec("huber_output", "huber", "output"),
+        ModelSpec("logistic_objective", "logistic", "objective"),
+        ModelSpec("logistic_output", "logistic", "output"),
+        ModelSpec("huber_dpsgd_ce", "huber", "dpsgd"),
+        ModelSpec("logistic_dpsgd_ce", "logistic", "dpsgd"),
+    )
+}
+
+
+def get(model: str) -> ModelSpec:
+    try:
+        return SPECS[model]
+    except KeyError:
+        raise ConfigError(f"unknown model {model!r}; available: {', '.join(SPECS)}") from None
+
+
+def empirical_metrics(
+    beta_hat, beta_star, xi, X, y, model: str, *, L: float = 1.0, beta_tilde=None
+) -> dict:
+    """Per-replicate summary statistics of one fitted coefficient vector."""
+    spec = get(model)
+    d = beta_star.shape[0]
+    error = beta_hat - beta_star
+    metrics = {"estimation_error": float(error @ error) / d}
+    metrics["bias"] = float(beta_hat @ beta_star) / d
+    if spec.mechanism == "output":
+        if beta_tilde is None:
+            raise ConfigError("empirical_metrics: output models need beta_tilde")
+        metrics["xi_correlation"] = float((beta_hat - beta_tilde) @ xi) / d
+    else:
+        metrics["xi_correlation"] = float(error @ xi) / d
+    if spec.loss == "huber":
+        residual = clip(y - X @ beta_hat, L)
+        metrics["truncated_residual"] = float(residual @ residual) / X.shape[0]
+    else:
+        diff = logistic_rho_prime(X @ beta_star) - logistic_rho_prime(X @ beta_hat)
+        metrics["rho_diff"] = float(diff @ diff) / X.shape[0]
+    return metrics

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from scipy.special import log_ndtr
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .scalars import gaussian_cdf
 
 logger = logging.getLogger(__name__)
@@ -223,29 +223,36 @@ def build_report(
     ``epsilon`` is the approximate-DP target at which delta is evaluated.
     """
     alphas = default_alpha_grid() if alphas is None else tuple(alphas)
-    if mechanism == "objective":
-        if lam is None:
-            raise ConfigError("objective mechanism needs lam")
-        rho = objective_perturbation_zcdp(glm, lam, nu)
-        curve = tuple((a, objective_perturbation_rdp(a, glm, lam, nu)) for a in alphas)
-        delta = objective_perturbation_delta(epsilon, glm, lam, nu)
-    elif mechanism == "output":
-        if lam is None:
-            raise ConfigError("output mechanism needs lam")
-        rho = output_perturbation_zcdp(glm, lam, nu)
-        curve = tuple((a, a * rho) for a in alphas)
-        delta = output_perturbation_delta(epsilon, glm, lam, nu)
-    elif mechanism == "dpsgd":
-        if T is None:
-            raise ConfigError("dpsgd mechanism needs T")
-        rho = dpsgd_zcdp(T, glm, nu)
-        curve = tuple((a, a * rho) for a in alphas)
-        # delta(epsilon) by inverting the order-alpha conversion over the grid
-        raw = min(
-            (math.exp(-(a - 1.0) * (epsilon - e)) for a, e in curve if epsilon > e),
-            default=1.0,
-        )
-        delta = _clamped_delta(raw, "dpsgd report")
-    else:
-        raise ConfigError(f"unknown mechanism {mechanism!r}")
-    return PrivacyReport(mechanism, epsilon, delta, curve, rho)
+    try:
+        if mechanism == "objective":
+            if lam is None:
+                raise ConfigError("objective mechanism needs lam")
+            rho = objective_perturbation_zcdp(glm, lam, nu)
+            curve = tuple((a, objective_perturbation_rdp(a, glm, lam, nu)) for a in alphas)
+            delta = objective_perturbation_delta(epsilon, glm, lam, nu)
+        elif mechanism == "output":
+            if lam is None:
+                raise ConfigError("output mechanism needs lam")
+            rho = output_perturbation_zcdp(glm, lam, nu)
+            curve = tuple((a, a * rho) for a in alphas)
+            delta = output_perturbation_delta(epsilon, glm, lam, nu)
+        elif mechanism == "dpsgd":
+            if T is None:
+                raise ConfigError("dpsgd mechanism needs T")
+            rho = dpsgd_zcdp(T, glm, nu)
+            curve = tuple((a, a * rho) for a in alphas)
+            # delta(epsilon) by inverting the order-alpha conversion over the grid
+            raw = min(
+                (math.exp(-(a - 1.0) * (epsilon - e)) for a, e in curve if epsilon > e),
+                default=1.0,
+            )
+            delta = _clamped_delta(raw, "dpsgd report")
+        else:
+            raise ConfigError(f"unknown mechanism {mechanism!r}")
+        return PrivacyReport(mechanism, epsilon, delta, curve, rho)
+    except ConfigError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        # a tiny nu (or a huge L, R or T) takes the privacy loss out of float
+        # range: a division by zero, an overflow, or a report invariant lost
+        raise NumericError(f"{mechanism}: privacy loss out of float range ({exc})") from None

@@ -1,15 +1,20 @@
 """End-to-end command-line tests via subprocess: exit codes, output formats,
 manifests, and bit-stable reruns."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from propdp import cli
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
 
 
@@ -284,6 +289,11 @@ class TestSimulate:
     def test_missing_config_file_exits_2(self):
         assert run_cli("simulate", "--config", "/nonexistent.json").returncode == 2
 
+    def test_dpsgd_trace_budget_is_a_config_error(self):
+        proc = run_cli("simulate", "--model", "huber_dpsgd_ce", "--mc-samples", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
 
 class TestFigure:
     def test_fig1_smoke(self, tmp_path):
@@ -309,3 +319,77 @@ class TestFigure:
         assert proc.returncode == 0, proc.stderr
         assert (out / "fig2_theory.csv").exists()
         assert not (out / "fig2_simulation.csv").exists()
+
+
+# --- the input boundary: every argument ends in exit 0, 2 or 3 ---------------
+
+
+def run_in_process(*args):
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def assert_contract(code, stdout):
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(stdout, parse_constant=_reject_constant)
+    else:
+        assert stdout == ""
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (("theory", "--model", "huber_objective", "--delta", "nan"), 2),
+            (("theory", "--model", "huber_objective", "--delta", "1", "--nu", "nan"), 2),
+            (("theory", "--model", "huber_objective", "--delta", "1", "--L", "inf"), 2),
+            (("simulate", "--model", "huber_objective", "--nu", "nan"), 2),
+            (("privacy", "output", "--nu", "nan", "--lambda", "1"), 2),
+            (("privacy", "objective", "--nu", "1e-300", "--lambda", "1"), 3),
+        ],
+    )
+    def test_non_finite_and_underflowing_inputs(self, args, expected):
+        code, stdout = run_in_process(*args)
+        assert code == expected
+        assert stdout == ""
+
+    NUMBERS = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 1.0, 1e300]),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        model=st.sampled_from(["huber_objective", "huber_output"]),
+        delta=NUMBERS, lam=NUMBERS, nu=NUMBERS, L=NUMBERS, kappa=NUMBERS,
+    )
+    def test_theory_exit_codes_and_strict_json(self, model, delta, lam, nu, L, kappa):
+        code, stdout = run_in_process(
+            "theory", "--model", model, f"--delta={delta!r}", f"--lambda={lam!r}",
+            f"--nu={nu!r}", f"--L={L!r}", f"--kappa={kappa!r}",
+        )
+        assert_contract(code, stdout)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mechanism=st.sampled_from(["objective", "output", "dpsgd"]),
+        nu=NUMBERS, lam=NUMBERS, L=NUMBERS, R=NUMBERS, epsilon=NUMBERS,
+        T=st.integers(min_value=-2, max_value=10**400),
+    )
+    def test_privacy_exit_codes_and_strict_json(self, mechanism, nu, lam, L, R, epsilon, T):
+        code, stdout = run_in_process(
+            "privacy", mechanism, f"--nu={nu!r}", f"--lambda={lam!r}", f"--L={L!r}",
+            f"--R={R!r}", f"--epsilon={epsilon!r}", f"--T={T}",
+        )
+        assert_contract(code, stdout)

@@ -14,7 +14,6 @@ from propdp.harness import (
     ExperimentConfig,
     MetricRecord,
     design_radius,
-    empirical_metrics,
     gen_design,
     gen_linear_labels,
     gen_logistic_labels,
@@ -26,6 +25,7 @@ from propdp.harness import (
     summarize,
 )
 from propdp.laws import ScalarLaw
+from propdp.models import empirical_metrics
 from propdp.scalars import logistic_rho_prime
 
 
@@ -95,6 +95,19 @@ class TestConfig:
         assert cfg.step_size_at(1.0) == pytest.approx(0.25)
         cfg2 = replicate_with(cfg, step_size=0.125)
         assert cfg2.step_size_at(1.0) == 0.125
+
+    @pytest.mark.parametrize("field", ["L", "lam", "nu", "step_size"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scales_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(model="huber_dpsgd_ce", **{field: value})
+
+    def test_dpsgd_trace_budget_validated(self):
+        for overrides in ({"mc_samples": 5}, {"steps": 0}, {"steps": 17}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(model="huber_dpsgd_ce", **overrides)
+        # the trace settings mean nothing to the fixed-point models
+        ExperimentConfig(model="huber_objective", mc_samples=5, steps=0)
 
     def test_replicate_with_revalidates(self):
         cfg = ExperimentConfig(model="huber_objective")
@@ -318,6 +331,18 @@ class TestSummarize:
             nu=0.2,
             seed=21,
         )
+
+    def test_duplicate_grid_points_are_not_pooled(self):
+        cfg = ExperimentConfig(
+            model="huber_objective", grid=((30, 33), (30, 33)), replicates=3, nu=0.2
+        )
+        records = run_experiment(cfg)
+        rows = summarize(records)
+        assert len(rows) == 2 * 4
+        assert all(r["replicates"] == 3 for r in rows)
+        first = [r.empirical["bias"] for r in records if r.grid_index == 0]
+        (row,) = [r for r in rows[:4] if r["metric"] == "bias"]
+        assert row["empirical_mean"] == pytest.approx(np.mean(first), rel=1e-15)
 
     def test_single_replicate_has_zero_stderr(self):
         cfg = ExperimentConfig(

@@ -17,7 +17,6 @@ from propdp.huber_theory import (
     effective_noise_scale,
     huber_predictions,
     limit_triple_moment,
-    output_perturbation_predictions,
     residual_interval_probability,
     residual_pair_moment,
     residual_second_moment,
@@ -26,6 +25,8 @@ from propdp.huber_theory import (
     system_residual_quadrature,
 )
 from propdp.laws import ScalarLaw, parse_law
+from propdp.models import output_perturbation_predictions
+from propdp.newton import enumerate_roots
 
 STD_SIGNAL = ScalarLaw.gaussian(1.0)
 NOISE_02 = ScalarLaw.gaussian(0.2)
@@ -195,11 +196,19 @@ class TestValidation:
             solve(0.5, 1.0, 0.0, 0.0, NOISE_02)
 
     def test_solution_dataclass_round_trip(self):
-        sol = solve(0.5, 1.0, 0.2, 10.0, NOISE_02, enumerate_all_roots=True)
+        sol = solve(0.5, 1.0, 0.2, 10.0, NOISE_02)
         d = sol.as_dict()
         assert d["sigma_star"] == sol.sigma_star
         assert d["lambda"] == 1.0
         assert isinstance(sol, HuberSolution)
+
+        def f(x):
+            return system_residual(
+                x[0], x[1], delta=0.5, lam=1.0, nu=0.2, L=10.0,
+                kappa_sq=STD_SIGNAL.second_moment, noise=NOISE_02,
+            )
+
+        roots = [(float(r.x[0]), float(r.x[1])) for r in enumerate_roots(f, [1.0, 1.0 / 3.0])]
         assert any(
-            abs(s - sol.sigma_star) < 1e-6 and abs(t - sol.tau_star) < 1e-6 for s, t in sol.roots
+            abs(s - sol.sigma_star) < 1e-6 and abs(t - sol.tau_star) < 1e-6 for s, t in roots
         )

@@ -14,11 +14,11 @@ from propdp.logistic_theory import (
     MIN_LAMBDA,
     LogisticSolution,
     logistic_predictions,
-    output_perturbation_predictions,
     rho_prime_difference,
     solve_logistic_system,
     system_residual,
 )
+from propdp.models import output_perturbation_predictions
 from propdp.rng import stream
 from propdp.scalars import logistic_rho_prime, prox_logistic
 
