@@ -10,6 +10,7 @@ shared concentrated-DP budget and plots the resulting risk curves.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import ConfigError, NumericError
 from .harness import ExperimentConfig
 from .laws import parse_law
 from .rng import child_seed
+
+logger = logging.getLogger(__name__)
 
 FIGURE_NAMES = ("fig1", "fig2", "fig4", "fig5", "fig6")
 
@@ -52,7 +55,7 @@ def _row(name: str, label: str, ratio: float, nu: float, metric: str, value: flo
 def _curve_rows(name, label, model, nu, *, lam=1.0, L=10.0, noise="gaussian:0.2", seed=0):
     """One model's predictions along the dense grid, each fixed-point solve
     warm-started from the previous grid point's solution to stay on the
-    continuous branch; grid points whose solve fails are left out."""
+    continuous branch; a grid point whose solve fails is logged and left out."""
     spec = models.get(model)
     signal_law, noise_law = parse_law("gaussian:1"), parse_law(noise)
     rows = []
@@ -64,7 +67,8 @@ def _curve_rows(name, label, model, nu, *, lam=1.0, L=10.0, noise="gaussian:0.2"
                 noise=noise_law, seed=lambda: child_seed(seed, index),
                 initial=guess,
             )
-        except (NumericError, ConfigError):
+        except (NumericError, ConfigError) as exc:
+            logger.warning("%s %s: ratio %g left out: %s", name, label, ratio, exc)
             guess = None
             continue
         guess = theory.guess

@@ -17,29 +17,33 @@ import numpy as np
 from . import newton, quadrature
 from .errors import ConfigError
 from .laws import ScalarLaw
-from .scalars import clip, clipped_second_moment, interval_probability
+from .scalars import clip, clipped_moment_gradients, clipped_second_moment, interval_probability
 
 MIN_LAMBDA = 1e-8
 
 
+def _clipped_residual(sigma: float, tau: float, L: float, noise: ScalarLaw):
+    """(E[clip(r, L)**2], P(|r| < L)) for r = (sigma*Z + eps)/(1+tau), exact
+    per mixture component, and their gradient in (sigma, tau) as a 2x2 array."""
+    values, grad = np.zeros(2), np.zeros((2, 2))
+    for w, loc, scale in zip(noise.weights, noise.locs, noise.scales):
+        hyp = float(np.hypot(sigma, scale))
+        mu, s = loc / (1.0 + tau), hyp / (1.0 + tau)
+        values += w * np.array([clipped_second_moment(mu, s, L), interval_probability(mu, s, L)])
+        # d(mu, s)/d(sigma, tau)
+        chain = np.array([[0.0, -mu], [sigma / hyp if hyp > 0 else 0.0, -s]]) / (1.0 + tau)
+        grad += w * clipped_moment_gradients(mu, s, L) @ chain
+    return values, grad
+
+
 def residual_second_moment(sigma: float, tau: float, L: float, noise: ScalarLaw) -> float:
     """E[clip((sigma*Z + eps)/(1+tau), L)**2], exact per mixture component."""
-    total = 0.0
-    for w, loc, scale in zip(noise.weights, noise.locs, noise.scales):
-        mu = loc / (1.0 + tau)
-        s = np.hypot(sigma, scale) / (1.0 + tau)
-        total += w * float(clipped_second_moment(mu, s, L))
-    return total
+    return float(_clipped_residual(sigma, tau, L, noise)[0][0])
 
 
 def residual_interval_probability(sigma: float, tau: float, L: float, noise: ScalarLaw) -> float:
     """P(|(sigma*Z + eps)/(1+tau)| < L), exact per mixture component."""
-    total = 0.0
-    for w, loc, scale in zip(noise.weights, noise.locs, noise.scales):
-        mu = loc / (1.0 + tau)
-        s = np.hypot(sigma, scale) / (1.0 + tau)
-        total += w * float(interval_probability(mu, s, L))
-    return total
+    return float(_clipped_residual(sigma, tau, L, noise)[0][1])
 
 
 def system_residual(
@@ -52,13 +56,19 @@ def system_residual(
     L: float,
     kappa_sq: float,
     noise: ScalarLaw,
-) -> np.ndarray:
-    """Residuals of the two fixed-point equations at (sigma, tau)."""
-    j2 = residual_second_moment(sigma, tau, L, noise)
-    prob = residual_interval_probability(sigma, tau, L, noise)
-    f1 = sigma**2 - tau**2 * (j2 / delta + lam**2 * kappa_sq + nu**2)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two fixed-point equations at (sigma, tau), and their
+    Jacobian in (sigma, tau)."""
+    (j2, prob), (dj2, dprob) = _clipped_residual(sigma, tau, L, noise)
+    level = j2 / delta + lam**2 * kappa_sq + nu**2
+    f1 = sigma**2 - tau**2 * level
     f2 = tau - (delta - tau / (1.0 + tau) * prob) / (lam * delta)
-    return np.array([f1, f2])
+    scale = 1.0 / (lam * delta)
+    jac = np.array([
+        [2.0 * sigma, -2.0 * tau * level] - tau**2 / delta * dj2,
+        [0.0, 1.0 + scale * prob / (1.0 + tau) ** 2] + scale * tau / (1.0 + tau) * dprob,
+    ])
+    return np.array([f1, f2]), jac
 
 
 # Standardized truncation for the panel rule below; the omitted Gaussian
@@ -173,7 +183,7 @@ def solve_huber_system(
     kappa_sq = signal.second_moment
     kappa = float(np.sqrt(kappa_sq))
 
-    def f(x: np.ndarray) -> np.ndarray:
+    def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return system_residual(
             x[0], x[1], delta=delta, lam=lam, nu=nu, L=L, kappa_sq=kappa_sq, noise=noise
         )

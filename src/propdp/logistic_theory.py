@@ -26,17 +26,28 @@ MIN_LAMBDA = 1e-8
 
 def _expectations(
     alpha: float, sigma: float, gamma: float, kappa: float, nodes: int
-) -> tuple[float, float, float]:
-    """The three 2-D expectations of the system at (alpha, sigma, gamma)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The three 2-D expectations of the system at (alpha, sigma, gamma), and
+    their gradient (rows: expectations; columns: alpha, sigma, gamma).
+
+    One prox evaluation serves both: with D = 1/(1 + gamma*rho''(p)),
+    dp/darg = D, dp/dgamma = -rho'(p)*D and rho''' = rho''*(1 - 2*rho').
+    """
     z1, z2, w = quadrature.standard_normal_rule_2d(nodes)
     weight = 2.0 * logistic_rho_prime(-kappa * z1) * w
-    arg = kappa * alpha * z1 + sigma * z2
-    p = prox_logistic(arg, gamma)
+    label_weight = 2.0 * logistic_rho_second(-kappa * z1) * w
+    p = prox_logistic(kappa * alpha * z1 + sigma * z2, gamma)
     rp = logistic_rho_prime(p)
-    e1 = float(np.dot(weight, rp * rp))
-    e2 = float(np.dot(2.0 * logistic_rho_second(-kappa * z1) * w, p))
-    e3 = float(np.dot(weight, 1.0 / (1.0 + gamma * logistic_rho_second(p))))
-    return e1, e2, e3
+    rpp = rp * (1.0 - rp)
+    D = 1.0 / (1.0 + gamma * rpp)
+    e = np.array([np.dot(weight, rp * rp), np.dot(label_weight, p), np.dot(weight, D)])
+    # each integrand's derivative in p, times dp/darg = D
+    along_p = D * np.stack([
+        2.0 * weight * rp * rpp, label_weight, -weight * D * D * gamma * rpp * (1.0 - 2.0 * rp)
+    ])
+    grad = along_p @ np.stack([kappa * z1, z2, -rp]).T
+    grad[2, 2] -= np.dot(weight, D * D * rpp)
+    return e, grad
 
 
 def system_residual(
@@ -49,13 +60,16 @@ def system_residual(
     nu: float,
     kappa: float,
     nodes: int = quadrature.DEFAULT_NODES_2D,
-) -> np.ndarray:
-    """Residuals of the three fixed-point equations at (alpha, sigma, gamma)."""
-    e1, e2, e3 = _expectations(alpha, sigma, gamma, kappa, nodes)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the three fixed-point equations at (alpha, sigma, gamma),
+    and their Jacobian in (alpha, sigma, gamma)."""
+    (e1, e2, e3), grad = _expectations(alpha, sigma, gamma, kappa, nodes)
     f1 = sigma**2 - gamma**2 * (e1 / delta + nu**2)
     f2 = alpha + e2 / delta
     f3 = gamma - (delta - 1.0 + e3) / (lam * delta)
-    return np.array([f1, f2, f3])
+    jac = np.array([[-(gamma**2) / delta], [1.0 / delta], [-1.0 / (lam * delta)]]) * grad
+    jac += [[0.0, 2.0 * sigma, -2.0 * gamma * (e1 / delta + nu**2)], [1, 0, 0], [0, 0, 1]]
+    return np.array([f1, f2, f3]), jac
 
 
 @dataclass(frozen=True)
@@ -111,7 +125,7 @@ def solve_logistic_system(
     if kappa <= 0:
         raise ConfigError("solve_logistic_system: kappa must be > 0")
 
-    def f(x: np.ndarray) -> np.ndarray:
+    def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return system_residual(
             x[0], x[1], x[2], delta=delta, lam=lam, nu=nu, kappa=kappa, nodes=nodes
         )

@@ -1,7 +1,7 @@
 """Damped Newton iteration with multistart for small nonlinear systems.
 
-The residual maps here are 2- or 3-dimensional and smooth; the Jacobian is
-formed by central differences (relative step 1e-6) and each Newton step is
+The residual maps here are 2- or 3-dimensional and smooth; each callable
+returns the pair (F, J) with a closed-form Jacobian J.  Each Newton step is
 halved until the residual norm strictly decreases.  On failure the solver
 restarts from 8 log-spaced seeds in [1e-2, 1e2]^k.
 """
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NonConvergenceError
 
-_JACOBIAN_REL_STEP = 1e-6
 _MAX_HALVINGS = 40
 
 
@@ -26,28 +25,28 @@ class NewtonResult:
     condition_number: float
 
 
-def _jacobian(f, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    k = x.size
-    J = np.empty((fx.size, k))
-    for j in range(k):
-        h = _JACOBIAN_REL_STEP * max(abs(x[j]), 1e-2)
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (f(xp) - f(xm)) / (2.0 * h)
-    return J
+def _evaluate(f, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    fx, J = (np.asarray(a, dtype=float) for a in f(x))
+    finite = np.all(np.isfinite(fx)) and np.all(np.isfinite(J))
+    return fx, J, float(np.linalg.norm(fx)) if finite else np.inf
 
 
 def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200, positive: bool = True) -> NewtonResult:
-    """Newton with halving line search; iterates stay strictly positive if asked."""
+    """Newton with halving line search; iterates stay strictly positive if asked.
+
+    ``f(x)`` returns ``(F, J)``; a non-finite F or J raises NonConvergenceError
+    at the start and rejects the candidate during the line search.
+    """
     x = np.asarray(x0, dtype=float).copy()
-    fx = np.asarray(f(x), dtype=float)
-    norm = float(np.linalg.norm(fx))
+    fx, J, norm = _evaluate(f, x)
+    if not np.isfinite(norm):
+        raise NonConvergenceError(
+            "newton: non-finite residual or Jacobian", last_iterate=x, residual=norm
+        )
     cond = np.inf
     for it in range(max_iter):
         if norm <= tol:
             return NewtonResult(x, norm, it, cond)
-        J = _jacobian(f, x, fx)
         cond = float(np.linalg.cond(J))
         try:
             step = np.linalg.solve(J, -fx)
@@ -59,10 +58,9 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200, positive: b
             if positive and np.any(cand <= 0):
                 scale *= 0.5
                 continue
-            f_cand = np.asarray(f(cand), dtype=float)
-            cand_norm = float(np.linalg.norm(f_cand))
-            if np.isfinite(cand_norm) and cand_norm < norm:
-                x, fx, norm = cand, f_cand, cand_norm
+            f_cand, J_cand, cand_norm = _evaluate(f, cand)
+            if cand_norm < norm:
+                x, fx, J, norm = cand, f_cand, J_cand, cand_norm
                 break
             scale *= 0.5
         else:
@@ -93,34 +91,3 @@ def solve_with_multistart(f, x0, *, tol: float = 1e-11, positive: bool = True) -
                 failure = exc
     assert failure is not None
     raise failure
-
-
-def staggered_seeds(k: int, levels: int = 4) -> list[np.ndarray]:
-    """Log-spaced cross-product seeds over [1e-2, 1e2]**k.
-
-    Diagonal seeds alone cannot reach the off-diagonal roots of
-    coordinate-symmetric systems (the Jacobian is singular on the diagonal
-    and Newton stays confined to it), so enumeration also starts from
-    every combination of per-coordinate levels.
-    """
-    axis = np.geomspace(1e-2, 1e2, levels)
-    grids = np.meshgrid(*([axis] * k), indexing="ij")
-    return list(np.stack([g.ravel() for g in grids], axis=1))
-
-
-def enumerate_roots(f, x0, *, tol: float = 1e-11, positive: bool = True) -> list[NewtonResult]:
-    """All distinct converged roots across the start set (1e-6 relative dedup).
-
-    Starts from x0, the diagonal restart seeds, and the staggered
-    cross-product seeds; non-converging starts are skipped.
-    """
-    starts = [np.asarray(x0, dtype=float)] + multistart_seeds(len(x0)) + staggered_seeds(len(x0))
-    roots: list[NewtonResult] = []
-    for start in starts:
-        try:
-            res = damped_newton(f, start, tol=tol, positive=positive)
-        except NonConvergenceError:
-            continue
-        if not any(np.allclose(res.x, r.x, rtol=1e-6, atol=1e-9) for r in roots):
-            roots.append(res)
-    return roots

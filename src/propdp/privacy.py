@@ -68,7 +68,7 @@ class PrivacyReport:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("PrivacyReport: delta outside [0, 1]")
         for alpha, eps in self.rdp_curve:
-            if eps / alpha > self.zcdp_rho + 1e-12:
+            if eps / alpha > self.zcdp_rho + 1e-12 * max(1.0, self.zcdp_rho):
                 raise ValueError("PrivacyReport: RDP curve exceeds alpha * zcdp_rho")
 
 
@@ -101,6 +101,8 @@ def gaussian_mechanism_zcdp(sensitivity: float, nu: float) -> float:
 
 
 def _clamped_delta(raw: float, where: str) -> float:
+    if math.isnan(raw):  # max(0.0, nan) would read as perfect privacy
+        raise NumericError(f"{where}: delta is NaN")
     if raw > 1.0 or raw < 0.0:
         logger.info("%s: raw delta %.6g clamped into [0, 1]", where, raw)
     return min(1.0, max(0.0, raw))

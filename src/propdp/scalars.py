@@ -70,8 +70,10 @@ def prox_logistic(x, gamma, tol=1e-12, max_iter=200):
     """Unique p solving p + gamma * rho'(p) = x (gamma >= 0).
 
     Safeguarded Newton started at x - gamma*rho'(x), with the bracket
-    [x - gamma, x] forced by 0 <= gamma*rho'(p) <= gamma; bisection fallback
-    whenever a Newton step leaves the bracket.
+    [x - gamma, x] forced by 0 <= gamma*rho'(p) <= gamma.  An element is
+    frozen once its residual g = p + gamma*rho'(p) - x has |g| <= tol, and
+    only the rest are iterated; an element bisects its bracket whenever the
+    Newton step would leave it, or its last Newton step failed to halve |g|.
     """
     if gamma < 0:
         raise ValueError("prox_logistic: gamma must be >= 0")
@@ -79,32 +81,30 @@ def prox_logistic(x, gamma, tol=1e-12, max_iter=200):
     _check_finite("prox_logistic", x)
     if gamma == 0.0:
         return x + 0.0
-    lo = x - gamma
-    hi = x + np.zeros_like(x)
-    p = x - gamma * logistic_rho_prime(x)
+    p = np.array(x - gamma * logistic_rho_prime(x), order="C")
+    flat = p.reshape(-1)  # a view of the C-ordered p: writes below land in p
+    g = flat + gamma * logistic_rho_prime(flat) - x.reshape(-1)
+    idx = np.flatnonzero(np.abs(g) > tol)
+    xa, pa, g = x.reshape(-1)[idx], flat[idx], g[idx]
+    lo, hi, fast = xa - gamma, xa.copy(), np.ones(idx.size, dtype=bool)
     for _ in range(max_iter):
-        g = p + gamma * logistic_rho_prime(p) - x
-        if np.all(np.abs(g) <= tol):
-            break
-        lo = np.where(g < 0, p, lo)
-        hi = np.where(g > 0, p, hi)
-        step = g / (1.0 + gamma * logistic_rho_second(p))
-        cand = p - step
-        inside = (cand > lo) & (cand < hi)
-        p = np.where(inside, cand, 0.5 * (lo + hi))
-    else:
-        worst = float(np.max(np.abs(p + gamma * logistic_rho_prime(p) - x)))
-        if worst > tol:
-            raise NumericError(f"prox_logistic: no convergence, residual {worst:.3e}")
+        if idx.size == 0:
+            return p
+        lo = np.where(g < 0, pa, lo)
+        hi = np.where(g > 0, pa, hi)
+        cand = pa - g / (1.0 + gamma * logistic_rho_second(pa))
+        newton = fast & (cand > lo) & (cand < hi)
+        pa = np.where(newton, cand, 0.5 * (lo + hi))
+        g_new = pa + gamma * logistic_rho_prime(pa) - xa
+        fast = ~newton | (np.abs(g_new) <= 0.5 * np.abs(g))
+        g = g_new
+        flat[idx] = pa
+        active = np.abs(g) > tol
+        if not active.all():
+            idx, xa, pa, g, lo, hi, fast = (a[active] for a in (idx, xa, pa, g, lo, hi, fast))
+    if idx.size:
+        raise NumericError(f"prox_logistic: no convergence, residual {np.abs(g).max():.3e}")
     return p
-
-
-def prox_logistic_derivative(x, gamma):
-    """Derivative of prox_logistic in x: 1/(1 + gamma*rho''(prox))."""
-    if gamma == 0.0:
-        return np.ones_like(np.asarray(x, dtype=float))
-    p = prox_logistic(x, gamma)
-    return 1.0 / (1.0 + gamma * logistic_rho_second(p))
 
 
 def gaussian_pdf(x):
@@ -163,6 +163,21 @@ def clipped_second_moment(mu, s, L):
     return np.where(s > 0, val, clip(mu, L) ** 2)
 
 
+def clipped_moment_gradients(mu, s, L):
+    """Gradients in (mu, s) of clipped_second_moment and interval_probability
+    at scalar arguments, as [[dM2/dmu, dM2/ds], [dP/dmu, dP/ds]]; s = 0 gives
+    the limits 2*mu*1{|mu|<L}, 0, 0, 0."""
+    if s <= 0:
+        return np.array([[2.0 * mu * float(abs(mu) < L), 0.0], [0.0, 0.0]])
+    with np.errstate(over="ignore"):  # a subnormal s: the pdfs vanish
+        fa, fb = gaussian_pdf((-L - mu) / s), gaussian_pdf((L - mu) / s)
+    inside = interval_probability(mu, s, L)
+    return np.array([
+        [2.0 * (mu * inside + s * (fa - fb)), 2.0 * (s * inside - L * (fa + fb))],
+        [(fa - fb) / s, -(L * (fa + fb) + mu * (fa - fb)) / s / s],
+    ])
+
+
 def expected_huber(mu, s, L):
     """E[H_L(mu + s*Z)] for Z ~ N(0,1); s = 0 gives H_L(mu).
 
@@ -182,16 +197,3 @@ def expected_huber(mu, s, L):
     )
     val = 0.5 * clipped_second_moment(mu, safe, L) + L * tails
     return np.where(s > 0, val, huber(mu, L))
-
-
-def truncated_second_moment(s, L):
-    """E[clip(s*Z, L)**2] for Z ~ N(0,1), in closed form; s = 0 gives 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("truncated_second_moment: s must be >= 0")
-    safe = np.where(s > 0, s, 1.0)
-    r = L / safe
-    val = safe * safe * (2.0 * gaussian_cdf(r) - 1.0) - 2.0 * safe * L * gaussian_pdf(r) + 2.0 * L * L * (
-        1.0 - gaussian_cdf(r)
-    )
-    return np.where(s > 0, val, 0.0)

@@ -199,7 +199,7 @@ def test_criterion_5_fixed_point_integrity():
         noise = parse_law(f"gaussian:{s_eps}")
         sol = huber_theory.solve_huber_system(delta, lam, nu, L, signal, noise)
         params = dict(delta=delta, lam=lam, nu=nu, L=L, kappa_sq=kappa**2, noise=noise)
-        r_own = huber_theory.system_residual(sol.sigma_star, sol.tau_star, **params)
+        r_own, _ = huber_theory.system_residual(sol.sigma_star, sol.tau_star, **params)
         r_dbl = huber_theory.system_residual_quadrature(
             sol.sigma_star, sol.tau_star, nodes=240, **params
         )
@@ -237,12 +237,12 @@ def test_criterion_5_fixed_point_integrity():
         sol = logistic_theory.solve_logistic_system(delta, lam, nu, kappa)
         a, s, g = sol.alpha_star, sol.sigma_star, sol.gamma_star
         params = dict(delta=delta, lam=lam, nu=nu, kappa=kappa)
-        r_own = logistic_theory.system_residual(a, s, g, **params)
-        r_dbl = logistic_theory.system_residual(a, s, g, nodes=160, **params)
+        r_own, _ = logistic_theory.system_residual(a, s, g, **params)
+        r_dbl, _ = logistic_theory.system_residual(a, s, g, nodes=160, **params)
         assert np.abs(r_own).max() <= 1e-8, f"logistic draw {i}: {r_own}"
         assert np.abs(r_dbl).max() <= 1e-6, f"logistic draw {i}: {r_dbl}"
 
-        quad_vals = np.array(_expectations(a, s, g, kappa, 80))
+        quad_vals, _ = _expectations(a, s, g, kappa, 80)
         mc_vals, mc_ses = _logistic_mc(a, s, g, kappa, 53000 + i)
         gaps = np.abs(quad_vals - mc_vals)
         assert np.all(gaps <= 4.0 * mc_ses + 1e-9), (

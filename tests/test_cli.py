@@ -364,6 +364,16 @@ class TestInputBoundary:
         assert code == expected
         assert stdout == ""
 
+    def test_huge_privacy_loss_reports(self):
+        # rho ~ 1.4e33: the RDP-curve invariant must hold up to rounding
+        code, stdout = run_in_process(
+            "privacy", "objective", "--nu", "1e-9", "--lambda", "1",
+            "--L", "5332874545380249", "--R", "1e-8", "--epsilon", "0",
+        )
+        assert code == 0
+        report = json.loads(stdout, parse_constant=_reject_constant)
+        assert report["zcdp_rho"] > 1e33
+
     NUMBERS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
         st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 1.0, 1e300]),

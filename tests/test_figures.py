@@ -1,9 +1,12 @@
 """Figure-catalog tests: specs are well-formed and theory builders produce
 complete, finite curves."""
 
+import logging
+
 import pytest
 
-from propdp.errors import ConfigError
+from propdp import models
+from propdp.errors import ConfigError, NumericError
 from propdp.figures import DENSE_RATIOS, FIGURE_NAMES, FIGURES, get_figure
 from propdp.harness import ExperimentConfig
 
@@ -59,6 +62,26 @@ class TestSpecs:
 
 
 class TestTheoryRows:
+    def test_failed_point_is_left_out_with_a_warning(self, monkeypatch, caplog):
+        ratio = DENSE_RATIOS[5]
+        original = models.ModelSpec.solve
+
+        def solve(self, delta, **kwargs):
+            if delta == (1.0 - ratio) / ratio:
+                raise NumericError("injected failure")
+            return original(self, delta, **kwargs)
+
+        monkeypatch.setattr(models.ModelSpec, "solve", solve)
+        with caplog.at_level(logging.WARNING, logger="propdp.figures"):
+            rows = get_figure("fig1").theory_rows()
+        assert len(rows) == 40 * 2 * 4
+        assert all(row["ratio"] != ratio for row in rows)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 2  # one per curve
+        for label, message in zip(("objective nu=0", "objective nu=0.2"), messages):
+            assert label in message and f"ratio {ratio:g} " in message
+            assert "injected failure" in message
+
     def test_fig1_rows_complete_and_finite(self):
         rows = get_figure("fig1").theory_rows()
         # 41 ratios x 2 nu x 4 metrics

@@ -26,7 +26,7 @@ from propdp.huber_theory import (
 )
 from propdp.laws import ScalarLaw, parse_law
 from propdp.models import output_perturbation_predictions
-from propdp.newton import enumerate_roots
+from support import central_difference_jacobian, enumerate_roots
 
 STD_SIGNAL = ScalarLaw.gaussian(1.0)
 NOISE_02 = ScalarLaw.gaussian(0.2)
@@ -80,7 +80,7 @@ class TestFrozenSolutions:
 class TestResidualFunctions:
     def test_solution_residual_small(self):
         sol = solve(0.5, 1.0, 0.2, 10.0, NOISE_02)
-        r = system_residual(
+        r, _ = system_residual(
             sol.sigma_star,
             sol.tau_star,
             delta=0.5,
@@ -125,6 +125,25 @@ class TestResidualFunctions:
             0.7, 0.4, 3.0, ScalarLaw.point_mass(0.3)
         )
         assert residual_second_moment(0.7, 0.4, 3.0, mix) == pytest.approx(direct, rel=1e-13)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize(
+        "noise", ["gaussian:0.3", "point:0.5", "mix:0.7*gaussian:0.2,0.3*point:1.5"]
+    )
+    def test_matches_central_differences(self, noise):
+        # the closed-form Jacobian against the test-side central differences
+        # at random interior points of (sigma, tau) and the inputs
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            x = np.array([rng.uniform(0.05, 2.0), rng.uniform(0.05, 3.0)])
+            params = dict(
+                delta=rng.uniform(0.3, 3.0), lam=rng.uniform(0.1, 2.0), nu=rng.uniform(0.0, 0.5),
+                L=rng.uniform(0.5, 5.0), kappa_sq=rng.uniform(0.25, 2.0), noise=parse_law(noise),
+            )
+            _, jac = system_residual(*x, **params)
+            fd = central_difference_jacobian(lambda y: system_residual(*y, **params)[0], x)
+            np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestPredictions:

@@ -21,6 +21,7 @@ from propdp.logistic_theory import (
 from propdp.models import output_perturbation_predictions
 from propdp.rng import stream
 from propdp.scalars import logistic_rho_prime, prox_logistic
+from support import central_difference_jacobian
 
 
 class TestFrozenSolutions:
@@ -68,7 +69,7 @@ class TestFrozenSolutions:
 class TestResiduals:
     def test_solution_residual_small(self):
         sol = solve_logistic_system(0.5, 1.0, 0.2, 1.0)
-        r = system_residual(
+        r, _ = system_residual(
             sol.alpha_star, sol.sigma_star, sol.gamma_star, delta=0.5, lam=1.0, nu=0.2, kappa=1.0
         )
         assert np.linalg.norm(r) <= 1e-8
@@ -76,7 +77,7 @@ class TestResiduals:
     def test_doubled_node_residual(self):
         # re-substitution under an independent (finer) quadrature rule
         sol = solve_logistic_system(2.0, 1.0, 0.0, 1.0)
-        r = system_residual(
+        r, _ = system_residual(
             sol.alpha_star,
             sol.sigma_star,
             sol.gamma_star,
@@ -87,6 +88,22 @@ class TestResiduals:
             nodes=160,
         )
         assert np.linalg.norm(r) <= 1e-6
+
+
+class TestJacobian:
+    def test_matches_central_differences(self):
+        # the closed-form Jacobian against the test-side central differences
+        # at random interior points of (alpha, sigma, gamma) and the inputs
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = np.array([rng.uniform(0.05, 1.5), rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0)])
+            params = dict(
+                delta=rng.uniform(0.3, 3.0), lam=rng.uniform(0.1, 2.0),
+                nu=rng.uniform(0.0, 0.5), kappa=rng.uniform(0.5, 1.5),
+            )
+            _, jac = system_residual(*x, **params)
+            fd = central_difference_jacobian(lambda y: system_residual(*y, **params)[0], x)
+            np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestPredictions:

@@ -6,20 +6,25 @@ import pytest
 from propdp.errors import NonConvergenceError
 from propdp.newton import (
     damped_newton,
-    enumerate_roots,
     multistart_seeds,
     solve_with_multistart,
 )
+from support import enumerate_roots
 
 
 def quad_root_at_2(x):
     # f(x) = x^2 - 4, positive root at 2
-    return np.array([x[0] ** 2 - 4.0])
+    return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
 
 
 def coupled_system(x):
     # root at (1, 2): a*b - 2 = 0, a + b - 3 = 0 (also root (2, 1))
-    return np.array([x[0] * x[1] - 2.0, x[0] + x[1] - 3.0])
+    return np.array([x[0] * x[1] - 2.0, x[0] + x[1] - 3.0]), np.array([[x[1], x[0]], [1.0, 1.0]])
+
+
+def no_real_root(x):
+    # x^2 + 1 = 0 has no real root
+    return np.array([x[0] ** 2 + 1.0]), np.array([[2.0 * x[0]]])
 
 
 class TestDampedNewton:
@@ -41,13 +46,32 @@ class TestDampedNewton:
     def test_nonconvergence_raises_with_iterate(self):
         # no root: x^2 + 1 = 0 over the reals
         with pytest.raises(NonConvergenceError) as exc_info:
-            damped_newton(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([1.0]), max_iter=50)
+            damped_newton(no_real_root, np.array([1.0]), max_iter=50)
         assert exc_info.value.last_iterate is not None
         assert exc_info.value.residual is not None and exc_info.value.residual > 0
 
     def test_tolerance_honored(self):
         res = damped_newton(quad_root_at_2, np.array([3.0]), tol=1e-13)
         assert res.residual_norm <= 1e-13
+
+    @pytest.mark.parametrize("bad", ["residual", "jacobian"])
+    def test_nonfinite_start_raises_nonconvergence(self, bad):
+        def f(x):
+            F, J = np.array([np.nan]), np.array([[1.0]])
+            return (F, J) if bad == "residual" else (np.array([1.0]), J * np.nan)
+
+        with pytest.raises(NonConvergenceError) as exc_info:
+            damped_newton(f, np.array([1.0]))
+        assert exc_info.value.last_iterate is not None
+
+    def test_nonfinite_candidate_is_rejected(self):
+        # the full step lands where the residual is NaN; halving recovers
+        def f(x):
+            F, J = quad_root_at_2(x)
+            return (F * np.nan, J) if x[0] > 10.0 else (F, J)
+
+        res = damped_newton(f, np.array([0.1]))
+        assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestMultistart:
@@ -63,9 +87,17 @@ class TestMultistart:
         res = solve_with_multistart(quad_root_at_2, np.array([1e6]))
         assert res.x[0] == pytest.approx(2.0, abs=1e-9)
 
+    def test_nonfinite_start_moves_to_next_seed(self):
+        def f(x):
+            F, J = quad_root_at_2(x)
+            return (F * np.nan, J) if x[0] > 1e3 else (F, J)
+
+        res = solve_with_multistart(f, np.array([1e6]))
+        assert res.x[0] == pytest.approx(2.0, abs=1e-9)
+
     def test_propagates_best_failure(self):
         with pytest.raises(NonConvergenceError):
-            solve_with_multistart(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([1.0]))
+            solve_with_multistart(no_real_root, np.array([1.0]))
 
 
 class TestEnumerateRoots:

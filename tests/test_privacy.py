@@ -12,10 +12,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from propdp.errors import ConfigError
+from propdp.errors import ConfigError, NumericError
 from propdp.privacy import (
     GlmSensitivity,
     PrivacyReport,
+    _clamped_delta,
     build_report,
     default_alpha_grid,
     dpsgd_zcdp,
@@ -266,3 +267,17 @@ class TestReport:
             PrivacyReport("x", 1.0, 0.5, ((2.0, 10.0),), 1.0)
         with pytest.raises(ValueError):
             PrivacyReport("x", 1.0, 1.5, (), 1.0)
+
+    def test_report_invariant_tolerance_is_relative(self):
+        # at rho ~ 1e33 one rounding step of eps/alpha exceeds any absolute 1e-12
+        rho = 1.4219775458382298e33
+        PrivacyReport("x", 0.0, 1.0, ((1.01, 1.01 * rho * (1 + 4e-16)),), rho)
+        with pytest.raises(ValueError):
+            PrivacyReport("x", 0.0, 1.0, ((1.01, 1.01 * rho * (1 + 1e-9)),), rho)
+
+    def test_nan_delta_is_a_numeric_error(self):
+        # max(0.0, nan) is 0.0, which would read as perfect privacy
+        with pytest.raises(NumericError):
+            _clamped_delta(float("nan"), "x")
+        assert _clamped_delta(1.5, "x") == 1.0
+        assert _clamped_delta(-0.5, "x") == 0.0

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propdp.scalars import (
@@ -26,9 +26,8 @@ from propdp.scalars import (
     logistic_rho_second,
     prox_huber,
     prox_logistic,
-    prox_logistic_derivative,
-    truncated_second_moment,
 )
+from support import prox_logistic_derivative, truncated_second_moment
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)
 scales = st.floats(0.0, 50.0, allow_nan=False)
@@ -159,6 +158,24 @@ class TestProxLogistic:
         a = prox_logistic(x, g)
         b = prox_logistic(x + 0.37, g)
         assert abs(a - b) <= 0.37 + 1e-12
+
+    @given(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=64), st.floats(0.0, 50.0))
+    @example([4.18], 13.0)
+    @settings(max_examples=200)
+    def test_every_element_converges(self, xs, g):
+        # each element meets the internal tolerance, not only most of them;
+        # x=4.18 at gamma=13 once cycled between bracket ends and raised
+        x = np.array(xs)
+        p = prox_logistic(x, g)
+        assert np.all(np.abs(p + g * logistic_rho_prime(p) - x) <= 1e-12)
+
+    def test_large_array_converges(self):
+        # a transposed (Fortran-ordered) view, as well as a flat array
+        x = np.random.default_rng(0).uniform(-30.0, 30.0, 10**5)
+        for arr in (x, x.reshape(1000, 100).T):
+            p = prox_logistic(arr, 13.0)
+            assert p.shape == arr.shape
+            assert np.all(np.abs(p + 13.0 * logistic_rho_prime(p) - arr) <= 1e-12)
 
 
 class TestProxLogisticDerivative:
