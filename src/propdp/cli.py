@@ -210,6 +210,7 @@ def cmd_theory(args) -> int:
 SIMULATE_HEADER = (
     "model", "design", "n", "d", "delta", "lambda", "nu", "L", "kappa",
     "sigma_eps", "replicate", "seed", "metric", "empirical", "theory",
+    "fit_iterations", "grad_norm",
 )
 
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(harness.ExperimentConfig)}
@@ -271,6 +272,7 @@ def _simulate_rows(records):
                 record.lam, record.nu, record.L, record.kappa, record.sigma_eps,
                 record.replicate, record.seed, metric,
                 record.empirical[metric], theory,
+                record.fit_iterations, record.grad_norm,
             )
 
 

@@ -113,6 +113,9 @@ class MetricRecord:
     theory: dict | None
     wall_time: float
     bounded_design: bool
+    # the fit's certificate: Newton steps and final ||grad F|| (None for noisy GD)
+    fit_iterations: int | None
+    grad_norm: float | None
 
 
 def gen_design(n: int, d: int, kind: str, seed: int) -> np.ndarray:
@@ -175,7 +178,7 @@ def _run_cell(args) -> MetricRecord:
 
     X = gen_design(n, d, config.design, seed)
     beta_star = gen_signal(d, signal, seed)
-    empirical = spec.replicate(
+    empirical, fit = spec.replicate(
         config, X, beta_star, design_radius(X, config.design), noise, seed
     )
 
@@ -197,6 +200,8 @@ def _run_cell(args) -> MetricRecord:
         theory=theory,
         wall_time=time.perf_counter() - started,
         bounded_design=config.design != "gaussian",
+        fit_iterations=None if fit is None else fit.iterations,
+        grad_norm=None if fit is None else fit.grad_norm,
     )
 
 

@@ -223,47 +223,3 @@ def effective_noise_scale(sol: HuberSolution) -> float:
     width of the estimation-error law."""
     j2 = residual_second_moment(sol.sigma_star, sol.tau_star, sol.L, sol.noise)
     return float(np.sqrt(j2 / sol.delta))
-
-
-def limit_triple_moment(sol: HuberSolution, fn, *, nodes: int = 48) -> float:
-    """E[fn(signal0, xi0, err0)] under the limiting law of
-    (signal coordinate, perturbation coordinate, estimation error coordinate):
-    err0 = tau* (sv*Z - lam*signal0 - nu*xi0) with sv = effective_noise_scale.
-
-    ``fn`` must be vectorized (pseudo-Lipschitz test functions in practice).
-    """
-    sv = effective_noise_scale(sol)
-    z, w = quadrature.standard_normal_rule(nodes)
-    # tensor over (signal component draw, xi, z)
-    total = 0.0
-    for wc, loc, scale in zip(sol.signal.weights, sol.signal.locs, sol.signal.scales):
-        if scale == 0.0:
-            b = np.array([loc])
-            wb = np.array([1.0])
-        else:
-            b = loc + scale * z
-            wb = w
-        B, X, Z = np.meshgrid(b, z, z, indexing="ij")
-        W = wb[:, None, None] * w[None, :, None] * w[None, None, :]
-        err = sol.tau_star * (sv * Z - sol.lam * B - sol.nu * X)
-        total += wc * float(np.sum(W * fn(B, X, err)))
-    return total
-
-
-def residual_pair_moment(sol: HuberSolution, fn, *, nodes: int = quadrature.DEFAULT_NODES_1D) -> float:
-    """E[fn(eps0, clip((sigma*Z + eps0)/(1+tau*), L))] under the residual law."""
-    z, w = quadrature.standard_normal_rule(nodes)
-    total = 0.0
-    for wc, loc, scale in zip(sol.noise.weights, sol.noise.locs, sol.noise.scales):
-        if scale == 0.0:
-            eps = np.full_like(z, loc)
-            weights = w
-            zz = z
-        else:
-            eps = (loc + scale * z)[:, None] * np.ones_like(z)[None, :]
-            zz = np.ones_like(z)[:, None] * z[None, :]
-            weights = np.outer(w, w)
-        trunc = clip((sol.sigma_star * zz + eps) / (1.0 + sol.tau_star), sol.L)
-        total += wc * float(np.sum(weights * fn(eps, trunc)))
-    return total
-

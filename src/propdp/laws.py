@@ -119,11 +119,6 @@ def law_clipped_mean(m, law: ScalarLaw, L) -> np.ndarray:
     return _fold(m, law, scalars.clipped_mean, L)
 
 
-def law_clipped_second_moment(m, law: ScalarLaw, L) -> np.ndarray:
-    """E[clip(m + eps, L)**2] with eps ~ law."""
-    return _fold(m, law, scalars.clipped_second_moment, L)
-
-
 def law_interval_probability(m, law: ScalarLaw, L) -> np.ndarray:
     """P(|m + eps| < L) with eps ~ law."""
     return _fold(m, law, scalars.interval_probability, L)

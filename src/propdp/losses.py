@@ -16,7 +16,9 @@ import numpy as np
 from .errors import ConfigError
 from .laws import ScalarLaw, law_clipped_mean
 from .privacy import GlmSensitivity
-from .scalars import clip, expected_huber, huber, logistic_rho, logistic_rho_prime
+from .scalars import (
+    clip, expected_huber, huber, logistic_rho, logistic_rho_prime, logistic_rho_second,
+)
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,11 @@ class MarginLoss:
 
     def gradients(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Derivative of the per-sample loss with respect to the margin."""
+        raise NotImplementedError
+
+    def curvatures(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(Generalized) second derivative in the margin, for Newton steps;
+        the smoothed losses, used only by noisy GD, do not define it."""
         raise NotImplementedError
 
     @property
@@ -67,6 +74,11 @@ class HuberLoss(MarginLoss):
     def gradients(self, margins, y):
         return -clip(np.asarray(y) - np.asarray(margins), self.L)
 
+    def curvatures(self, margins, y):
+        """The semismooth second derivative: 1 inside |y - m| < L, else 0."""
+        inside = np.abs(np.asarray(y) - np.asarray(margins)) < self.L
+        return inside.astype(float)
+
     @property
     def lipschitz(self) -> float:
         return self.L
@@ -89,6 +101,9 @@ class LogisticLoss(MarginLoss):
 
     def gradients(self, margins, y):
         return logistic_rho_prime(np.asarray(margins)) - np.asarray(y)
+
+    def curvatures(self, margins, y):
+        return logistic_rho_second(np.asarray(margins))
 
     @property
     def lipschitz(self) -> float:

@@ -124,15 +124,19 @@ class ModelSpec:
 
         ``initial`` warm-starts the fixed-point solvers; ``seed`` is called
         only by the noisy-GD models, whose state evolution is sampled.
-        Overflow or a singular Newton system at extreme inputs, and
-        non-finite predictions, raise NumericError.
+        Overflow, an invalid or divide-by-zero floating-point operation or a
+        singular Newton system at extreme inputs, and non-finite predictions,
+        raise NumericError.
         """
         try:
-            if self.mechanism == "dpsgd":
-                step = step_size_at(delta, step_size)
-                theory = self._trace(delta, nu, L, signal, noise, steps, step, mc_samples, seed())
-            else:
-                theory = self._fixed_point(delta, lam, nu, L, signal, noise, initial)
+            with np.errstate(invalid="raise", over="raise", divide="raise"):
+                if self.mechanism == "dpsgd":
+                    step = step_size_at(delta, step_size)
+                    theory = self._trace(
+                        delta, nu, L, signal, noise, steps, step, mc_samples, seed()
+                    )
+                else:
+                    theory = self._fixed_point(delta, lam, nu, L, signal, noise, initial)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             raise NumericError(f"{self.name} at delta={delta!r}: {exc}") from None
         if not all(math.isfinite(v) for v in theory.predictions.values()):
@@ -168,8 +172,12 @@ class ModelSpec:
             return Theory(sol.as_dict(), output_perturbation_predictions(sol, nu), guess)
         return Theory(sol.as_dict(), _predictions(sol), guess)
 
-    def replicate(self, config, X, beta_star, radius: float, noise: ScalarLaw, seed: int) -> dict:
-        """Label, fit and score one replicate of ``config`` (an ExperimentConfig)."""
+    def replicate(
+        self, config, X, beta_star, radius: float, noise: ScalarLaw, seed: int
+    ) -> tuple[dict, erm.FitResult | None]:
+        """Label, fit and score one replicate of ``config`` (an ExperimentConfig);
+        returns the metrics and the fit (None for noisy GD, which has no
+        optimality certificate)."""
         d = beta_star.shape[0]
         if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
             if self.loss == "huber":
@@ -183,7 +191,7 @@ class ModelSpec:
             errors = trajectory - beta_star
             return _per_step(
                 [float(e @ e) / d for e in errors], [float(b @ beta_star) / d for b in trajectory]
-            )
+            ), None
         if self.loss == "huber":
             y = harness.gen_linear_labels(X, beta_star, noise, seed)
             loss = losses.HuberLoss(config.L)
@@ -197,7 +205,7 @@ class ModelSpec:
             fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
         return empirical_metrics(
             fit.beta_hat, beta_star, fit.xi, X, y, self.name, L=config.L, beta_tilde=fit.beta_tilde
-        )
+        ), fit
 
 
 SPECS = {

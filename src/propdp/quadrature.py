@@ -14,7 +14,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_hermite
 
-from .laws import ScalarLaw
 
 DEFAULT_NODES_1D = 120
 DEFAULT_NODES_2D = 80
@@ -33,12 +32,6 @@ def standard_normal_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w
-
-
-def expect(fn, n: int = DEFAULT_NODES_1D) -> float:
-    """E[fn(Z)] for Z ~ N(0,1)."""
-    z, w = standard_normal_rule(n)
-    return float(np.dot(w, fn(z)))
 
 
 @lru_cache(maxsize=64)
@@ -60,21 +53,3 @@ def standard_normal_rule_2d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for arr in (z1, z2, ww):
         arr.setflags(write=False)
     return z1, z2, ww
-
-
-def expect2d(fn, n: int = DEFAULT_NODES_2D) -> float:
-    """E[fn(Z1, Z2)] for independent standard normals."""
-    z1, z2, w = standard_normal_rule_2d(n)
-    return float(np.dot(w, fn(z1, z2)))
-
-
-def law_expect(fn, law: ScalarLaw, n: int = DEFAULT_NODES_1D) -> float:
-    """E[fn(X)] for X ~ law, exact over point masses, GH over Gaussians."""
-    z, w = standard_normal_rule(n)
-    total = 0.0
-    for weight, loc, scale in zip(law.weights, law.locs, law.scales):
-        if scale == 0.0:
-            total += weight * float(np.asarray(fn(np.asarray([loc])))[0])
-        else:
-            total += weight * float(np.dot(w, fn(loc + scale * z)))
-    return total

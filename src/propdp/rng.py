@@ -39,11 +39,6 @@ def box_muller(gen: np.random.Generator, size) -> np.ndarray:
     return z.reshape(shape)
 
 
-def normal(seed: int, tag: str, *indices: int, size) -> np.ndarray:
-    """Standard normal draws from the (seed, tag, *indices) stream."""
-    return box_muller(stream(seed, tag, *indices), size)
-
-
 def child_seed(master: int, *indices: int) -> int:
     """Derived 63-bit seed for a lattice cell; no two cells share a stream."""
     payload = ",".join(str(int(v)) for v in (master, *indices)).encode("ascii")

@@ -2,17 +2,31 @@
 
 The package solves with closed-form Jacobians only; the helpers here give
 tests an independent view: a central-difference Jacobian, root enumeration
-over a wide start set, the prox derivative, and the closed form of the
-centred clipped Gaussian second moment.
+over a wide start set, the prox derivative, the closed form of the centred
+clipped Gaussian second moment, quadrature expectations and limit-law
+moments, and first-order gradient descent as the reference for the Newton
+learner.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from propdp import quadrature
+from propdp.erm import GRADIENT_TOL_SCALE
 from propdp.errors import NonConvergenceError
+from propdp.huber_theory import effective_noise_scale
+from propdp.laws import ScalarLaw
 from propdp.newton import damped_newton, multistart_seeds
-from propdp.scalars import gaussian_cdf, gaussian_pdf, logistic_rho_second, prox_logistic
+from propdp.rng import box_muller, stream
+from propdp.scalars import (
+    clip,
+    clipped_second_moment,
+    gaussian_cdf,
+    gaussian_pdf,
+    logistic_rho_second,
+    prox_logistic,
+)
 
 _JACOBIAN_REL_STEP = 1e-6
 
@@ -82,3 +96,125 @@ def truncated_second_moment(s, L):
         1.0 - gaussian_cdf(r)
     )
     return np.where(s > 0, val, 0.0)
+
+
+def normal(seed: int, tag: str, *indices: int, size) -> np.ndarray:
+    """Standard normal draws from the (seed, tag, *indices) stream."""
+    return box_muller(stream(seed, tag, *indices), size)
+
+
+def expect(fn, n: int = quadrature.DEFAULT_NODES_1D) -> float:
+    """E[fn(Z)] for Z ~ N(0,1)."""
+    z, w = quadrature.standard_normal_rule(n)
+    return float(np.dot(w, fn(z)))
+
+
+def expect2d(fn, n: int = quadrature.DEFAULT_NODES_2D) -> float:
+    """E[fn(Z1, Z2)] for independent standard normals."""
+    z1, z2, w = quadrature.standard_normal_rule_2d(n)
+    return float(np.dot(w, fn(z1, z2)))
+
+
+def law_expect(fn, law: ScalarLaw, n: int = quadrature.DEFAULT_NODES_1D) -> float:
+    """E[fn(X)] for X ~ law, exact over point masses, GH over Gaussians."""
+    z, w = quadrature.standard_normal_rule(n)
+    total = 0.0
+    for weight, loc, scale in zip(law.weights, law.locs, law.scales):
+        if scale == 0.0:
+            total += weight * float(np.asarray(fn(np.asarray([loc])))[0])
+        else:
+            total += weight * float(np.dot(w, fn(loc + scale * z)))
+    return total
+
+
+def law_clipped_second_moment(m, law: ScalarLaw, L) -> np.ndarray:
+    """E[clip(m + eps, L)**2] with eps ~ law."""
+    m = np.asarray(m, dtype=float)
+    total = np.zeros_like(m)
+    for w, loc, scale in zip(law.weights, law.locs, law.scales):
+        total = total + w * clipped_second_moment(m + loc, scale, L)
+    return total
+
+
+def limit_triple_moment(sol, fn, *, nodes: int = 48) -> float:
+    """E[fn(signal0, xi0, err0)] under the limiting law of
+    (signal coordinate, perturbation coordinate, estimation error coordinate)
+    of a HuberSolution: err0 = tau* (sv*Z - lam*signal0 - nu*xi0) with
+    sv = effective_noise_scale.
+
+    ``fn`` must be vectorized (pseudo-Lipschitz test functions in practice).
+    """
+    sv = effective_noise_scale(sol)
+    z, w = quadrature.standard_normal_rule(nodes)
+    # tensor over (signal component draw, xi, z)
+    total = 0.0
+    for wc, loc, scale in zip(sol.signal.weights, sol.signal.locs, sol.signal.scales):
+        if scale == 0.0:
+            b = np.array([loc])
+            wb = np.array([1.0])
+        else:
+            b = loc + scale * z
+            wb = w
+        B, X, Z = np.meshgrid(b, z, z, indexing="ij")
+        W = wb[:, None, None] * w[None, :, None] * w[None, None, :]
+        err = sol.tau_star * (sv * Z - sol.lam * B - sol.nu * X)
+        total += wc * float(np.sum(W * fn(B, X, err)))
+    return total
+
+
+def residual_pair_moment(sol, fn, *, nodes: int = quadrature.DEFAULT_NODES_1D) -> float:
+    """E[fn(eps0, clip((sigma*Z + eps0)/(1+tau*), L))] under the residual law
+    of a HuberSolution."""
+    z, w = quadrature.standard_normal_rule(nodes)
+    total = 0.0
+    for wc, loc, scale in zip(sol.noise.weights, sol.noise.locs, sol.noise.scales):
+        if scale == 0.0:
+            eps = np.full_like(z, loc)
+            weights = w
+            zz = z
+        else:
+            eps = (loc + scale * z)[:, None] * np.ones_like(z)[None, :]
+            zz = np.ones_like(z)[:, None] * z[None, :]
+            weights = np.outer(w, w)
+        trunc = clip((sol.sigma_star * zz + eps) / (1.0 + sol.tau_star), sol.L)
+        total += wc * float(np.sum(weights * fn(eps, trunc)))
+    return total
+
+
+def gradient_descent_minimize(data, loss, lam, nu, xi, *, tol_scale=GRADIENT_TOL_SCALE):
+    """Full-batch gradient descent with Armijo backtracking on the perturbed
+    objective, stopping at ||grad F|| <= tol_scale * max(1, n); returns
+    (beta, grad norm, iterations, objective value) as ``erm._minimize`` does.
+
+    The first-order reference for the Newton learner: from step 2/(lam +
+    s*||X||_2^2) it halves on failed sufficient decrease, and at or below
+    half that step the descent lemma guarantees progress, so the test is
+    skipped there (near the optimum it compares values below float64
+    resolution and would stall).
+    """
+    X, y = data.X, data.y
+    tol = tol_scale * max(1.0, data.n)
+    step0 = 2.0 / (lam + loss.smoothness * float(np.linalg.norm(X, 2)) ** 2)
+
+    def objective(beta):
+        return float(loss.values(X @ beta, y).sum() + 0.5 * lam * (beta @ beta) + nu * (xi @ beta))
+
+    def gradient(beta):
+        return X.T @ loss.gradients(X @ beta, y) + lam * beta + nu * xi
+
+    beta = np.zeros(data.d)
+    value = objective(beta)
+    for iteration in range(1_000_000):
+        grad = gradient(beta)
+        norm = float(np.linalg.norm(grad))
+        if norm <= tol:
+            return beta, norm, iteration, value
+        step = step0
+        while True:
+            trial = beta - step * grad
+            trial_value = objective(trial)
+            if trial_value <= value - step * 1e-4 * norm**2 or step <= 0.5 * step0:
+                beta, value = trial, trial_value
+                break
+            step *= 0.5
+    raise NonConvergenceError("gradient descent hit the iteration cap", last_iterate=beta, residual=norm)

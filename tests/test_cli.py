@@ -210,6 +210,31 @@ class TestSimulate:
         }
         assert all(c == "20" for c in col["n"])
 
+    def test_fit_certificate_columns(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run_cli(*self.BASE, "--out", str(out)).returncode == 0
+        header, rows = read_csv(out)
+        col = dict(zip(header, zip(*rows)))
+        for iterations, grad_norm in zip(col["fit_iterations"], col["grad_norm"]):
+            assert 1 <= int(iterations) <= 20
+            assert 0.0 <= float(grad_norm) <= 1e-9 * 20  # the certificate at n = 20
+        # one fit per replicate: its certificate repeats on each metric row
+        certificates = set(zip(col["replicate"], col["fit_iterations"], col["grad_norm"]))
+        assert len(certificates) == 3
+
+    def test_noisy_gd_has_no_fit_certificate(self, tmp_path):
+        out = tmp_path / "gd.csv"
+        proc = run_cli(
+            "simulate", "--model", "logistic_dpsgd_ce", "--total", "200", "--ratios", "0.5",
+            "--replicates", "2", "--steps", "1", "--mc-samples", "10000", "--nu", "0.1",
+            "--jobs", "1", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, rows = read_csv(out)
+        col = dict(zip(header, zip(*rows)))
+        assert set(col["fit_iterations"]) == {""}
+        assert set(col["grad_norm"]) == {""}
+
     def test_rerun_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(*self.BASE, "--out", str(a)).returncode == 0

@@ -7,14 +7,16 @@ import pytest
 from propdp.erm import (
     GRADIENT_TOL_SCALE,
     Dataset,
+    _minimize,
     fit_objective_perturbation,
     fit_output_perturbation,
     run_noisy_gd,
 )
-from propdp.errors import ConfigError
+from propdp.errors import ConfigError, NonConvergenceError
 from propdp.laws import ScalarLaw
 from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from propdp.rng import box_muller, stream
+from support import gradient_descent_minimize
 
 
 def make_regression(seed=0, n=60, d=20, noise=0.2):
@@ -142,6 +144,84 @@ class TestRidgeClosedForm:
             data.X.T @ data.X + lam * np.eye(data.d), data.X.T @ data.y - nu * res.xi
         )
         np.testing.assert_allclose(res.beta_hat, direct, atol=1e-7)
+
+
+def perturbed_gradient(data, loss, lam, nu, xi, beta):
+    return data.X.T @ loss.gradients(data.X @ beta, data.y) + lam * beta + nu * xi
+
+
+class TestNewton:
+    """The Newton learner against first-order gradient descent run to a
+    tolerance 1000x tighter than the certificate."""
+
+    SHAPES = {"d<n": (40, 10), "d=n": (30, 30), "d>n": (12, 60)}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    @pytest.mark.parametrize("family", ["huber", "logistic"])
+    def test_matches_gradient_descent(self, family, mechanism, shape):
+        n, d = self.SHAPES[shape]
+        if family == "huber":
+            data, _ = make_regression(seed=4, n=n, d=d)
+            loss = HuberLoss(0.5)  # residuals on both sides of the kink
+        else:
+            data, _ = make_classification(seed=4, n=n, d=d)
+            loss = LogisticLoss()
+        lam, nu = 0.8, 0.3
+        fit_fn = fit_objective_perturbation if mechanism == "objective" else fit_output_perturbation
+        fit = fit_fn(data, loss, lam=lam, nu=nu, seed=2)
+        inner_nu, inner_xi = (nu, fit.xi) if mechanism == "objective" else (0.0, np.zeros(d))
+        reference, ref_norm, _, _ = gradient_descent_minimize(
+            data, loss, lam, inner_nu, inner_xi, tol_scale=1e-3 * GRADIENT_TOL_SCALE
+        )
+        grad = perturbed_gradient(data, loss, lam, inner_nu, inner_xi, fit.beta_tilde)
+        assert fit.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-6, abs=1e-14)
+        assert fit.grad_norm <= GRADIENT_TOL_SCALE * n
+        assert 1 <= fit.iterations <= 20
+        gap = np.linalg.norm(fit.beta_tilde - reference)
+        # lam-strong convexity bounds the distance between two near-minimizers
+        assert gap <= (fit.grad_norm + ref_norm) / lam
+        assert np.max(np.abs(fit.beta_tilde - reference)) <= 1e-8
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_huber_with_no_residual_in_the_quadratic_zone(self, shape):
+        # with L tiny every residual is clipped: all curvatures are 0, the
+        # Newton matrix is lam*I, and the objective is linear plus ridge
+        n, d = self.SHAPES[shape]
+        data, _ = make_regression(seed=6, n=n, d=d)
+        loss = HuberLoss(1e-12)
+        lam, nu = 0.5, 0.2
+        xi = box_muller(stream(1, "tiny-L"), d)
+        beta, norm, iterations, _ = _minimize(data, loss, lam, nu, xi)
+        assert not loss.curvatures(data.X @ beta, data.y).any()
+        assert norm <= GRADIENT_TOL_SCALE * n
+        assert 1 <= iterations <= 20
+        reference, _, _, _ = gradient_descent_minimize(
+            data, loss, lam, nu, xi, tol_scale=1e-3 * GRADIENT_TOL_SCALE
+        )
+        assert np.max(np.abs(beta - reference)) <= 1e-8
+
+    def test_exact_start_takes_no_step(self):
+        # at nu = 0 and y = 0 the Huber minimizer is beta = 0, the start
+        data, _ = make_regression()
+        zero = Dataset(data.X, np.zeros(data.n), data.feature_radius)
+        beta, norm, iterations, value = _minimize(zero, HuberLoss(1.0), 0.5, 0.0, np.zeros(data.d))
+        assert iterations == 0 and norm == 0.0 and value == 0.0
+        np.testing.assert_array_equal(beta, np.zeros(data.d))
+
+    @pytest.mark.parametrize(
+        "limit, value, message",
+        [("MAX_NEWTON_STEPS", 1, "iteration cap"), ("MAX_HALVINGS", 0, "line search stalled")],
+    )
+    def test_exhausted_budget_raises(self, monkeypatch, limit, value, message):
+        import propdp.erm as erm
+
+        monkeypatch.setattr(erm, limit, value)
+        data, _ = make_classification()
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            _minimize(data, LogisticLoss(), 0.5, 0.2, np.ones(data.d))
+        assert info.value.residual > GRADIENT_TOL_SCALE * data.n
+        assert info.value.last_iterate.shape == (data.d,)
 
 
 class TestNoisyGd:

@@ -16,9 +16,7 @@ from propdp.huber_theory import (
     HuberSolution,
     effective_noise_scale,
     huber_predictions,
-    limit_triple_moment,
     residual_interval_probability,
-    residual_pair_moment,
     residual_second_moment,
     solve_huber_system,
     system_residual,
@@ -26,7 +24,12 @@ from propdp.huber_theory import (
 )
 from propdp.laws import ScalarLaw, parse_law
 from propdp.models import output_perturbation_predictions
-from support import central_difference_jacobian, enumerate_roots
+from support import (
+    central_difference_jacobian,
+    enumerate_roots,
+    limit_triple_moment,
+    residual_pair_moment,
+)
 
 STD_SIGNAL = ScalarLaw.gaussian(1.0)
 NOISE_02 = ScalarLaw.gaussian(0.2)

@@ -9,11 +9,11 @@ from propdp.errors import ConfigError
 from propdp.laws import (
     ScalarLaw,
     law_clipped_mean,
-    law_clipped_second_moment,
     law_interval_probability,
     parse_law,
 )
 from propdp.rng import stream
+from support import law_clipped_second_moment
 
 
 class TestParse:

@@ -40,6 +40,13 @@ class TestHuberLoss:
             self.loss.gradients(m, y), central_diff(self.loss, m, y), atol=2e-6
         )
 
+    def test_curvature_is_quadratic_zone_indicator(self):
+        m = np.array([-2.0, -1.5, -0.3, 0.0, 1.4, 1.5, 3.0])
+        y = np.zeros_like(m)
+        np.testing.assert_array_equal(
+            self.loss.curvatures(m, y), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+        )
+
     def test_constants(self):
         assert self.loss.lipschitz == 1.5
         assert self.loss.smoothness == 1.0
@@ -69,6 +76,14 @@ class TestLogisticLoss:
         np.testing.assert_allclose(
             self.loss.gradients(m, y), central_diff(self.loss, m, y), atol=1e-8
         )
+
+    def test_curvature_matches_finite_difference(self):
+        gen = stream(3, "losses-logistic-curvature")
+        m = 3.0 * gen.normal(size=50)
+        y = (gen.random(50) < 0.5).astype(float)
+        h = 1e-5
+        fd = (self.loss.gradients(m + h, y) - self.loss.gradients(m - h, y)) / (2 * h)
+        np.testing.assert_allclose(self.loss.curvatures(m, y), fd, atol=1e-9)
 
     def test_constants(self):
         assert self.loss.lipschitz == 1.0

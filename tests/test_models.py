@@ -5,6 +5,7 @@ decides model behaviour."""
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
@@ -91,3 +92,14 @@ def test_overflowing_shift_is_a_numeric_failure():
         models.get("huber_output").solve(
             0.5, lam=1.0, nu=1.7e308, L=10.0, signal=signal, noise=noise
         )
+
+
+@pytest.mark.parametrize("model", ["huber_objective", "logistic_objective"])
+def test_invalid_float_operation_is_a_numeric_failure(model):
+    # a signal scale of 1e300 makes the solvers' moments inf * 0; that is
+    # one NumericError, not a stream of numpy RuntimeWarnings
+    signal, noise = parse_law("gaussian:1e300"), parse_law("gaussian:0.2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="invalid value"):
+            models.get(model).solve(1.0, lam=1.0, nu=0.2, L=10.0, signal=signal, noise=noise)

@@ -9,12 +9,10 @@ from propdp.laws import parse_law
 from propdp.quadrature import (
     DEFAULT_NODES_1D,
     DEFAULT_NODES_2D,
-    expect,
-    expect2d,
-    law_expect,
     standard_normal_rule,
     standard_normal_rule_2d,
 )
+from support import expect, expect2d, law_expect
 
 
 class TestRule:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from propdp.rng import box_muller, child_seed, normal, stream
+from propdp.rng import box_muller, child_seed, stream
+from support import normal
 
 
 class TestStream:
