@@ -165,6 +165,15 @@ def _validate_theory_inputs(args) -> None:
             raise ConfigError("--delta values must be > 0")
 
 
+def _root_second_moment(law) -> float:
+    """sqrt(E[X**2]) as the hypot of every sqrt(w)*loc and sqrt(w)*scale, which
+    stays finite where E[X**2] itself overflows."""
+    terms = []
+    for w, loc, scale in zip(law.weights, law.locs, law.scales):
+        terms += [math.sqrt(w) * loc, math.sqrt(w) * scale]
+    return math.hypot(*terms)
+
+
 def _theory_point(args, delta: float) -> dict:
     spec = models.get(args.model)
     signal_text = args.signal or f"gaussian:{args.kappa}"
@@ -176,7 +185,7 @@ def _theory_point(args, delta: float) -> dict:
         "lambda": args.lam,
         "nu": args.nu,
         "L": args.L,
-        "kappa": math.sqrt(signal.second_moment),
+        "kappa": _root_second_moment(signal),
         "signal": signal_text,
         "noise": args.noise,
         **spec.trace_inputs(delta, args.steps, args.step_size, args.mc_samples),
@@ -229,21 +238,8 @@ def _load_simulate_config(args) -> harness.ExperimentConfig:
         unknown = set(payload) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    overrides = {
-        "model": args.model,
-        "design": args.design,
-        "total": args.total,
-        "signal": args.signal,
-        "noise": args.noise,
-        "L": args.L,
-        "lam": args.lam,
-        "nu": args.nu,
-        "step_size": args.step_size,
-        "steps": args.steps,
-        "replicates": args.replicates,
-        "mc_samples": args.mc_samples,
-        "seed": args.seed,
-    }
+    # the flags share the config's field names; --ratios is parsed below
+    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS - {"ratios"}}
     payload.update({k: v for k, v in overrides.items() if v is not None})
     if "ratios" in payload and payload["ratios"] is not None:
         payload["ratios"] = tuple(float(r) for r in payload["ratios"])
@@ -339,10 +335,10 @@ def cmd_figure(args) -> int:
     spec = figures.get_figure(args.name)
     configs = list(spec.configs)
     if args.replicates is not None:
-        configs = [harness.replicate_with(c, replicates=args.replicates) for c in configs]
+        configs = [dataclasses.replace(c, replicates=args.replicates) for c in configs]
     if os.environ.get("PROPDP_SEED") is not None:
         seed = _master_seed(args)
-        configs = [harness.replicate_with(c, seed=seed) for c in configs]
+        configs = [dataclasses.replace(c, seed=seed) for c in configs]
 
     manifest = _ManifestWriter(
         {
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     theory = sub.add_parser("theory", help="solve the asymptotic fixed-point systems")
-    theory.add_argument("--model", required=True, choices=harness.MODELS)
+    theory.add_argument("--model", required=True, choices=models.SPECS)
     theory.add_argument("--delta", required=True, help="comma-separated d/n ratios")
     theory.add_argument("--lambda", dest="lam", type=finite, default=1.0)
     theory.add_argument("--nu", type=finite, default=0.0)
@@ -414,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run a seeded replicated sweep")
     simulate.add_argument("--config", default=None, help="JSON config file")
-    simulate.add_argument("--model", default=None, choices=harness.MODELS)
+    simulate.add_argument("--model", default=None, choices=models.SPECS)
     simulate.add_argument("--design", default=None, choices=harness.DESIGNS)
     simulate.add_argument("--total", type=int, default=None, help="n*d product")
     simulate.add_argument("--ratios", default=None, help="comma-separated n/(n+d)")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .scalars import logistic_rho_prime
 
 RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
-MODELS = tuple(models.SPECS)
 DESIGNS = ("rademacher", "gaussian", "bounded_uniform")
 
 
@@ -88,9 +87,6 @@ class ExperimentConfig:
             return tuple((int(n), int(d)) for n, d in self.grid)
         return grid_from_ratios(self.total, self.ratios)
 
-    def step_size_at(self, delta: float) -> float:
-        return models.step_size_at(delta, self.step_size)
-
 
 @dataclass(frozen=True)
 class MetricRecord:
@@ -112,7 +108,6 @@ class MetricRecord:
     empirical: dict
     theory: dict | None
     wall_time: float
-    bounded_design: bool
     # the fit's certificate: Newton steps and final ||grad F|| (None for noisy GD)
     fit_iterations: int | None
     grad_norm: float | None
@@ -199,7 +194,6 @@ def _run_cell(args) -> MetricRecord:
         empirical=empirical,
         theory=theory,
         wall_time=time.perf_counter() - started,
-        bounded_design=config.design != "gaussian",
         fit_iterations=None if fit is None else fit.iterations,
         grad_norm=None if fit is None else fit.grad_norm,
     )
@@ -263,8 +257,3 @@ def summarize(records: list[MetricRecord]) -> list[dict]:
                 }
             )
     return rows
-
-
-def replicate_with(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Copy an ExperimentConfig with field overrides (validation re-runs)."""
-    return replace(config, **overrides)

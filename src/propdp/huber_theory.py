@@ -4,8 +4,8 @@ regression in the proportional regime d/n -> delta.
 The limiting estimation error is characterized by two scalars (sigma*, tau*)
 solving a pair of fixed-point equations whose expectations involve the
 clipped residual variable (sigma*Z + eps0) / (1 + tau*).  Both expectations
-have exact closed forms for mixtures of Gaussians and point masses; a
-kink-aware Gauss-Legendre panel rule is kept for independent verification.
+have exact closed forms for mixtures of Gaussians and point masses; the
+tests re-check them with a kink-aware Gauss-Legendre panel rule.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import newton, quadrature
+from . import newton
 from .errors import ConfigError
 from .laws import ScalarLaw
-from .scalars import clip, clipped_moment_gradients, clipped_second_moment, interval_probability
+from .scalars import clipped_moment_gradients, clipped_second_moment, interval_probability
 
 MIN_LAMBDA = 1e-8
 
@@ -39,11 +39,6 @@ def _clipped_residual(sigma: float, tau: float, L: float, noise: ScalarLaw):
 def residual_second_moment(sigma: float, tau: float, L: float, noise: ScalarLaw) -> float:
     """E[clip((sigma*Z + eps)/(1+tau), L)**2], exact per mixture component."""
     return float(_clipped_residual(sigma, tau, L, noise)[0][0])
-
-
-def residual_interval_probability(sigma: float, tau: float, L: float, noise: ScalarLaw) -> float:
-    """P(|(sigma*Z + eps)/(1+tau)| < L), exact per mixture component."""
-    return float(_clipped_residual(sigma, tau, L, noise)[0][1])
 
 
 def system_residual(
@@ -69,56 +64,6 @@ def system_residual(
         [0.0, 1.0 + scale * prob / (1.0 + tau) ** 2] + scale * tau / (1.0 + tau) * dprob,
     ])
     return np.array([f1, f2]), jac
-
-
-# Standardized truncation for the panel rule below; the omitted Gaussian
-# tail mass is ~1e-23, far below any tolerance the rule is used with.
-_PANEL_TAIL = 10.0
-
-
-def system_residual_quadrature(
-    sigma: float,
-    tau: float,
-    *,
-    delta: float,
-    lam: float,
-    nu: float,
-    L: float,
-    kappa_sq: float,
-    noise: ScalarLaw,
-    nodes: int = quadrature.DEFAULT_NODES_1D,
-) -> np.ndarray:
-    """Same residuals evaluated by an independent discretization.
-
-    Per mixture component the residual (sigma*Z + eps)/(1+tau) is a single
-    Gaussian, and its clipped moments are integrated by Gauss-Legendre
-    panels split exactly at the clip boundaries +/-L, where the integrands
-    stop being smooth.  No closed-form moment identities are shared with
-    ``system_residual``, so this path re-checks solutions end to end.
-    """
-    j2 = 0.0
-    prob = 0.0
-    for wc, loc, scale in zip(noise.weights, noise.locs, noise.scales):
-        m = loc / (1.0 + tau)
-        s = float(np.hypot(sigma, scale)) / (1.0 + tau)
-        if s == 0.0:
-            j2 += wc * float(clip(m, L)) ** 2
-            prob += wc * float(abs(m) < L)
-            continue
-        lo = float(np.clip((-L - m) / s, -_PANEL_TAIL, _PANEL_TAIL))
-        hi = float(np.clip((L - m) / s, -_PANEL_TAIL, _PANEL_TAIL))
-        x, w = quadrature.legendre_rule(max(8, nodes // 3))
-        for a, b in ((-_PANEL_TAIL, lo), (lo, hi), (hi, _PANEL_TAIL)):
-            if b <= a:
-                continue
-            t = 0.5 * (b - a) * x + 0.5 * (a + b)
-            dens = 0.5 * (b - a) * w * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-            u = m + s * t
-            j2 += wc * float(np.dot(dens, clip(u, L) ** 2))
-            prob += wc * float(np.dot(dens, (np.abs(u) < L).astype(float)))
-    f1 = sigma**2 - tau**2 * (j2 / delta + lam**2 * kappa_sq + nu**2)
-    f2 = tau - (delta - tau / (1.0 + tau) * prob) / (lam * delta)
-    return np.array([f1, f2])
 
 
 @dataclass(frozen=True)
@@ -216,10 +161,3 @@ def huber_predictions(sol: HuberSolution) -> dict[str, float]:
         "xi_correlation": -sol.tau_star * sol.nu,
         "truncated_residual": residual_second_moment(sol.sigma_star, sol.tau_star, sol.L, sol.noise),
     }
-
-
-def effective_noise_scale(sol: HuberSolution) -> float:
-    """sqrt((1/delta) * E[clip((sigma*Z+eps)/(1+tau*), L)**2]), the Gaussian
-    width of the estimation-error law."""
-    j2 = residual_second_moment(sol.sigma_star, sol.tau_star, sol.L, sol.noise)
-    return float(np.sqrt(j2 / sol.delta))

@@ -80,13 +80,6 @@ class ScalarLaw:
     def second_moment(self) -> float:
         return self.moment(2)
 
-    # kappa_sq is the conventional name when the law describes signal coordinates
-    kappa_sq = second_moment
-
-    def negated(self) -> "ScalarLaw":
-        """Law of -X."""
-        return ScalarLaw(self.weights, tuple(-l for l in self.locs), self.scales)
-
     def sample(self, gen: np.random.Generator, size) -> np.ndarray:
         """Draws, with component choice and Box-Muller normals from ``gen``."""
         shape = (size,) if np.isscalar(size) else tuple(size)

@@ -1,21 +1,22 @@
-"""Margin-loss families shared by the ERM solvers and the experiment harness.
+"""Margin-loss families shared by the ERM solvers, the experiment harness and
+state evolution.
 
 Every loss here is a function of the per-sample margin m = <x, beta> and the
 label y, so full-batch objectives and gradients reduce to vectorized scalar
-calculus plus one matrix-vector product.  Each family also reports the
-Lipschitz/smoothness constants of its margin derivative, which are exactly the
-quantities the privacy accountant needs.
+calculus plus one matrix-vector product.  The privacy constants of each
+family (Lipschitz and smoothness bounds of the margin derivative) live in
+``privacy.GlmSensitivity``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError
-from .laws import ScalarLaw, law_clipped_mean
-from .privacy import GlmSensitivity
+from .laws import ScalarLaw, law_clipped_mean, law_interval_probability
 from .scalars import (
     clip, expected_huber, huber, logistic_rho, logistic_rho_prime, logistic_rho_second,
 )
@@ -25,9 +26,8 @@ from .scalars import (
 class MarginLoss:
     """Base class: a per-sample loss of (margin, label) with scalar calculus."""
 
-    name: str = field(init=False, default="")
     # True for the smoothed losses analyzed by the noisy-GD recursion.
-    is_conditional_expectation: bool = field(init=False, default=False)
+    is_conditional_expectation: ClassVar[bool] = False
 
     def values(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -41,21 +41,6 @@ class MarginLoss:
         the smoothed losses, used only by noisy GD, do not define it."""
         raise NotImplementedError
 
-    @property
-    def lipschitz(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def smoothness(self) -> float:
-        raise NotImplementedError
-
-    def glm_sensitivity(self, feature_radius: float) -> GlmSensitivity:
-        return GlmSensitivity(
-            lipschitz=self.lipschitz,
-            smoothness=self.smoothness,
-            feature_radius=feature_radius,
-        )
-
 
 @dataclass(frozen=True)
 class HuberLoss(MarginLoss):
@@ -66,7 +51,6 @@ class HuberLoss(MarginLoss):
     def __post_init__(self):
         if self.L <= 0:
             raise ConfigError("HuberLoss: L must be > 0")
-        object.__setattr__(self, "name", "huber")
 
     def values(self, margins, y):
         return huber(np.asarray(y) - np.asarray(margins), self.L)
@@ -79,21 +63,10 @@ class HuberLoss(MarginLoss):
         inside = np.abs(np.asarray(y) - np.asarray(margins)) < self.L
         return inside.astype(float)
 
-    @property
-    def lipschitz(self) -> float:
-        return self.L
-
-    @property
-    def smoothness(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class LogisticLoss(MarginLoss):
     """Binary classification with y in {0, 1}: loss(m, y) = rho(m) - y*m."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "logistic")
 
     def values(self, margins, y):
         margins = np.asarray(margins)
@@ -104,14 +77,6 @@ class LogisticLoss(MarginLoss):
 
     def curvatures(self, margins, y):
         return logistic_rho_second(np.asarray(margins))
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
-    @property
-    def smoothness(self) -> float:
-        return 0.25
 
 
 @dataclass(frozen=True)
@@ -125,14 +90,14 @@ class HuberCeLoss(MarginLoss):
     so the two stay consistent to machine precision.
     """
 
+    is_conditional_expectation: ClassVar[bool] = True
+
     L: float = 1.0
     noise: ScalarLaw = field(default_factory=lambda: ScalarLaw.point_mass(0.0))
 
     def __post_init__(self):
         if self.L <= 0:
             raise ConfigError("HuberCeLoss: L must be > 0")
-        object.__setattr__(self, "name", "huber_ce")
-        object.__setattr__(self, "is_conditional_expectation", True)
 
     def values(self, margins, y):
         residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
@@ -147,13 +112,12 @@ class HuberCeLoss(MarginLoss):
         residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
         return -law_clipped_mean(residual, self.noise, self.L)
 
-    @property
-    def lipschitz(self) -> float:
-        return self.L
-
-    @property
-    def smoothness(self) -> float:
-        return 1.0
+    def gradient_partials(self, margins, y):
+        """Derivatives of ``gradients`` in the margin and in the label:
+        (P(|y + eps - m| < L), -P(|y + eps - m| < L))."""
+        residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
+        inside = law_interval_probability(residual, self.noise, self.L)
+        return inside, -inside
 
 
 @dataclass(frozen=True)
@@ -161,9 +125,7 @@ class LogisticCeLoss(MarginLoss):
     """Label-averaged logistic loss for noisy GD: labels are real margins
     y = <x, beta*> and the loss is rho(m) - rho'(y) * m."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", "logistic_ce")
-        object.__setattr__(self, "is_conditional_expectation", True)
+    is_conditional_expectation: ClassVar[bool] = True
 
     def values(self, margins, y):
         margins = np.asarray(margins)
@@ -174,10 +136,7 @@ class LogisticCeLoss(MarginLoss):
             np.asarray(y)
         )
 
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
-    @property
-    def smoothness(self) -> float:
-        return 0.25
+    def gradient_partials(self, margins, y):
+        """Derivatives of ``gradients`` in the margin and in the label:
+        (rho''(m), -rho''(y))."""
+        return logistic_rho_second(np.asarray(margins)), -logistic_rho_second(np.asarray(y))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# harness imports this module for its model list and is only used here at
+# harness imports this module for its model table and is only used here at
 # call time (for its label generators), so the import cycle is harmless
 from . import erm, harness, huber_theory, logistic_theory, losses, state_evolution
 from .errors import ConfigError, NumericError

@@ -2,8 +2,6 @@
 
 Gauss-Hermite rules are transformed so that sum(w * f(z)) approximates
 E[f(Z)] for Z ~ N(0,1): z = sqrt(2) * x_hermite and w = w_hermite / sqrt(pi).
-A plain Gauss-Legendre rule on (-1, 1) is exposed for panel integration of
-integrands with known kink locations.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_hermite
 
 
@@ -32,15 +29,6 @@ def standard_normal_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w
-
-
-@lru_cache(maxsize=64)
-def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (-1, 1)."""
-    x, w = leggauss(n)
-    for arr in (x, w):
-        arr.setflags(write=False)
-    return x, w
 
 
 @lru_cache(maxsize=8)

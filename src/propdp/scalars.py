@@ -38,15 +38,6 @@ def clip(r, L):
     return np.clip(np.asarray(r, dtype=float), -L, L)
 
 
-def prox_huber(s, tau, L):
-    """prox of tau * Huber_L: minimizes 0.5*(y-s)**2 + tau*H_L(y).
-
-    Uses the identity s - prox(s) = tau * clip(s / (1 + tau), L).
-    """
-    s = np.asarray(s, dtype=float)
-    return s - tau * clip(s / (1.0 + tau), L)
-
-
 def logistic_rho(t):
     """Softplus log(1 + exp(t)), stable for |t| up to the float range."""
     t = np.asarray(t, dtype=float)

@@ -2,8 +2,11 @@
 
 The algorithm iterates beta^{t+1} = beta^t - step*(sum_i grad_i + nu*xi^t) on a
 "conditional expectation" loss whose per-sample gradient is a smooth scalar
-function c(margin, true_margin).  In the proportional regime its per-coordinate
-and per-sample behaviour is captured by a closed system of 2x2 recursions:
+function c(margin, true_margin): the margin gradient of the ``losses``
+conditional-expectation loss (``HuberCeLoss`` or ``LogisticCeLoss``) that
+noisy GD itself runs on, whose ``gradient_partials`` give B below.  In the
+proportional regime its per-coordinate and per-sample behaviour is captured
+by a closed system of 2x2 recursions:
 
   theta^{t+1} = (I + Gamma^t) theta^t - step*nu*[xi^t; 0]
                 + sum_{k<t} R_g(t,k) theta^k + u^t
@@ -35,45 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .laws import ScalarLaw, law_clipped_mean, law_interval_probability
+from .laws import ScalarLaw
+from .losses import HuberCeLoss, LogisticCeLoss
 from .rng import box_muller, stream
-from .scalars import logistic_rho_prime, logistic_rho_second
 
 logger = logging.getLogger(__name__)
 
 MAX_STEPS = 16
 MIN_MC_SAMPLES = 10_000
 EIGENVALUE_FLOOR = -1e-8
-
-
-class _HuberCeScalars:
-    """Gradient scalar of the conditional-expectation Huber loss.
-
-    c(eta) = E_eps[clip(eta1 - eta2 - eps, L)], so the noise law enters with
-    negated component locations.
-    """
-
-    def __init__(self, noise: ScalarLaw, L: float):
-        self._noise = noise.negated()
-        self._L = L
-
-    def gradient(self, eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
-        return law_clipped_mean(eta1 - eta2, self._noise, self._L)
-
-    def derivative_pair(self, eta1: np.ndarray, eta2: np.ndarray):
-        b11 = law_interval_probability(eta1 - eta2, self._noise, self._L)
-        return b11, -b11
-
-
-class _LogisticCeScalars:
-    """Gradient scalar of the conditional-expectation logistic loss:
-    c(eta) = rho'(eta1) - rho'(eta2)."""
-
-    def gradient(self, eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
-        return logistic_rho_prime(eta1) - logistic_rho_prime(eta2)
-
-    def derivative_pair(self, eta1: np.ndarray, eta2: np.ndarray):
-        return logistic_rho_second(eta1), -logistic_rho_second(eta2)
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -149,7 +122,7 @@ class StateEvolutionTrace:
 class _Engine:
     def __init__(
         self,
-        scalars,
+        loss,
         *,
         steps: int,
         step_size: float,
@@ -169,7 +142,7 @@ class _Engine:
             raise ConfigError("state evolution: nu must be >= 0")
         if delta <= 0:
             raise ConfigError("state evolution: delta must be > 0")
-        self.scalars = scalars
+        self.loss = loss
         self.T = steps
         self.gamma_step = step_size
         self.nu = nu
@@ -192,12 +165,17 @@ class _Engine:
 
     # ---- exact second moments of the coordinate process -----------------
 
-    def _c_theta_block(self, t: int, s: int) -> np.ndarray:
-        T, k2 = self.T, self.kappa_sq
+    def _basis_cov(self) -> np.ndarray:
+        """Covariance of the basis (beta*_0, xi^0..xi^{T-1}, u^0..u^{T-1})."""
+        T = self.T
         basis_cov = np.zeros((1 + 2 * T, 1 + 2 * T))
-        basis_cov[0, 0] = k2
+        basis_cov[0, 0] = self.kappa_sq
         basis_cov[1 : 1 + T, 1 : 1 + T] = np.eye(T)
         basis_cov[1 + T :, 1 + T :] = self.c_g00
+        return basis_cov
+
+    def _c_theta_block(self, t: int, s: int, basis_cov: np.ndarray) -> np.ndarray:
+        k2 = self.kappa_sq
         top = float(self.coeff[t] @ basis_cov @ self.coeff[s])
         return np.array(
             [
@@ -208,14 +186,9 @@ class _Engine:
 
     def _omega_covariance(self, t: int) -> np.ndarray:
         """Joint covariance of (omega^0_1, ..., omega^t_1, eta_2-slot)."""
-        T, k2 = self.T, self.kappa_sq
-        basis_cov = np.zeros((1 + 2 * T, 1 + 2 * T))
-        basis_cov[0, 0] = k2
-        basis_cov[1 : 1 + T, 1 : 1 + T] = np.eye(T)
-        basis_cov[1 + T :, 1 + T :] = self.c_g00
-        rows = np.vstack([self.coeff[: t + 1], np.eye(1, 1 + 2 * T, 0)])
+        rows = np.vstack([self.coeff[: t + 1], np.eye(1, 1 + 2 * self.T, 0)])
         rows[-1, 0] = 1.0  # the shared true-margin slot is beta*'s own margin
-        return rows @ basis_cov @ rows.T
+        return rows @ self._basis_cov() @ rows.T
 
     # ---- one sample-side round ------------------------------------------
 
@@ -233,8 +206,8 @@ class _Engine:
             for j in range(k):
                 memory += self.r_theta[k, j, 0, 0] * c_vals[j]
             eta1[k] = omega1[:, k] - self.gamma_step * memory
-            c_vals[k] = self.scalars.gradient(eta1[k], hstar)
-            b11[k], b12[k] = self.scalars.derivative_pair(eta1[k], hstar)
+            c_vals[k] = self.loss.gradients(eta1[k], hstar)
+            b11[k], b12[k] = self.loss.gradient_partials(eta1[k], hstar)
 
         scale = -self.gamma_step / self.delta
         self.gam[t] = scale * np.array(
@@ -331,9 +304,10 @@ class _Engine:
             self._advance_coefficients(t)
 
         c_theta = np.empty((T + 1, T + 1, 2, 2))
+        basis_cov = self._basis_cov()
         for t in range(T + 1):
             for s in range(T + 1):
-                c_theta[t, s] = self._c_theta_block(t, s)
+                c_theta[t, s] = self._c_theta_block(t, s, basis_cov)
 
         k2 = self.kappa_sq
         bias = self.coeff[:, 0] * k2
@@ -378,10 +352,8 @@ def state_evolution_huber(
     seed: int = 0,
 ) -> StateEvolutionTrace:
     """Error trace of noisy GD on the conditional-expectation Huber loss."""
-    if L <= 0:
-        raise ConfigError("state_evolution_huber: L must be > 0")
     engine = _Engine(
-        _HuberCeScalars(noise, L),
+        HuberCeLoss(L, noise),
         steps=steps,
         step_size=step_size,
         nu=nu,
@@ -405,7 +377,7 @@ def state_evolution_logistic(
 ) -> StateEvolutionTrace:
     """Error trace of noisy GD on the conditional-expectation logistic loss."""
     engine = _Engine(
-        _LogisticCeScalars(),
+        LogisticCeLoss(),
         steps=steps,
         step_size=step_size,
         nu=nu,

@@ -2,22 +2,28 @@
 
 The package solves with closed-form Jacobians only; the helpers here give
 tests an independent view: a central-difference Jacobian, root enumeration
-over a wide start set, the prox derivative, the closed form of the centred
-clipped Gaussian second moment, quadrature expectations and limit-law
-moments, and first-order gradient descent as the reference for the Newton
-learner.
+over a wide start set, the Huber prox and the prox derivative, the closed
+form of the centred clipped Gaussian second moment, the doubled-node
+(Gauss-Legendre panel) residual of the Huber system, quadrature
+expectations and limit-law moments, and first-order gradient descent as the
+reference for the Newton learner.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from propdp import quadrature
 from propdp.erm import GRADIENT_TOL_SCALE
 from propdp.errors import NonConvergenceError
-from propdp.huber_theory import effective_noise_scale
+from propdp.huber_theory import HuberSolution, _clipped_residual, residual_second_moment
 from propdp.laws import ScalarLaw
+from propdp.losses import HuberLoss
 from propdp.newton import damped_newton, multistart_seeds
+from propdp.privacy import GlmSensitivity
 from propdp.rng import box_muller, stream
 from propdp.scalars import (
     clip,
@@ -75,6 +81,15 @@ def enumerate_roots(f, x0, *, tol: float = 1e-11, positive: bool = True) -> list
         if not any(np.allclose(res.x, r.x, rtol=1e-6, atol=1e-9) for r in roots):
             roots.append(res)
     return roots
+
+
+def prox_huber(s, tau, L):
+    """prox of tau * Huber_L: minimizes 0.5*(y-s)**2 + tau*H_L(y).
+
+    Uses the identity s - prox(s) = tau * clip(s / (1 + tau), L).
+    """
+    s = np.asarray(s, dtype=float)
+    return s - tau * clip(s / (1.0 + tau), L)
 
 
 def prox_logistic_derivative(x, gamma):
@@ -136,6 +151,78 @@ def law_clipped_second_moment(m, law: ScalarLaw, L) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=64)
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (-1, 1)."""
+    x, w = leggauss(n)
+    for arr in (x, w):
+        arr.setflags(write=False)
+    return x, w
+
+
+# Standardized truncation for the panel rule below; the omitted Gaussian
+# tail mass is ~1e-23, far below any tolerance the rule is used with.
+_PANEL_TAIL = 10.0
+
+
+def system_residual_quadrature(
+    sigma: float,
+    tau: float,
+    *,
+    delta: float,
+    lam: float,
+    nu: float,
+    L: float,
+    kappa_sq: float,
+    noise: ScalarLaw,
+    nodes: int = quadrature.DEFAULT_NODES_1D,
+) -> np.ndarray:
+    """The residuals of ``huber_theory.system_residual`` evaluated by an
+    independent discretization.
+
+    Per mixture component the residual (sigma*Z + eps)/(1+tau) is a single
+    Gaussian, and its clipped moments are integrated by Gauss-Legendre
+    panels split exactly at the clip boundaries +/-L, where the integrands
+    stop being smooth.  No closed-form moment identities are shared with
+    ``system_residual``, so this path re-checks solutions end to end.
+    """
+    j2 = 0.0
+    prob = 0.0
+    for wc, loc, scale in zip(noise.weights, noise.locs, noise.scales):
+        m = loc / (1.0 + tau)
+        s = float(np.hypot(sigma, scale)) / (1.0 + tau)
+        if s == 0.0:
+            j2 += wc * float(clip(m, L)) ** 2
+            prob += wc * float(abs(m) < L)
+            continue
+        lo = float(np.clip((-L - m) / s, -_PANEL_TAIL, _PANEL_TAIL))
+        hi = float(np.clip((L - m) / s, -_PANEL_TAIL, _PANEL_TAIL))
+        x, w = legendre_rule(max(8, nodes // 3))
+        for a, b in ((-_PANEL_TAIL, lo), (lo, hi), (hi, _PANEL_TAIL)):
+            if b <= a:
+                continue
+            t = 0.5 * (b - a) * x + 0.5 * (a + b)
+            dens = 0.5 * (b - a) * w * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+            u = m + s * t
+            j2 += wc * float(np.dot(dens, clip(u, L) ** 2))
+            prob += wc * float(np.dot(dens, (np.abs(u) < L).astype(float)))
+    f1 = sigma**2 - tau**2 * (j2 / delta + lam**2 * kappa_sq + nu**2)
+    f2 = tau - (delta - tau / (1.0 + tau) * prob) / (lam * delta)
+    return np.array([f1, f2])
+
+
+def residual_interval_probability(sigma: float, tau: float, L: float, noise: ScalarLaw) -> float:
+    """P(|(sigma*Z + eps)/(1+tau)| < L), exact per mixture component."""
+    return float(_clipped_residual(sigma, tau, L, noise)[0][1])
+
+
+def effective_noise_scale(sol: HuberSolution) -> float:
+    """sqrt((1/delta) * E[clip((sigma*Z+eps)/(1+tau*), L)**2]), the Gaussian
+    width of the estimation-error law."""
+    j2 = residual_second_moment(sol.sigma_star, sol.tau_star, sol.L, sol.noise)
+    return float(np.sqrt(j2 / sol.delta))
+
+
 def limit_triple_moment(sol, fn, *, nodes: int = 48) -> float:
     """E[fn(signal0, xi0, err0)] under the limiting law of
     (signal coordinate, perturbation coordinate, estimation error coordinate)
@@ -187,14 +274,16 @@ def gradient_descent_minimize(data, loss, lam, nu, xi, *, tol_scale=GRADIENT_TOL
     (beta, grad norm, iterations, objective value) as ``erm._minimize`` does.
 
     The first-order reference for the Newton learner: from step 2/(lam +
-    s*||X||_2^2) it halves on failed sufficient decrease, and at or below
-    half that step the descent lemma guarantees progress, so the test is
-    skipped there (near the optimum it compares values below float64
-    resolution and would stall).
+    s*||X||_2^2), with s the loss's ``GlmSensitivity`` smoothness, it halves
+    on failed sufficient decrease, and at or below half that step the
+    descent lemma guarantees progress, so the test is skipped there (near
+    the optimum it compares values below float64 resolution and would
+    stall).
     """
     X, y = data.X, data.y
     tol = tol_scale * max(1.0, data.n)
-    step0 = 2.0 / (lam + loss.smoothness * float(np.linalg.norm(X, 2)) ** 2)
+    glm = GlmSensitivity.huber(loss.L) if isinstance(loss, HuberLoss) else GlmSensitivity.logistic()
+    step0 = 2.0 / (lam + glm.smoothness * float(np.linalg.norm(X, 2)) ** 2)
 
     def objective(beta):
         return float(loss.values(X @ beta, y).sum() + 0.5 * lam * (beta @ beta) + nu * (xi @ beta))

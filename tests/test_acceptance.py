@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from propdp import erm, figures, huber_theory, logistic_theory, privacy, state_evolution
+from propdp import erm, figures, huber_theory, logistic_theory, models, privacy, state_evolution
 from propdp.harness import (
     ExperimentConfig,
     design_radius,
@@ -32,9 +32,9 @@ from propdp.scalars import (
     clip,
     logistic_rho_prime,
     logistic_rho_second,
-    prox_huber,
     prox_logistic,
 )
+from support import prox_huber, residual_interval_probability, system_residual_quadrature
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -200,7 +200,7 @@ def test_criterion_5_fixed_point_integrity():
         sol = huber_theory.solve_huber_system(delta, lam, nu, L, signal, noise)
         params = dict(delta=delta, lam=lam, nu=nu, L=L, kappa_sq=kappa**2, noise=noise)
         r_own, _ = huber_theory.system_residual(sol.sigma_star, sol.tau_star, **params)
-        r_dbl = huber_theory.system_residual_quadrature(
+        r_dbl = system_residual_quadrature(
             sol.sigma_star, sol.tau_star, nodes=240, **params
         )
         assert np.abs(r_own).max() <= 1e-8, f"huber draw {i}: {r_own}"
@@ -219,7 +219,7 @@ def test_criterion_5_fixed_point_integrity():
         j2_mc, j2_se = _mc_mean(draw_clipped_sq, 51000 + i)
         p_mc, p_se = _mc_mean(draw_inside, 52000 + i)
         j2 = huber_theory.residual_second_moment(s, t, L, noise)
-        prob = huber_theory.residual_interval_probability(s, t, L, noise)
+        prob = residual_interval_probability(s, t, L, noise)
         # when the exceedance probability is ~1e-8, all 1e7 indicator draws
         # land inside and the Wald stderr degenerates to 0; the score-test
         # stderr sqrt(p(1-p)/N) under the closed-form p stays valid there
@@ -326,12 +326,12 @@ def test_criterion_7_state_evolution_vs_simulation():
             seed = child_seed(config.seed, 0)
             if model == "huber_dpsgd_ce":
                 trace = state_evolution.state_evolution_huber(
-                    3, config.step_size_at(delta), nu, delta, signal, noise,
+                    3, models.step_size_at(delta, config.step_size), nu, delta, signal, noise,
                     10.0, mc_samples=10_000, seed=seed,
                 )
             else:
                 trace = state_evolution.state_evolution_logistic(
-                    3, config.step_size_at(delta), nu, delta, signal,
+                    3, models.step_size_at(delta, config.step_size), nu, delta, signal,
                     mc_samples=10_000, seed=seed,
                 )
             # the harness served exactly this trace as the point's theory

@@ -399,6 +399,19 @@ class TestInputBoundary:
         report = json.loads(stdout, parse_constant=_reject_constant)
         assert report["zcdp_rho"] > 1e33
 
+    def test_huge_kappa_keeps_every_point(self):
+        # kappa**2 overflows to inf, but the kappa echo does not: each point
+        # reports its own outcome and the call exits 0
+        code, stdout = run_in_process(
+            "theory", "--model", "huber_objective", "--delta", "0.5,1",
+            "--kappa", "1e200", "--L", "10",
+        )
+        assert code == 0
+        points = json.loads(stdout, parse_constant=_reject_constant)
+        assert [p["inputs"]["delta"] for p in points] == [0.5, 1.0]
+        assert all(p["inputs"]["kappa"] == 1e200 for p in points)
+        assert all(("predictions" in p) != ("error" in p) for p in points)
+
     NUMBERS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
         st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 1.0, 1e300]),

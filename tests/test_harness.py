@@ -1,6 +1,7 @@
 """Experiment-harness tests: grids, data generation, metrics, determinism,
 and parallel/serial equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from propdp.errors import ConfigError
 from propdp.harness import (
     DESIGNS,
-    MODELS,
     RATIO_GRID,
     ExperimentConfig,
     MetricRecord,
@@ -19,13 +19,12 @@ from propdp.harness import (
     gen_logistic_labels,
     gen_signal,
     grid_from_ratios,
-    replicate_with,
     run_experiment,
     solve_theory,
     summarize,
 )
 from propdp.laws import ScalarLaw
-from propdp.models import empirical_metrics
+from propdp.models import SPECS, empirical_metrics, step_size_at
 from propdp.scalars import logistic_rho_prime
 
 
@@ -92,9 +91,9 @@ class TestConfig:
 
     def test_step_size_default(self):
         cfg = ExperimentConfig(model="huber_dpsgd_ce")
-        assert cfg.step_size_at(1.0) == pytest.approx(0.25)
-        cfg2 = replicate_with(cfg, step_size=0.125)
-        assert cfg2.step_size_at(1.0) == 0.125
+        assert step_size_at(1.0, cfg.step_size) == pytest.approx(0.25)
+        cfg2 = dataclasses.replace(cfg, step_size=0.125)
+        assert step_size_at(1.0, cfg2.step_size) == 0.125
 
     @pytest.mark.parametrize("field", ["L", "lam", "nu", "step_size"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -112,7 +111,7 @@ class TestConfig:
     def test_replicate_with_revalidates(self):
         cfg = ExperimentConfig(model="huber_objective")
         with pytest.raises(ConfigError):
-            replicate_with(cfg, design="gaussian", nu=0.5)
+            dataclasses.replace(cfg, design="gaussian", nu=0.5)
 
 
 class TestDesigns:
@@ -258,7 +257,6 @@ class TestRunExperiment:
         assert first.delta == pytest.approx(0.5)
         assert first.theory is not None
         assert first.sigma_eps == repr(0.2)
-        assert first.bounded_design is True
 
     def test_rerun_bitwise_identical(self):
         a = run_experiment(self.small_config())
@@ -368,7 +366,7 @@ class TestSummarize:
 
 class TestModelsCatalog:
     def test_all_models_run_one_replicate(self):
-        for model in MODELS:
+        for model in SPECS:
             cfg = ExperimentConfig(
                 model=model,
                 grid=((16, 8),),

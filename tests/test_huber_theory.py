@@ -14,21 +14,21 @@ from propdp.errors import ConfigError
 from propdp.huber_theory import (
     MIN_LAMBDA,
     HuberSolution,
-    effective_noise_scale,
     huber_predictions,
-    residual_interval_probability,
     residual_second_moment,
     solve_huber_system,
     system_residual,
-    system_residual_quadrature,
 )
 from propdp.laws import ScalarLaw, parse_law
 from propdp.models import output_perturbation_predictions
 from support import (
     central_difference_jacobian,
+    effective_noise_scale,
     enumerate_roots,
     limit_triple_moment,
+    residual_interval_probability,
     residual_pair_moment,
+    system_residual_quadrature,
 )
 
 STD_SIGNAL = ScalarLaw.gaussian(1.0)

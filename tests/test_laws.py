@@ -64,7 +64,6 @@ class TestMoments:
         assert law.moment(2) == pytest.approx(4.0, rel=1e-15)
         assert law.moment(3) == 0.0
         assert law.moment(4) == pytest.approx(48.0, rel=1e-15)
-        assert law.kappa_sq == pytest.approx(4.0)
 
     def test_point_moments(self):
         law = ScalarLaw.point_mass(1.5)
@@ -77,11 +76,6 @@ class TestMoments:
         assert law.moment(1) == 0.0
         assert law.moment(2) == pytest.approx(1.0)
         assert law.moment(4) == pytest.approx(1.0)
-
-    def test_negated(self):
-        law = parse_law("mix:0.25*point:2,0.75*gaussian:1").negated()
-        assert law.locs == (-2.0, 0.0)
-        assert law.moment(1) == pytest.approx(-0.5)
 
     def test_shifted_gaussian_fourth_moment(self):
         # E[(mu + s Z)^4] = mu^4 + 6 mu^2 s^2 + 3 s^4

@@ -1,4 +1,4 @@
-"""Margin-loss family tests: values, gradients, and sensitivity constants."""
+"""Margin-loss family tests: values, gradients, and their derivatives."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from propdp.errors import ConfigError
-from propdp.laws import ScalarLaw
+from propdp.laws import ScalarLaw, parse_law
 from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from propdp.rng import stream
 from propdp.scalars import logistic_rho, logistic_rho_prime
@@ -48,8 +48,6 @@ class TestHuberLoss:
         )
 
     def test_constants(self):
-        assert self.loss.lipschitz == 1.5
-        assert self.loss.smoothness == 1.0
         assert self.loss.is_conditional_expectation is False
 
     def test_validation(self):
@@ -86,8 +84,6 @@ class TestLogisticLoss:
         np.testing.assert_allclose(self.loss.curvatures(m, y), fd, atol=1e-9)
 
     def test_constants(self):
-        assert self.loss.lipschitz == 1.0
-        assert self.loss.smoothness == 0.25
         assert self.loss.is_conditional_expectation is False
 
 
@@ -117,8 +113,6 @@ class TestHuberCeLoss:
 
     def test_flags_and_constants(self):
         assert self.loss.is_conditional_expectation is True
-        assert self.loss.lipschitz == 2.0
-        assert self.loss.smoothness == 1.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -150,15 +144,24 @@ class TestLogisticCeLoss:
         assert self.loss.is_conditional_expectation is True
 
 
-class TestSensitivityExport:
-    def test_huber_mapping(self):
-        g = HuberLoss(L=2.0).glm_sensitivity(1.5)
-        assert (g.lipschitz, g.smoothness, g.feature_radius) == (2.0, 1.0, 1.5)
 
-    def test_logistic_mapping(self):
-        g = LogisticLoss().glm_sensitivity(1.0)
-        assert (g.lipschitz, g.smoothness, g.feature_radius) == (1.0, 0.25, 1.0)
-
-    def test_ce_losses_share_constants(self):
-        assert HuberCeLoss(L=3.0).glm_sensitivity(1.0).lipschitz == 3.0
-        assert LogisticCeLoss().glm_sensitivity(2.0).scaled_smoothness == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "loss",
+    [
+        HuberCeLoss(L=1.5, noise=ScalarLaw.gaussian(0.4)),
+        HuberCeLoss(L=1.5, noise=parse_law("mix:0.3*point:0.5,0.7*gaussian:0.4")),
+        LogisticCeLoss(),
+    ],
+    ids=["huber-gaussian", "huber-mix-point", "logistic"],
+)
+def test_gradient_partials_match_central_differences(loss):
+    # the (margin, label) partials of c(m, y) = gradients(m, y) that state
+    # evolution uses, against central differences of gradients in each slot
+    gen = stream(6, "losses-gradient-partials")
+    m, y = 2.0 * gen.normal(size=60), 2.0 * gen.normal(size=60)
+    h = 1e-6
+    d_margin, d_label = loss.gradient_partials(m, y)
+    fd_margin = (loss.gradients(m + h, y) - loss.gradients(m - h, y)) / (2 * h)
+    fd_label = (loss.gradients(m, y + h) - loss.gradients(m, y - h)) / (2 * h)
+    np.testing.assert_allclose(d_margin, fd_margin, atol=1e-8)
+    np.testing.assert_allclose(d_label, fd_label, atol=1e-8)

@@ -52,7 +52,6 @@ def test_table_covers_every_loss_and_mechanism():
         for loss in ("huber", "logistic")
         for mechanism in ("objective", "output", "dpsgd")
     }
-    assert harness.MODELS == tuple(models.SPECS)
 
 
 def test_output_models_solve_at_zero_noise():

@@ -24,10 +24,9 @@ from propdp.scalars import (
     logistic_rho,
     logistic_rho_prime,
     logistic_rho_second,
-    prox_huber,
     prox_logistic,
 )
-from support import prox_logistic_derivative, truncated_second_moment
+from support import prox_huber, prox_logistic_derivative, truncated_second_moment
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)
 scales = st.floats(0.0, 50.0, allow_nan=False)
