@@ -25,18 +25,16 @@ import numpy as np
 
 from . import __version__, figures, harness, models
 from . import privacy as privacy_mod
-from . import state_evolution
 from .errors import ConfigError, NumericError
-from .laws import parse_law
-
-_STEPS_CAP = state_evolution.MAX_STEPS
+from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 
 
 # --- formatting and manifest helpers ----------------------------------------
 
 
 def _fmt(value) -> str:
-    """Round-trip cell formatting: shortest decimal that re-parses bitwise."""
+    """Round-trip cell formatting: shortest decimal that re-parses bitwise;
+    a non-finite number, which strict CSV readers reject, is a NumericError."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -44,6 +42,8 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite number in the output: {value!r}")
         return repr(float(value))
     return str(value)
 
@@ -88,7 +88,7 @@ class _ManifestWriter:
             fh.write("\n")
 
 
-def _write_json(payload, out_path: str | None, manifest: _ManifestWriter | None):
+def _write_json(payload, out_path: str | None, manifest: _ManifestWriter):
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # nan or inf: strict JSON has no spelling for them
@@ -98,12 +98,11 @@ def _write_json(payload, out_path: str | None, manifest: _ManifestWriter | None)
         return
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    if manifest is not None:
-        manifest.add(out_path)
-        manifest.write(out_path + ".manifest.json")
+    manifest.add(out_path)
+    manifest.write(out_path + ".manifest.json")
 
 
-def _write_csv(header, rows, out_path: str | None, manifest: _ManifestWriter | None):
+def _write_csv(header, rows, out_path: str | None, manifest: _ManifestWriter):
     def emit(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -115,8 +114,7 @@ def _write_csv(header, rows, out_path: str | None, manifest: _ManifestWriter | N
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         emit(fh)
-    if manifest is not None:
-        manifest.add(out_path)
+    manifest.add(out_path)
 
 
 def _master_seed(args) -> int:
@@ -150,53 +148,22 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _validate_theory_inputs(args) -> None:
-    models.get(args.model).check_lambda(args.lam)
-    if args.nu < 0:
-        raise ConfigError("--nu must be >= 0")
-    if args.L <= 0:
-        raise ConfigError("--L must be > 0")
-    if args.kappa is not None and args.kappa <= 0:
-        raise ConfigError("--kappa must be > 0")
-    if not 1 <= args.steps <= _STEPS_CAP:
-        raise ConfigError(f"--steps must be in [1, {_STEPS_CAP}]")
-    for delta in args.deltas:
-        if delta <= 0:
-            raise ConfigError("--delta values must be > 0")
-
-
-def _root_second_moment(law) -> float:
-    """sqrt(E[X**2]) as the hypot of every sqrt(w)*loc and sqrt(w)*scale, which
-    stays finite where E[X**2] itself overflows."""
-    terms = []
-    for w, loc, scale in zip(law.weights, law.locs, law.scales):
-        terms += [math.sqrt(w) * loc, math.sqrt(w) * scale]
-    return math.hypot(*terms)
-
-
-def _theory_point(args, delta: float) -> dict:
-    spec = models.get(args.model)
-    signal_text = args.signal or f"gaussian:{args.kappa}"
-    signal = parse_law(signal_text)
-    noise = parse_law(args.noise)
+def _theory_point(config: harness.ExperimentConfig, delta: float) -> dict:
+    spec = models.get(config.model)
     inputs = {
-        "model": args.model,
+        "model": config.model,
         "delta": delta,
-        "lambda": args.lam,
-        "nu": args.nu,
-        "L": args.L,
-        "kappa": _root_second_moment(signal),
-        "signal": signal_text,
-        "noise": args.noise,
-        **spec.trace_inputs(delta, args.steps, args.step_size, args.mc_samples),
+        "lambda": config.lam,
+        "nu": config.nu,
+        "L": config.L,
+        "kappa": config.signal_law.root_second_moment,
+        "signal": config.signal,
+        "noise": config.noise,
+        **spec.trace_inputs(config, delta),
     }
     try:
-        theory = spec.solve(
-            delta, lam=args.lam, nu=args.nu, L=args.L, signal=signal, noise=noise,
-            steps=args.steps, step_size=args.step_size, mc_samples=args.mc_samples,
-            seed=lambda: _master_seed(args),
-        )
-    except (NumericError, ConfigError) as exc:
+        theory = spec.solve(config, delta, seed=lambda: config.seed)
+    except NumericError as exc:
         return {"inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}
     return {"inputs": inputs, "solution": theory.solution, "predictions": theory.predictions}
 
@@ -204,11 +171,19 @@ def _theory_point(args, delta: float) -> dict:
 def cmd_theory(args) -> int:
     """Solve the asymptotic system at each grid point; JSON to stdout/--out."""
     args.deltas = _parse_float_list(args.delta, "--delta")
-    _validate_theory_inputs(args)
-    results = [_theory_point(args, delta) for delta in args.deltas]
+    if any(delta <= 0 for delta in args.deltas):
+        raise ConfigError("--delta values must be > 0")
+    if args.kappa <= 0:
+        raise ConfigError("--kappa must be > 0")
+    config = harness.ExperimentConfig(
+        model=args.model, signal=args.signal or f"gaussian:{args.kappa}", noise=args.noise,
+        L=args.L, lam=args.lam, nu=args.nu, step_size=args.step_size, steps=args.steps,
+        mc_samples=args.mc_samples, seed=_master_seed(args),
+    )
+    results = [_theory_point(config, delta) for delta in args.deltas]
     manifest = _ManifestWriter(
         {"command": "theory", **{k: v for k, v in vars(args).items() if k != "func"}},
-        _master_seed(args),
+        config.seed,
     )
     _write_json(results, args.out, manifest)
     return 0
@@ -280,12 +255,12 @@ def cmd_simulate(args) -> int:
     )
     records = harness.run_experiment(config, jobs=args.jobs)
     _write_csv(SIMULATE_HEADER, _simulate_rows(records), args.out, manifest)
-    if args.out is not None:
-        manifest.write(args.out + ".manifest.json")
     if args.summary is not None:
         rows = harness.summarize(records)
-        header = list(rows[0]) if rows else []
-        _write_csv(header, ([row[k] for k in header] for row in rows), args.summary, None)
+        header = list(rows[0])
+        _write_csv(header, ([row[k] for k in header] for row in rows), args.summary, manifest)
+    if manifest.outputs:
+        manifest.write((args.out or args.summary) + ".manifest.json")
     return 0
 
 

@@ -73,8 +73,8 @@ class FitResult:
     """Fitted coefficients with the perturbation draw and optimizer evidence.
 
     For output perturbation, `beta_tilde` is the unperturbed minimizer and
-    `grad_norm`/`objective_value` certify that inner solve; for objective
-    perturbation, `beta_tilde` equals `beta_hat`.
+    `grad_norm` certifies that inner solve; for objective perturbation,
+    `beta_tilde` equals `beta_hat`.
     """
 
     beta_hat: np.ndarray
@@ -82,7 +82,6 @@ class FitResult:
     xi: np.ndarray
     grad_norm: float
     iterations: int
-    objective_value: float
 
 
 def _minimize(
@@ -166,14 +165,13 @@ def fit_objective_perturbation(
     if nu < 0:
         raise ConfigError("fit_objective_perturbation: nu must be >= 0")
     xi = _draw_xi(seed, "objective-perturbation-xi", data.d)
-    beta, norm, iterations, value = _minimize(data, loss, lam, nu, xi)
+    beta, norm, iterations, _ = _minimize(data, loss, lam, nu, xi)
     return FitResult(
         beta_hat=beta,
         beta_tilde=beta,
         xi=xi,
         grad_norm=norm,
         iterations=iterations,
-        objective_value=value,
     )
 
 
@@ -186,16 +184,13 @@ def fit_output_perturbation(
     if nu < 0:
         raise ConfigError("fit_output_perturbation: nu must be >= 0")
     xi = _draw_xi(seed, "output-perturbation-xi", data.d)
-    beta, norm, iterations, value = _minimize(
-        data, loss, lam, 0.0, np.zeros(data.d)
-    )
+    beta, norm, iterations, _ = _minimize(data, loss, lam, 0.0, np.zeros(data.d))
     return FitResult(
         beta_hat=beta + nu * xi,
         beta_tilde=beta,
         xi=xi,
         grad_norm=norm,
         iterations=iterations,
-        objective_value=value,
     )
 
 

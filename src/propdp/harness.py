@@ -42,7 +42,8 @@ def grid_from_ratios(total: int, ratios=RATIO_GRID) -> tuple[tuple[int, int], ..
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one simulation sweep."""
+    """Full description of one model run: the settings a simulation sweep, a
+    theory point or a figure curve is solved under."""
 
     model: str
     design: str = "rademacher"
@@ -61,6 +62,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Every setting is checked here, once; the laws are parsed here too,
+        into ``signal_law`` and ``noise_law``, which are not fields, so
+        ``asdict``, ``replace``, ``==`` and the config hash see only the text."""
         spec = models.get(self.model)
         if self.design not in DESIGNS:
             raise ConfigError(f"ExperimentConfig: unknown design {self.design!r}")
@@ -72,15 +76,20 @@ class ExperimentConfig:
                 raise ConfigError(f"ExperimentConfig: {name} must be finite, got {value!r}")
         if self.nu < 0 or self.lam < 0 or self.L <= 0:
             raise ConfigError("ExperimentConfig: scales out of range")
-        spec.check_trace(self.steps, self.mc_samples)
         if self.nu > 0 and self.design == "gaussian":
             raise ConfigError(
                 "ExperimentConfig: gaussian designs have unbounded rows and are "
                 "theory-only; private runs (nu > 0) need rademacher or "
                 "bounded_uniform"
             )
-        parse_law(self.signal)
-        parse_law(self.noise)
+        object.__setattr__(self, "signal_law", parse_law(self.signal))
+        object.__setattr__(self, "noise_law", parse_law(self.noise))
+        spec.check(self)
+        if self.total < 1:
+            raise ConfigError("ExperimentConfig: total must be >= 1")
+        points = self.grid_points()
+        if not points or min(min(point) for point in points) < 1:
+            raise ConfigError("ExperimentConfig: the grid needs a point, and every n, d >= 1")
 
     def grid_points(self) -> tuple[tuple[int, int], ...]:
         if self.grid is not None:
@@ -151,15 +160,12 @@ def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int) -> np.n
 
 
 def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> dict | None:
-    """Predictions for one grid point; None when the solver fails."""
+    """Predictions for one grid point; None when the solve fails numerically."""
     try:
         return models.get(config.model).solve(
-            d / n, lam=config.lam, nu=config.nu, L=config.L,
-            signal=parse_law(config.signal), noise=parse_law(config.noise),
-            steps=config.steps, step_size=config.step_size, mc_samples=config.mc_samples,
-            seed=lambda: child_seed(config.seed, grid_index),
+            config, d / n, seed=lambda: child_seed(config.seed, grid_index)
         ).predictions
-    except (NumericError, ConfigError):
+    except NumericError:
         return None
 
 
@@ -168,14 +174,10 @@ def _run_cell(args) -> MetricRecord:
     started = time.perf_counter()
     spec = models.get(config.model)
     seed = child_seed(config.seed, grid_index, replicate)
-    signal = parse_law(config.signal)
-    noise = parse_law(config.noise)
 
     X = gen_design(n, d, config.design, seed)
-    beta_star = gen_signal(d, signal, seed)
-    empirical, fit = spec.replicate(
-        config, X, beta_star, design_radius(X, config.design), noise, seed
-    )
+    beta_star = gen_signal(d, config.signal_law, seed)
+    empirical, fit = spec.replicate(config, X, beta_star, design_radius(X, config.design), seed)
 
     return MetricRecord(
         model=config.model,
@@ -186,8 +188,8 @@ def _run_cell(args) -> MetricRecord:
         lam=config.lam,
         nu=config.nu,
         L=config.L,
-        kappa=math.sqrt(signal.second_moment),
-        sigma_eps=spec.noise_echo(noise, config.noise),
+        kappa=config.signal_law.root_second_moment,
+        sigma_eps=spec.noise_echo(config.noise_law, config.noise),
         replicate=replicate,
         grid_index=grid_index,
         seed=seed,

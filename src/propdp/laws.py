@@ -8,6 +8,7 @@ by the solvers and the experiment harness.  Clipped-Gaussian moments of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,15 @@ class ScalarLaw:
     @property
     def second_moment(self) -> float:
         return self.moment(2)
+
+    @property
+    def root_second_moment(self) -> float:
+        """sqrt(E[X**2]) as the hypot of every sqrt(w)*loc and sqrt(w)*scale,
+        which stays finite where E[X**2] itself overflows."""
+        terms = []
+        for w, loc, scale in zip(self.weights, self.locs, self.scales):
+            terms += [math.sqrt(w) * loc, math.sqrt(w) * scale]
+        return math.hypot(*terms)
 
     def sample(self, gen: np.random.Generator, size) -> np.ndarray:
         """Draws, with component choice and Box-Muller normals from ``gen``."""

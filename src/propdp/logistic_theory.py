@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import newton, quadrature
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .scalars import (
     logistic_rho_prime,
     logistic_rho_second,
@@ -89,7 +89,7 @@ class LogisticSolution:
 
     def __post_init__(self):
         if self.sigma_star < self.gamma_star * self.nu - 1e-9:
-            raise ConfigError("LogisticSolution: sigma* < gamma*·nu (no valid error law)")
+            raise NumericError("LogisticSolution: sigma* < gamma*·nu (no valid error law)")
 
     def as_dict(self) -> dict:
         return {

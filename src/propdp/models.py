@@ -84,26 +84,30 @@ class ModelSpec:
     loss: str  # "huber" or "logistic"
     mechanism: str  # "objective", "output" or "dpsgd"
 
-    def check_lambda(self, lam: float) -> None:
-        """The fixed-point systems need lam above a conditioning floor; noisy
-        GD has no ridge term."""
-        if self.mechanism != "dpsgd" and lam < huber_theory.MIN_LAMBDA:
+    def check(self, config) -> None:
+        """The settings this model's solver needs from ``config`` (an
+        ExperimentConfig): lam above the fixed-point systems' conditioning
+        floor, or for noisy GD (no ridge term) a state-evolution budget and a
+        positive step; and a logistic signal with E[X**2] > 0."""
+        if self.mechanism == "dpsgd":
+            top, least = state_evolution.MAX_STEPS, state_evolution.MIN_MC_SAMPLES
+            if not 1 <= config.steps <= top:
+                raise ConfigError(f"{self.name}: steps must be in [1, {top}]")
+            if config.mc_samples < least:
+                raise ConfigError(f"{self.name}: mc_samples must be >= {least}")
+            if config.step_size is not None and config.step_size <= 0:
+                raise ConfigError(f"{self.name}: step_size must be > 0")
+        elif config.lam < huber_theory.MIN_LAMBDA:
             raise ConfigError(f"{self.name}: lambda must be >= {huber_theory.MIN_LAMBDA}")
+        if self.loss == "logistic" and not config.signal_law.second_moment > 0:
+            raise ConfigError(f"{self.name}: kappa must be > 0 (signal with E[X^2] > 0)")
 
-    def check_trace(self, steps: int, mc_samples: int) -> None:
-        """Noisy-GD models need settings the state-evolution solver accepts."""
-        top, least = state_evolution.MAX_STEPS, state_evolution.MIN_MC_SAMPLES
-        if self.mechanism == "dpsgd" and not 1 <= steps <= top:
-            raise ConfigError(f"{self.name}: steps must be in [1, {top}]")
-        if self.mechanism == "dpsgd" and mc_samples < least:
-            raise ConfigError(f"{self.name}: mc_samples must be >= {least}")
-
-    def trace_inputs(self, delta, steps, step_size, mc_samples) -> dict:
+    def trace_inputs(self, config, delta) -> dict:
         """The noisy-GD settings a theory point echoes (none for other models)."""
         if self.mechanism != "dpsgd":
             return {}
-        step = step_size_at(delta, step_size)
-        return {"steps": steps, "step_size": step, "mc_samples": mc_samples}
+        step = step_size_at(delta, config.step_size)
+        return {"steps": config.steps, "step_size": step, "mc_samples": config.mc_samples}
 
     def noise_echo(self, noise: ScalarLaw, text: str) -> str:
         """The sigma_eps column: the std of centred Gaussian noise, else the
@@ -115,12 +119,9 @@ class ModelSpec:
         return text
 
     def solve(
-        self, delta: float, *, lam: float, nu: float, L: float, signal: ScalarLaw,
-        noise: ScalarLaw, steps: int = 3, step_size: float | None = None,
-        mc_samples: int = 100_000, seed: Callable[[], int] = lambda: 0,
-        initial: tuple | None = None,
+        self, config, delta: float, *, seed: Callable[[], int], initial: tuple | None = None
     ) -> Theory:
-        """Solve the model's limit at one delta.
+        """Solve the model's limit at one delta under ``config``'s settings.
 
         ``initial`` warm-starts the fixed-point solvers; ``seed`` is called
         only by the noisy-GD models, whose state evolution is sampled.
@@ -131,49 +132,51 @@ class ModelSpec:
         try:
             with np.errstate(invalid="raise", over="raise", divide="raise"):
                 if self.mechanism == "dpsgd":
-                    step = step_size_at(delta, step_size)
-                    theory = self._trace(
-                        delta, nu, L, signal, noise, steps, step, mc_samples, seed()
-                    )
+                    theory = self._trace(config, delta, seed())
                 else:
-                    theory = self._fixed_point(delta, lam, nu, L, signal, noise, initial)
+                    theory = self._fixed_point(config, delta, initial)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             raise NumericError(f"{self.name} at delta={delta!r}: {exc}") from None
         if not all(math.isfinite(v) for v in theory.predictions.values()):
             raise NumericError(f"{self.name} at delta={delta!r}: non-finite prediction")
         return theory
 
-    def _trace(self, delta, nu, L, signal, noise, steps, step, mc_samples, seed) -> Theory:
+    def _trace(self, config, delta, seed) -> Theory:
+        step = step_size_at(delta, config.step_size)
         if self.loss == "huber":
             trace = state_evolution.state_evolution_huber(
-                steps, step, nu, delta, signal, noise, L, mc_samples=mc_samples, seed=seed
+                config.steps, step, config.nu, delta, config.signal_law, config.noise_law,
+                config.L, mc_samples=config.mc_samples, seed=seed,
             )
         else:
             trace = state_evolution.state_evolution_logistic(
-                steps, step, nu, delta, signal, mc_samples=mc_samples, seed=seed
+                config.steps, step, config.nu, delta, config.signal_law,
+                mc_samples=config.mc_samples, seed=seed,
             )
         echo = trace.as_dict()
         solution = {key: echo[key] for key in _TRACE_ECHO}
         return Theory(solution, _per_step(trace.mse, trace.bias), None)
 
-    def _fixed_point(self, delta, lam, nu, L, signal, noise, initial) -> Theory:
-        nu_solve = 0.0 if self.mechanism == "output" else nu
+    def _fixed_point(self, config, delta, initial) -> Theory:
+        nu_solve = 0.0 if self.mechanism == "output" else config.nu
         if self.loss == "huber":
             sol = huber_theory.solve_huber_system(
-                delta, lam, nu_solve, L, signal, noise, initial=initial
+                delta, config.lam, nu_solve, config.L, config.signal_law, config.noise_law,
+                initial=initial,
             )
             guess = (sol.sigma_star, sol.tau_star)
         else:
             sol = logistic_theory.solve_logistic_system(
-                delta, lam, nu_solve, math.sqrt(signal.second_moment), initial=initial
+                delta, config.lam, nu_solve, math.sqrt(config.signal_law.second_moment),
+                initial=initial,
             )
             guess = (sol.alpha_star, sol.sigma_star, sol.gamma_star)
         if self.mechanism == "output":
-            return Theory(sol.as_dict(), output_perturbation_predictions(sol, nu), guess)
+            return Theory(sol.as_dict(), output_perturbation_predictions(sol, config.nu), guess)
         return Theory(sol.as_dict(), _predictions(sol), guess)
 
     def replicate(
-        self, config, X, beta_star, radius: float, noise: ScalarLaw, seed: int
+        self, config, X, beta_star, radius: float, seed: int
     ) -> tuple[dict, erm.FitResult | None]:
         """Label, fit and score one replicate of ``config`` (an ExperimentConfig);
         returns the metrics and the fit (None for noisy GD, which has no
@@ -181,7 +184,7 @@ class ModelSpec:
         d = beta_star.shape[0]
         if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
             if self.loss == "huber":
-                loss = losses.HuberCeLoss(config.L, noise)
+                loss = losses.HuberCeLoss(config.L, config.noise_law)
             else:
                 loss = losses.LogisticCeLoss()
             step = step_size_at(d / X.shape[0], config.step_size)
@@ -193,7 +196,7 @@ class ModelSpec:
                 [float(e @ e) / d for e in errors], [float(b @ beta_star) / d for b in trajectory]
             ), None
         if self.loss == "huber":
-            y = harness.gen_linear_labels(X, beta_star, noise, seed)
+            y = harness.gen_linear_labels(X, beta_star, config.noise_law, seed)
             loss = losses.HuberLoss(config.L)
         else:
             y = harness.gen_logistic_labels(X, beta_star, seed)

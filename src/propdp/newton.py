@@ -31,8 +31,8 @@ def _evaluate(f, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return fx, J, float(np.linalg.norm(fx)) if finite else np.inf
 
 
-def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200, positive: bool = True) -> NewtonResult:
-    """Newton with halving line search; iterates stay strictly positive if asked.
+def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonResult:
+    """Newton with halving line search; iterates stay strictly positive.
 
     ``f(x)`` returns ``(F, J)``; a non-finite F or J raises NonConvergenceError
     at the start and rejects the candidate during the line search.
@@ -55,7 +55,7 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200, positive: b
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = x + scale * step
-            if positive and np.any(cand <= 0):
+            if np.any(cand <= 0):
                 scale *= 0.5
                 continue
             f_cand, J_cand, cand_norm = _evaluate(f, cand)
@@ -79,13 +79,13 @@ def multistart_seeds(k: int, count: int = 8) -> list[np.ndarray]:
     return [np.full(k, c) for c in np.geomspace(1e-2, 1e2, count)]
 
 
-def solve_with_multistart(f, x0, *, tol: float = 1e-11, positive: bool = True) -> NewtonResult:
+def solve_with_multistart(f, x0) -> NewtonResult:
     """Try x0 first, then the log-spaced restart seeds; raise if all fail."""
     starts = [np.asarray(x0, dtype=float)] + multistart_seeds(len(x0))
     failure: NonConvergenceError | None = None
     for start in starts:
         try:
-            return damped_newton(f, start, tol=tol, positive=positive)
+            return damped_newton(f, start)
         except NonConvergenceError as exc:
             if failure is None or (exc.residual or np.inf) < (failure.residual or np.inf):
                 failure = exc

@@ -17,6 +17,10 @@ from .errors import NumericError
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# prox_logistic's residual tolerance on |p + gamma*rho'(p) - x|, and its step cap
+PROX_TOL = 1e-12
+PROX_MAX_ITER = 200
+
 
 def _check_finite(name: str, *values) -> None:
     for v in values:
@@ -57,12 +61,12 @@ def logistic_rho_second(t):
     return p * (1.0 - p)
 
 
-def prox_logistic(x, gamma, tol=1e-12, max_iter=200):
+def prox_logistic(x, gamma):
     """Unique p solving p + gamma * rho'(p) = x (gamma >= 0).
 
     Safeguarded Newton started at x - gamma*rho'(x), with the bracket
     [x - gamma, x] forced by 0 <= gamma*rho'(p) <= gamma.  An element is
-    frozen once its residual g = p + gamma*rho'(p) - x has |g| <= tol, and
+    frozen once its residual g = p + gamma*rho'(p) - x has |g| <= PROX_TOL, and
     only the rest are iterated; an element bisects its bracket whenever the
     Newton step would leave it, or its last Newton step failed to halve |g|.
     """
@@ -75,10 +79,10 @@ def prox_logistic(x, gamma, tol=1e-12, max_iter=200):
     p = np.array(x - gamma * logistic_rho_prime(x), order="C")
     flat = p.reshape(-1)  # a view of the C-ordered p: writes below land in p
     g = flat + gamma * logistic_rho_prime(flat) - x.reshape(-1)
-    idx = np.flatnonzero(np.abs(g) > tol)
+    idx = np.flatnonzero(np.abs(g) > PROX_TOL)
     xa, pa, g = x.reshape(-1)[idx], flat[idx], g[idx]
     lo, hi, fast = xa - gamma, xa.copy(), np.ones(idx.size, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(PROX_MAX_ITER):
         if idx.size == 0:
             return p
         lo = np.where(g < 0, pa, lo)
@@ -90,7 +94,7 @@ def prox_logistic(x, gamma, tol=1e-12, max_iter=200):
         fast = ~newton | (np.abs(g_new) <= 0.5 * np.abs(g))
         g = g_new
         flat[idx] = pa
-        active = np.abs(g) > tol
+        active = np.abs(g) > PROX_TOL
         if not active.all():
             idx, xa, pa, g, lo, hi, fast = (a[active] for a in (idx, xa, pa, g, lo, hi, fast))
     if idx.size:

@@ -64,7 +64,7 @@ def staggered_seeds(k: int, levels: int = 4) -> list[np.ndarray]:
     return list(np.stack([g.ravel() for g in grids], axis=1))
 
 
-def enumerate_roots(f, x0, *, tol: float = 1e-11, positive: bool = True) -> list:
+def enumerate_roots(f, x0, *, tol: float = 1e-11) -> list:
     """All distinct converged roots across the start set (1e-6 relative dedup).
 
     ``f(x)`` returns ``(F, J)`` as for ``damped_newton``.  Starts from x0,
@@ -75,7 +75,7 @@ def enumerate_roots(f, x0, *, tol: float = 1e-11, positive: bool = True) -> list
     roots = []
     for start in starts:
         try:
-            res = damped_newton(f, start, tol=tol, positive=positive)
+            res = damped_newton(f, start, tol=tol)
         except NonConvergenceError:
             continue
         if not any(np.allclose(res.x, r.x, rtol=1e-6, atol=1e-9) for r in roots):

@@ -6,12 +6,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propdp import cli
@@ -273,6 +274,21 @@ class TestSimulate:
         assert "z_score" in header
         assert len(rows) == 4  # one grid point x four metrics
 
+    def test_summary_is_in_the_manifest(self, tmp_path):
+        out, summary = tmp_path / "sim.csv", tmp_path / "summary.csv"
+        assert run_cli(*self.BASE, "--out", str(out), "--summary", str(summary)).returncode == 0
+        manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+        assert manifest["output_paths"] == [str(out), str(summary)]
+        for path in (out, summary):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert manifest["output_digests"][str(path)] == digest
+        # with the replicate rows on stdout, the manifest sits by the summary
+        alone = tmp_path / "alone.csv"
+        assert run_cli(*self.BASE, "--summary", str(alone)).returncode == 0
+        manifest = json.loads((tmp_path / "alone.csv.manifest.json").read_text())
+        assert manifest["output_paths"] == [str(alone)]
+        assert manifest["output_digests"][str(alone)] == digest
+
     def test_stdout_default(self):
         proc = run_cli(*self.BASE)
         assert proc.returncode == 0, proc.stderr
@@ -412,6 +428,62 @@ class TestInputBoundary:
         assert all(p["inputs"]["kappa"] == 1e200 for p in points)
         assert all(("predictions" in p) != ("error" in p) for p in points)
 
+    MIXED_KAPPA = "mix:1e-300*gaussian:1e200,1*gaussian:1"  # kappa = 1e50, E[X**2] = inf
+
+    def test_kappa_echo_is_finite_in_both_commands(self):
+        code, stdout = run_in_process(
+            "theory", "--model", "huber_objective", "--delta", "1", "--signal", self.MIXED_KAPPA,
+        )
+        assert code == 0
+        assert json.loads(stdout, parse_constant=_reject_constant)[0]["inputs"]["kappa"] == 1e50
+        code, stdout = run_in_process(
+            "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",
+            "--replicates", "2", "--jobs", "1", "--signal", self.MIXED_KAPPA,
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(stdout))
+        assert {row[header.index("kappa")] for row in rows} == {"1e+50"}
+
+    def test_overflowing_estimate_exits_3(self):
+        # the estimation error overflows to inf, which no CSV cell may hold
+        proc = run_cli(
+            "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",
+            "--replicates", "1", "--jobs", "1", "--signal", "gaussian:1e200",
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "non-finite number in the output" in proc.stderr
+
+    # the same settings are refused, or accepted, by both commands
+    @pytest.mark.parametrize(
+        "model, args, expected",
+        [
+            ("huber_objective", ("--lambda", "1e-10"), 2),
+            ("logistic_objective", ("--signal", "point:0"), 2),
+            ("huber_dpsgd_ce", ("--mc-samples", "5"), 2),
+            ("huber_dpsgd_ce", ("--step-size", "-1"), 2),
+            ("huber_objective", ("--steps", "20"), 0),
+        ],
+    )
+    def test_theory_and_simulate_agree_on_settings(self, model, args, expected):
+        theory = run_in_process("theory", "--model", model, "--delta", "1", *args)
+        simulate = run_in_process(
+            "simulate", "--model", model, "--total", "16", "--ratios", "0.5",
+            "--replicates", "1", "--jobs", "1", *args,
+        )
+        assert theory[0] == simulate[0] == expected
+        if expected != 0:
+            assert theory[1] == simulate[1] == ""
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"total": 0}, {"total": -5}, {"grid": [[0, 5]]}, {"ratios": []}],
+    )
+    def test_empty_or_degenerate_grid_is_a_config_error(self, settings, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "huber_objective", **settings}))
+        assert run_in_process("simulate", "--config", str(config), "--jobs", "1") == (2, "")
+
     NUMBERS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
         st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 1.0, 1e300]),
@@ -428,6 +500,36 @@ class TestInputBoundary:
             f"--nu={nu!r}", f"--L={L!r}", f"--kappa={kappa!r}",
         )
         assert_contract(code, stdout)
+
+    @settings(max_examples=30, deadline=None)
+    @example(  # n*d = 0 leaves no grid point: a config error, not a division by zero
+        model="huber_objective", total=0, ratios="0.5", lam=1.0, nu=0.0, L=10.0,
+        signal="gaussian:1",
+    )
+    @given(
+        model=st.sampled_from(list(cli.models.SPECS)),
+        total=st.integers(min_value=-2, max_value=60),
+        ratios=st.sampled_from(["0.5", "0.1,0.9", "0.3,0.5,0.7"]),
+        lam=NUMBERS, nu=NUMBERS, L=NUMBERS,
+        signal=st.sampled_from(
+            ["gaussian:1", "point:0", "point:-3", "gaussian:1e200", "mix:0.5*point:1,0.5*gaussian:2"]
+        ),
+    )
+    def test_simulate_exit_codes_and_finite_csv(self, model, total, ratios, lam, nu, L, signal):
+        code, stdout = run_in_process(
+            "simulate", "--model", model, f"--total={total}", "--ratios", ratios,
+            f"--lambda={lam!r}", f"--nu={nu!r}", f"--L={L!r}", "--signal", signal,
+            "--replicates", "1", "--jobs", "1", "--steps", "1", "--mc-samples", "10000",
+        )
+        assert code in (0, 2, 3)
+        if code == 0:
+            for row in list(csv.reader(io.StringIO(stdout)))[1:]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:  # text columns and empty cells
+                        continue
+                    assert math.isfinite(value), row
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -66,10 +66,10 @@ class TestTheoryRows:
         ratio = DENSE_RATIOS[5]
         original = models.ModelSpec.solve
 
-        def solve(self, delta, **kwargs):
+        def solve(self, config, delta, **kwargs):
             if delta == (1.0 - ratio) / ratio:
                 raise NumericError("injected failure")
-            return original(self, delta, **kwargs)
+            return original(self, config, delta, **kwargs)
 
         monkeypatch.setattr(models.ModelSpec, "solve", solve)
         with caplog.at_level(logging.WARNING, logger="propdp.figures"):

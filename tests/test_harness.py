@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from propdp.errors import ConfigError
+from propdp.errors import ConfigError, NumericError
 from propdp.harness import (
     DESIGNS,
     RATIO_GRID,
@@ -24,7 +24,7 @@ from propdp.harness import (
     summarize,
 )
 from propdp.laws import ScalarLaw
-from propdp.models import SPECS, empirical_metrics, step_size_at
+from propdp.models import SPECS, ModelSpec, empirical_metrics, step_size_at
 from propdp.scalars import logistic_rho_prime
 
 
@@ -230,10 +230,17 @@ class TestSolveTheory:
             "bias_t2",
         }
 
-    def test_failure_returns_none(self):
-        # lam below the conditioning floor cannot be solved
-        cfg = ExperimentConfig(model="huber_objective", lam=1e-12)
-        assert solve_theory(cfg, 40, 20, 0) is None
+    def test_failure_returns_none(self, monkeypatch):
+        # a lam below the conditioning floor is refused when the config is
+        # built; a solve that fails numerically gives None
+        with pytest.raises(ConfigError):
+            ExperimentConfig(model="huber_objective", lam=1e-12)
+
+        def fail(self, config, delta, **kwargs):
+            raise NumericError("injected failure")
+
+        monkeypatch.setattr(ModelSpec, "solve", fail)
+        assert solve_theory(ExperimentConfig(model="huber_objective"), 40, 20, 0) is None
 
 
 class TestRunExperiment:

@@ -9,7 +9,7 @@ Newton + Gauss-Hermite path.
 import numpy as np
 import pytest
 
-from propdp.errors import ConfigError
+from propdp.errors import ConfigError, NumericError
 from propdp.logistic_theory import (
     MIN_LAMBDA,
     LogisticSolution,
@@ -168,7 +168,7 @@ class TestValidation:
             solve_logistic_system(0.5, 1.0, 0.0, 0.0)
 
     def test_error_law_constraint_enforced(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericError):
             LogisticSolution(
                 alpha_star=0.5,
                 sigma_star=0.1,

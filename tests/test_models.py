@@ -37,7 +37,7 @@ def test_harness_cli_and_figures_agree(model, monkeypatch):
         "--seed", str(child_seed(SEED, 0)),
     )
 
-    rows = figures._curve_rows("check", model, model, 0.2, seed=SEED)
+    rows = figures._curve_rows("check", model, config)
     from_figure = {row["metric"]: row["value"] for row in rows}
 
     assert from_harness is not None
@@ -55,13 +55,12 @@ def test_table_covers_every_loss_and_mechanism():
 
 
 def test_output_models_solve_at_zero_noise():
-    signal, noise = parse_law("gaussian:1"), parse_law("gaussian:0.2")
     for loss in ("huber", "logistic"):
         output = models.get(f"{loss}_output").solve(
-            0.5, lam=1.0, nu=0.3, L=10.0, signal=signal, noise=noise
+            harness.ExperimentConfig(model=f"{loss}_output", nu=0.3), 0.5, seed=lambda: 0
         )
         base = models.get(f"{loss}_objective").solve(
-            0.5, lam=1.0, nu=0.0, L=10.0, signal=signal, noise=noise
+            harness.ExperimentConfig(model=f"{loss}_objective", nu=0.0), 0.5, seed=lambda: 0
         )
         assert output.solution == base.solution
         assert output.predictions["estimation_error"] == pytest.approx(
@@ -71,9 +70,9 @@ def test_output_models_solve_at_zero_noise():
 
 
 def test_lambda_floor_skips_noisy_gd():
-    models.get("huber_dpsgd_ce").check_lambda(0.0)
+    harness.ExperimentConfig(model="huber_dpsgd_ce", lam=0.0)
     with pytest.raises(ConfigError):
-        models.get("huber_objective").check_lambda(0.0)
+        harness.ExperimentConfig(model="huber_objective", lam=0.0)
 
 
 def test_noise_echo():
@@ -86,19 +85,17 @@ def test_noise_echo():
 
 def test_overflowing_shift_is_a_numeric_failure():
     # the nu = 0 solve succeeds; the shift by nu**2 overflows
-    signal, noise = parse_law("gaussian:1"), parse_law("gaussian:0.2")
+    config = harness.ExperimentConfig(model="huber_output", nu=1.7e308)
     with pytest.raises(NumericError):
-        models.get("huber_output").solve(
-            0.5, lam=1.0, nu=1.7e308, L=10.0, signal=signal, noise=noise
-        )
+        models.get("huber_output").solve(config, 0.5, seed=lambda: 0)
 
 
 @pytest.mark.parametrize("model", ["huber_objective", "logistic_objective"])
 def test_invalid_float_operation_is_a_numeric_failure(model):
     # a signal scale of 1e300 makes the solvers' moments inf * 0; that is
     # one NumericError, not a stream of numpy RuntimeWarnings
-    signal, noise = parse_law("gaussian:1e300"), parse_law("gaussian:0.2")
+    config = harness.ExperimentConfig(model=model, signal="gaussian:1e300", nu=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="invalid value"):
-            models.get(model).solve(1.0, lam=1.0, nu=0.2, L=10.0, signal=signal, noise=noise)
+            models.get(model).solve(config, 1.0, seed=lambda: 0)
