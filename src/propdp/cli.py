@@ -7,11 +7,14 @@ accompanied by a run-manifest sidecar recording the tool version, a digest
 of the canonicalized configuration, the master seed, timestamps, and output
 paths; output files themselves contain no timestamps, so identical
 (config, seed, version) triples reproduce identical file digests.
+Files are written all or nothing, through ``<path>.partial``, and a path
+that cannot be written is a config error; output to stdout still streams.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -83,9 +86,23 @@ class _ManifestWriter:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        _publish(path, lambda fh: fh.write(text))
+
+
+def _publish(path: str, emit) -> None:
+    """Write ``path`` all or nothing through ``emit(fh)``: a failure leaves no
+    partial file and any earlier file intact; an OSError is a ConfigError."""
+    try:
+        with open(path + ".partial", "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
+        os.replace(path + ".partial", path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(path + ".partial")
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise
 
 
 def _write_json(payload, out_path: str | None, manifest: _ManifestWriter):
@@ -96,8 +113,7 @@ def _write_json(payload, out_path: str | None, manifest: _ManifestWriter):
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _publish(out_path, lambda fh: fh.write(text))
     manifest.add(out_path)
     manifest.write(out_path + ".manifest.json")
 
@@ -112,8 +128,7 @@ def _write_csv(header, rows, out_path: str | None, manifest: _ManifestWriter):
     if out_path is None:
         emit(sys.stdout)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        emit(fh)
+    _publish(out_path, emit)
     manifest.add(out_path)
 
 
@@ -210,26 +225,21 @@ def _load_simulate_config(args) -> harness.ExperimentConfig:
             raise ConfigError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(payload) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     # the flags share the config's field names; --ratios is parsed below
     overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS - {"ratios"}}
     payload.update({k: v for k, v in overrides.items() if v is not None})
-    if "ratios" in payload and payload["ratios"] is not None:
-        payload["ratios"] = tuple(float(r) for r in payload["ratios"])
     if args.ratios is not None:
         payload["ratios"] = tuple(_parse_float_list(args.ratios, "--ratios"))
-    if "grid" in payload and payload["grid"] is not None:
-        payload["grid"] = tuple((int(n), int(d)) for n, d in payload["grid"])
     if "model" not in payload:
         raise ConfigError("simulate needs --model or a config file with one")
     if os.environ.get("PROPDP_SEED") is not None:
         payload["seed"] = _master_seed(args)
-    try:
-        return harness.ExperimentConfig(**payload)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+    return harness.ExperimentConfig(**payload)
 
 
 def _simulate_rows(records):
@@ -323,7 +333,10 @@ def cmd_figure(args) -> int:
         },
         configs[0].seed if configs else None,
     )
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {args.out}: {exc.strerror or exc}") from None
 
     theory_rows = spec.theory_rows()
     theory_path = os.path.join(args.out, f"{spec.name}_theory.csv")

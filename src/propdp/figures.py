@@ -24,8 +24,6 @@ from .rng import child_seed
 
 logger = logging.getLogger(__name__)
 
-FIGURE_NAMES = ("fig1", "fig2", "fig4", "fig5", "fig6")
-
 # sample fractions n/(n+d) for the dense theory curves; delta = (1-r)/r
 DENSE_RATIOS = tuple(float(r) for r in np.round(np.linspace(0.10, 0.90, 41), 6))
 
@@ -83,11 +81,6 @@ def _curve_rows(name: str, label: str, config: ExperimentConfig) -> list[dict]:
 
 # --- fig1: robust regression with a perturbed objective ---------------------
 
-_FIG1_COMMON = dict(
-    design="rademacher", total=1000, signal="gaussian:1", noise="gaussian:0.2",
-    L=10.0, lam=1.0, replicates=100,
-)
-
 FIG1 = FigureSpec(
     "fig1",
     "robust (huber) regression, objective perturbation: four metrics vs "
@@ -97,7 +90,7 @@ FIG1 = FigureSpec(
         for nu in (0.0, 0.2)
     ),
     tuple(
-        ExperimentConfig(model="huber_objective", nu=nu, seed=101, **_FIG1_COMMON)
+        ExperimentConfig(model="huber_objective", nu=nu, seed=101)
         for nu in (0.0, 0.2)
     ),
 )
@@ -143,10 +136,7 @@ FIG4 = FigureSpec(
         for nu in (0.0, 0.2)
     ),
     tuple(
-        ExperimentConfig(
-            model="logistic_objective", design="rademacher", total=1000,
-            signal="gaussian:1", lam=1.0, nu=nu, replicates=200, seed=104,
-        )
+        ExperimentConfig(model="logistic_objective", nu=nu, replicates=200, seed=104)
         for nu in (0.0, 0.2)
     ),
 )
@@ -164,10 +154,7 @@ FIG5 = FigureSpec(
         for loss_name in ("huber", "logistic")
     ),
     tuple(
-        ExperimentConfig(
-            model=model, design="rademacher", total=1000, signal="gaussian:1",
-            noise="gaussian:0.2", L=10.0, lam=1.0, nu=nu, replicates=100, seed=105,
-        )
+        ExperimentConfig(model=model, nu=nu, seed=105)
         for model in ("huber_output", "logistic_output")
         for nu in (0.0, 0.5)
     ),
@@ -190,11 +177,7 @@ FIG6 = FigureSpec(
         for loss_name in ("huber", "logistic")
     ),
     tuple(
-        ExperimentConfig(
-            model=model, design="rademacher", total=1000, signal="gaussian:1",
-            noise="gaussian:0.2", L=10.0, lam=1.0, nu=nu, steps=3,
-            replicates=10_000, seed=106,
-        )
+        ExperimentConfig(model=model, nu=nu, replicates=10_000, seed=106)
         for model in ("huber_dpsgd_ce", "logistic_dpsgd_ce")
         for nu in (0.0, 0.1)
     ),
@@ -202,6 +185,7 @@ FIG6 = FigureSpec(
 
 
 FIGURES = {spec.name: spec for spec in (FIG1, FIG2, FIG4, FIG5, FIG6)}
+FIGURE_NAMES = tuple(FIGURES)
 
 
 def get_figure(name: str) -> FigureSpec:

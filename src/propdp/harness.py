@@ -11,7 +11,8 @@ bit-identical.
 from __future__ import annotations
 
 import math
-import time
+import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +41,13 @@ def grid_from_ratios(total: int, ratios=RATIO_GRID) -> tuple[tuple[int, int], ..
     return tuple(points)
 
 
+def _finite(value) -> float:
+    """``value`` as a float, if it is a finite real number."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"want a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one model run: the settings a simulation sweep, a
@@ -62,18 +70,34 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Every setting is checked here, once; the laws are parsed here too,
-        into ``signal_law`` and ``noise_law``, which are not fields, so
-        ``asdict``, ``replace``, ``==`` and the config hash see only the text."""
+        """Every setting is checked here, once, types first: integer fields go
+        through ``operator.index``, laws must be text, float fields must be
+        finite real numbers, ``ratios`` becomes a tuple of floats and ``grid`` a
+        tuple of int pairs.  The laws are parsed here too, into ``signal_law``
+        and ``noise_law``, which are not fields, so ``asdict``, ``replace``,
+        ``==`` and the config hash see only the text."""
+        try:
+            for name in ("model", "design", "signal", "noise"):
+                if not isinstance(getattr(self, name), str):
+                    raise TypeError(f"want text, got {getattr(self, name)!r}")
+            for name in ("total", "steps", "replicates", "mc_samples", "seed"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            for name in ("L", "lam", "nu", "step_size"):  # not converted: a 10 stays 10
+                if getattr(self, name) is not None:
+                    _finite(getattr(self, name))
+            name = "ratios"
+            object.__setattr__(self, name, tuple(_finite(r) for r in self.ratios))
+            name = "grid"
+            if self.grid is not None:
+                grid = tuple((operator.index(n), operator.index(d)) for n, d in self.grid)
+                object.__setattr__(self, name, grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ExperimentConfig: bad {name}: {exc}") from None
         spec = models.get(self.model)
         if self.design not in DESIGNS:
             raise ConfigError(f"ExperimentConfig: unknown design {self.design!r}")
         if self.replicates < 1:
             raise ConfigError("ExperimentConfig: replicates must be >= 1")
-        for name in ("L", "lam", "nu", "step_size"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"ExperimentConfig: {name} must be finite, got {value!r}")
         if self.nu < 0 or self.lam < 0 or self.L <= 0:
             raise ConfigError("ExperimentConfig: scales out of range")
         if self.nu > 0 and self.design == "gaussian":
@@ -92,9 +116,7 @@ class ExperimentConfig:
             raise ConfigError("ExperimentConfig: the grid needs a point, and every n, d >= 1")
 
     def grid_points(self) -> tuple[tuple[int, int], ...]:
-        if self.grid is not None:
-            return tuple((int(n), int(d)) for n, d in self.grid)
-        return grid_from_ratios(self.total, self.ratios)
+        return self.grid if self.grid is not None else grid_from_ratios(self.total, self.ratios)
 
 
 @dataclass(frozen=True)
@@ -116,7 +138,6 @@ class MetricRecord:
     seed: int
     empirical: dict
     theory: dict | None
-    wall_time: float
     # the fit's certificate: Newton steps and final ||grad F|| (None for noisy GD)
     fit_iterations: int | None
     grad_norm: float | None
@@ -171,7 +192,6 @@ def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> d
 
 def _run_cell(args) -> MetricRecord:
     config, grid_index, n, d, replicate, theory = args
-    started = time.perf_counter()
     spec = models.get(config.model)
     seed = child_seed(config.seed, grid_index, replicate)
 
@@ -195,7 +215,6 @@ def _run_cell(args) -> MetricRecord:
         seed=seed,
         empirical=empirical,
         theory=theory,
-        wall_time=time.perf_counter() - started,
         fit_iterations=None if fit is None else fit.iterations,
         grad_norm=None if fit is None else fit.grad_norm,
     )

@@ -26,9 +26,6 @@ from .errors import ConfigError, NumericError
 from .laws import ScalarLaw
 from .scalars import clip, logistic_rho_prime
 
-# keys of a noisy-GD trace echoed as the theory command's "solution"
-_TRACE_ECHO = ("mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr", "seed")
-
 
 def step_size_at(delta: float, step_size: float | None = None) -> float:
     """Noisy-GD step size: the given one, else the default 0.5 / (1 + delta)."""
@@ -153,9 +150,7 @@ class ModelSpec:
                 config.steps, step, config.nu, delta, config.signal_law,
                 mc_samples=config.mc_samples, seed=seed,
             )
-        echo = trace.as_dict()
-        solution = {key: echo[key] for key in _TRACE_ECHO}
-        return Theory(solution, _per_step(trace.mse, trace.bias), None)
+        return Theory(trace.as_dict(), _per_step(trace.mse, trace.bias), None)
 
     def _fixed_point(self, config, delta, initial) -> Theory:
         nu_solve = 0.0 if self.mechanism == "output" else config.nu

@@ -28,6 +28,10 @@ propagation of C_theta: theta_1^t is a fixed linear combination of
 (beta*_0, xi draws, u draws), so its second moments follow from the kernel
 matrices without sampling error and are positive semidefinite by construction.
 A final theta-path Monte Carlo reports the same moments with standard errors.
+
+theta's second coordinate is beta* itself and never moves, and B has a zero
+second row, so the engine stores only what the recursion reads: the top rows
+of Gamma and R_g, and the top-left entries of R_theta, C_g and C_theta.
 """
 
 from __future__ import annotations
@@ -76,24 +80,19 @@ class StateEvolutionTrace:
     """Solved recursion kernels plus per-iterate error moments.
 
     Arrays are indexed by iterate/round: gamma[t] and the (t, s) slices of
-    r_g/c_g cover rounds 0..T-1; r_theta/c_theta cover iterates 0..T.  The
-    r_theta diagonal holds I_2 by storage convention (no recursion reads it).
+    r_g/c_g cover rounds 0..T-1; r_theta/c_theta cover iterates 0..T.  gamma
+    and r_g hold the top rows of Gamma and R_g; r_theta, c_g and c_theta hold
+    the top-left entries of their blocks, with r_theta[t, t] = 1.
     `mse` and `bias` are exact given the kernels; the `_mc` variants re-estimate
     them from sampled coordinate paths and carry the standard errors.
     """
 
-    steps: int
-    step_size: float
-    nu: float
-    delta: float
-    kappa_sq: float
-    mc_samples: int
     seed: int
-    gamma: np.ndarray  # (T, 2, 2)
-    r_g: np.ndarray  # (T, T, 2, 2)
-    r_theta: np.ndarray  # (T+1, T+1, 2, 2)
-    c_g: np.ndarray  # (T, T, 2, 2)
-    c_theta: np.ndarray  # (T+1, T+1, 2, 2)
+    gamma: np.ndarray  # (T, 2)
+    r_g: np.ndarray  # (T, T, 2)
+    r_theta: np.ndarray  # (T+1, T+1)
+    c_g: np.ndarray  # (T, T)
+    c_theta: np.ndarray  # (T+1, T+1)
     mse: np.ndarray  # (T+1,)
     bias: np.ndarray  # (T+1,)
     mse_mc: np.ndarray
@@ -102,21 +101,9 @@ class StateEvolutionTrace:
     bias_stderr: np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "step_size": self.step_size,
-            "nu": self.nu,
-            "delta": self.delta,
-            "kappa_sq": self.kappa_sq,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-            "mse": self.mse.tolist(),
-            "bias": self.bias.tolist(),
-            "mse_mc": self.mse_mc.tolist(),
-            "bias_mc": self.bias_mc.tolist(),
-            "mse_stderr": self.mse_stderr.tolist(),
-            "bias_stderr": self.bias_stderr.tolist(),
-        }
+        """The moments and the seed, as the theory command echoes them."""
+        moments = ("mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr")
+        return {**{key: getattr(self, key).tolist() for key in moments}, "seed": self.seed}
 
 
 class _Engine:
@@ -153,12 +140,10 @@ class _Engine:
         self.seed = seed
 
         T = steps
-        self.gam = np.zeros((T, 2, 2))
-        self.r_g = np.zeros((T, T, 2, 2))
-        self.r_theta = np.zeros((T + 1, T + 1, 2, 2))
-        for t in range(T + 1):
-            self.r_theta[t, t] = np.eye(2)
-        self.c_g00 = np.zeros((T, T))
+        self.gam = np.zeros((T, 2))
+        self.r_g = np.zeros((T, T, 2))
+        self.r_theta = np.eye(T + 1)
+        self.c_g = np.zeros((T, T))
         # theta_1^t as a linear form in the basis (beta*_0, xi^0..xi^{T-1},
         # u^0..u^{T-1}); row t holds iterate t's coefficients.
         self.coeff = np.zeros((T + 1, 1 + 2 * T))
@@ -171,18 +156,8 @@ class _Engine:
         basis_cov = np.zeros((1 + 2 * T, 1 + 2 * T))
         basis_cov[0, 0] = self.kappa_sq
         basis_cov[1 : 1 + T, 1 : 1 + T] = np.eye(T)
-        basis_cov[1 + T :, 1 + T :] = self.c_g00
+        basis_cov[1 + T :, 1 + T :] = self.c_g
         return basis_cov
-
-    def _c_theta_block(self, t: int, s: int, basis_cov: np.ndarray) -> np.ndarray:
-        k2 = self.kappa_sq
-        top = float(self.coeff[t] @ basis_cov @ self.coeff[s])
-        return np.array(
-            [
-                [top, self.coeff[t, 0] * k2],
-                [self.coeff[s, 0] * k2, k2],
-            ]
-        )
 
     def _omega_covariance(self, t: int) -> np.ndarray:
         """Joint covariance of (omega^0_1, ..., omega^t_1, eta_2-slot)."""
@@ -204,15 +179,13 @@ class _Engine:
         for k in range(t + 1):
             memory = np.zeros(self.m)
             for j in range(k):
-                memory += self.r_theta[k, j, 0, 0] * c_vals[j]
+                memory += self.r_theta[k, j] * c_vals[j]
             eta1[k] = omega1[:, k] - self.gamma_step * memory
             c_vals[k] = self.loss.gradients(eta1[k], hstar)
             b11[k], b12[k] = self.loss.gradient_partials(eta1[k], hstar)
 
         scale = -self.gamma_step / self.delta
-        self.gam[t] = scale * np.array(
-            [[b11[t].mean(), b12[t].mean()], [0.0, 0.0]]
-        )
+        self.gam[t] = scale * np.array([b11[t].mean(), b12[t].mean()])
         self.r_g[t, t] = self.gam[t]
 
         for s in range(t):
@@ -223,43 +196,36 @@ class _Engine:
             for j in range(s + 1, t + 1):
                 d_first = np.zeros((self.m, 2))
                 for k in range(s, j):
-                    d_first += self.r_theta[j, k, 0, 0] * chain[k]
+                    d_first += self.r_theta[j, k] * chain[k]
                 d_first *= -self.gamma_step
                 if j < t:
                     chain[j] = b11[j][:, None] * d_first
                 else:
                     self.r_g[t, s] = scale * np.array(
-                        [
-                            [
-                                (b11[t] * d_first[:, 0]).mean(),
-                                (b11[t] * d_first[:, 1]).mean(),
-                            ],
-                            [0.0, 0.0],
-                        ]
+                        [(b11[t] * d_first[:, 0]).mean(), (b11[t] * d_first[:, 1]).mean()]
                     )
 
         # Re-estimate every gradient-covariance block from this round's paths
         # so the assembled matrix stays a positive-semidefinite Gram matrix.
         gram = (c_vals @ c_vals.T) / self.m
-        self.c_g00[: t + 1, : t + 1] = (self.gamma_step**2 / self.delta) * gram
+        self.c_g[: t + 1, : t + 1] = (self.gamma_step**2 / self.delta) * gram
 
     # ---- deterministic advances ------------------------------------------
 
     def _advance_r_theta(self, t: int) -> None:
-        eye_plus = np.eye(2) + self.gam[t]
         for s in range(t):
-            acc = eye_plus @ self.r_theta[t, s]
+            acc = (1.0 + self.gam[t, 0]) * self.r_theta[t, s]
             for k in range(s + 1, t):
-                acc += self.r_g[t, k] @ self.r_theta[k, s]
+                acc += self.r_g[t, k, 0] * self.r_theta[k, s]
             self.r_theta[t + 1, s] = acc
-        self.r_theta[t + 1, t] = np.eye(2)
+        self.r_theta[t + 1, t] = 1.0
 
     def _advance_coefficients(self, t: int) -> None:
         T = self.T
-        row = (1.0 + self.gam[t, 0, 0]) * self.coeff[t]
+        row = (1.0 + self.gam[t, 0]) * self.coeff[t]
         for k in range(t):
-            row = row + self.r_g[t, k, 0, 0] * self.coeff[k]
-        row[0] += self.gam[t, 0, 1] + sum(self.r_g[t, k, 0, 1] for k in range(t))
+            row = row + self.r_g[t, k, 0] * self.coeff[k]
+        row[0] += self.gam[t, 1] + sum(self.r_g[t, k, 1] for k in range(t))
         row[1 + t] += -self.gamma_step * self.nu
         row[1 + T + t] += 1.0
         self.coeff[t + 1] = row
@@ -271,16 +237,13 @@ class _Engine:
         T, m = self.T, self.m
         beta_star = self.signal.sample(gen, m)
         xi = box_muller(gen, m * T).reshape(m, T)
-        u = _gaussian_paths(gen, self.c_g00, m)
+        u = _gaussian_paths(gen, self.c_g, m)
 
         theta1 = np.zeros((T + 1, m))
         for t in range(T):
-            nxt = (1.0 + self.gam[t, 0, 0]) * theta1[t] + self.gam[t, 0, 1] * beta_star
+            nxt = (1.0 + self.gam[t, 0]) * theta1[t] + self.gam[t, 1] * beta_star
             for k in range(t):
-                nxt += (
-                    self.r_g[t, k, 0, 0] * theta1[k]
-                    + self.r_g[t, k, 0, 1] * beta_star
-                )
+                nxt += self.r_g[t, k, 0] * theta1[k] + self.r_g[t, k, 1] * beta_star
             nxt += -self.gamma_step * self.nu * xi[:, t] + u[:, t]
             theta1[t + 1] = nxt
 
@@ -303,32 +266,19 @@ class _Engine:
             self._advance_r_theta(t)
             self._advance_coefficients(t)
 
-        c_theta = np.empty((T + 1, T + 1, 2, 2))
         basis_cov = self._basis_cov()
-        for t in range(T + 1):
-            for s in range(T + 1):
-                c_theta[t, s] = self._c_theta_block(t, s, basis_cov)
-
+        c_theta = np.array([[a @ basis_cov @ b for b in self.coeff] for a in self.coeff])
         k2 = self.kappa_sq
         bias = self.coeff[:, 0] * k2
-        mse = np.array([c_theta[t, t, 0, 0] for t in range(T + 1)]) - 2.0 * bias + k2
+        mse = c_theta.diagonal() - 2.0 * bias + k2
 
         mse_mc, bias_mc, mse_se, bias_se = self._theta_paths()
-
-        c_g = np.zeros((T, T, 2, 2))
-        c_g[:, :, 0, 0] = self.c_g00
         return StateEvolutionTrace(
-            steps=T,
-            step_size=self.gamma_step,
-            nu=self.nu,
-            delta=self.delta,
-            kappa_sq=k2,
-            mc_samples=self.m,
             seed=self.seed,
             gamma=self.gam,
             r_g=self.r_g,
             r_theta=self.r_theta,
-            c_g=c_g,
+            c_g=self.c_g,
             c_theta=c_theta,
             mse=mse,
             bias=bias,

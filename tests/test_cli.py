@@ -484,6 +484,61 @@ class TestInputBoundary:
         config.write_text(json.dumps({"model": "huber_objective", **settings}))
         assert run_in_process("simulate", "--config", str(config), "--jobs", "1") == (2, "")
 
+    # a config file's values are type-checked when the config is built
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"grid": [[1]]', '"grid": 5', '"grid": [[1e400, 2]]', '"ratios": ["x"]',
+            '"ratios": 0.5', '"total": 1e400', '"signal": 5', '"noise": null',
+            '"seed": "x"', '"seed": 1.5', '"mc_samples": "x"',
+        ],
+    )
+    def test_mistyped_config_value_is_a_config_error(self, text, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"model": "huber_objective", ' + text + "}")
+        assert cli.main(["simulate", "--config", str(config), "--jobs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("propdp: config error: ")
+
+    OVERFLOW = (
+        "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",
+        "--replicates", "1", "--jobs", "1", "--signal", "gaussian:1e200",
+    )
+
+    def test_failed_output_leaves_no_file(self, tmp_path):
+        proc = run_cli(*self.OVERFLOW, "--out", str(tmp_path / "f.csv"))
+        assert proc.returncode == 3
+        assert os.listdir(tmp_path) == []  # no partial CSV, no manifest
+
+    def test_failed_output_keeps_the_earlier_file(self, tmp_path):
+        out = tmp_path / "f.csv"
+        out.write_text("earlier\n")
+        assert run_cli(*self.OVERFLOW, "--out", str(out)).returncode == 3
+        assert os.listdir(tmp_path) == ["f.csv"]
+        assert out.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("theory", "--model", "huber_objective", "--delta", "1", "--out"),
+            ("simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.5",
+             "--replicates", "1", "--jobs", "1", "--out"),
+            ("privacy", "objective", "--nu", "1", "--lambda", "1", "--out"),
+            ("figure", "--name", "fig2", "--out"),
+        ],
+    )
+    def test_unwritable_output_is_a_config_error(self, args, tmp_path, capsys):
+        # a missing directory for a file, or a file where a directory should be
+        target = tmp_path / "f" if args[0] == "figure" else tmp_path / "missing" / "f"
+        if args[0] == "figure":
+            target.write_text("")
+        assert cli.main([*args, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("propdp: config error: ") and str(target) in err
+
     NUMBERS = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
         st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 1.0, 1e300]),

@@ -108,6 +108,12 @@ class TestConfig:
         # the trace settings mean nothing to the fixed-point models
         ExperimentConfig(model="huber_objective", mc_samples=5, steps=0)
 
+    def test_values_are_normalized(self):
+        cfg = ExperimentConfig(model="huber_objective", ratios=[0.5, 1 / 3], grid=[[10, 20]])
+        assert cfg.ratios == (0.5, 1 / 3)
+        assert cfg.grid == cfg.grid_points() == ((10, 20),)
+        assert type(ExperimentConfig(model="huber_objective", seed=np.int64(7)).seed) is int
+
     def test_replicate_with_revalidates(self):
         cfg = ExperimentConfig(model="huber_objective")
         with pytest.raises(ConfigError):
