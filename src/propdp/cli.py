@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success (per-point solver failures are data, not errors),
 2 on usage/config problems, 3 on internal numeric failures.  The env var
-PROPDP_SEED overrides the master seed everywhere.  Every file written is
-accompanied by a run-manifest sidecar recording the tool version, a digest
-of the canonicalized configuration, the master seed, timestamps, and output
-paths; output files themselves contain no timestamps, so identical
-(config, seed, version) triples reproduce identical file digests.
-Files are written all or nothing, through ``<path>.partial``, and a path
-that cannot be written is a config error; output to stdout still streams.
+PROPDP_SEED overrides the master seed everywhere.  A command's output files
+are published together, with a run-manifest sidecar recording the tool
+version, a digest of the canonicalized configuration, the master seed,
+timestamps, and output paths and digests; output files themselves contain no
+timestamps, so identical (config, seed, version) triples reproduce identical
+file digests.  Each file streams into ``<path>.partial``, and all of them
+move into place only once the command's last file is complete: a failed
+command publishes nothing and leaves earlier files alone, and a path that
+cannot be written is a config error.  Output to stdout still streams.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import ConfigError, NumericError
 from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 
 
-# --- formatting and manifest helpers ----------------------------------------
+# --- formatting and output ----------------------------------------------------
 
 
 def _fmt(value) -> str:
@@ -51,95 +53,102 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def config_hash(config: dict) -> str:
-    """Digest of the canonicalized (sorted-key, compact) config text."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _cells(row: dict, header) -> list[str]:
+    return [_fmt(row[key]) for key in header]
 
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-class _ManifestWriter:
-    def __init__(self, config: dict, master_seed):
-        self.started = _utc_now()
-        self.config_hash = config_hash(config)
-        self.master_seed = master_seed
-        self.outputs: list[str] = []
+def _write_error(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
-    def add(self, path: str) -> None:
-        self.outputs.append(os.path.abspath(path))
 
-    def as_dict(self) -> dict:
-        return {
+class _Outputs(contextlib.AbstractContextManager):
+    """The files of one command, published together when the block exits.
+
+    ``write_csv`` and ``write_json`` stream a file into ``<path>.partial``, or
+    to stdout when the path is None.  A clean exit moves every file into place
+    and then its manifest, at ``manifest`` or else ``<first path>.manifest.json``;
+    any exit removes the partial files that are left, so a failure publishes
+    nothing and keeps earlier files at the same paths."""
+
+    def __init__(self, config: dict, master_seed, manifest: str | None = None):
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        self.head = {
             "tool_version": __version__,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "started_utc": self.started,
-            "finished_utc": _utc_now(),
-            "output_paths": self.outputs,
-            "output_digests": {
-                path: hashlib.sha256(open(path, "rb").read()).hexdigest()
-                for path in self.outputs
-            },
+            "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "master_seed": master_seed,
+            "started_utc": _utc_now(),
         }
+        self.manifest = manifest
+        self.paths: list[str] = []
 
-    def write(self, path: str) -> None:
-        text = json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-        _publish(path, lambda fh: fh.write(text))
-
-
-def _publish(path: str, emit) -> None:
-    """Write ``path`` all or nothing through ``emit(fh)``: a failure leaves no
-    partial file and any earlier file intact; an OSError is a ConfigError."""
-    try:
-        with open(path + ".partial", "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-        os.replace(path + ".partial", path)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(path + ".partial")
-        if isinstance(exc, OSError):
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-        raise
-
-
-def _write_json(payload, out_path: str | None, manifest: _ManifestWriter):
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:  # nan or inf: strict JSON has no spelling for them
-        raise NumericError(f"non-finite number in the output: {exc}") from None
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    _publish(out_path, lambda fh: fh.write(text))
-    manifest.add(out_path)
-    manifest.write(out_path + ".manifest.json")
-
-
-def _write_csv(header, rows, out_path: str | None, manifest: _ManifestWriter):
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
-    if out_path is None:
-        emit(sys.stdout)
-        return
-    _publish(out_path, emit)
-    manifest.add(out_path)
-
-
-def _master_seed(args) -> int:
-    env = os.environ.get("PROPDP_SEED")
-    if env is not None:
+    def _stream(self, path: str | None, emit) -> None:
+        if path is None:
+            emit(sys.stdout)
+            return
+        if os.path.abspath(path) in map(os.path.abspath, self.paths):
+            raise ConfigError(f"cannot write {path}: it is already an output of this command")
+        if os.path.isdir(path):  # found now, not when the files before it are in place
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        self.paths.append(path)
         try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"PROPDP_SEED must be an integer, got {env!r}") from None
-    return int(getattr(args, "seed", 0) or 0)
+            with open(path + ".partial", "w", encoding="utf-8", newline="") as fh:
+                emit(fh)
+        except OSError as exc:
+            raise _write_error(path, exc) from None
+
+    def write_csv(self, path: str | None, header, rows) -> None:
+        """One header row, then ``rows`` of formatted cells as they come."""
+
+        def emit(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+        self._stream(path, emit)
+
+    def write_json(self, path: str | None, payload) -> None:
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # nan or inf: strict JSON has no spelling for them
+            raise NumericError(f"non-finite number in the output: {exc}") from None
+        self._stream(path, lambda fh: fh.write(text))
+
+    def __exit__(self, kind, exc, traceback):
+        try:
+            if kind is None and self.paths:
+                outputs = [os.path.abspath(path) for path in self.paths]
+                digests = {}
+                for output, path in zip(outputs, self.paths):
+                    with open(path + ".partial", "rb") as fh:
+                        digests[output] = hashlib.sha256(fh.read()).hexdigest()
+                self.write_json(self.manifest or self.paths[0] + ".manifest.json", {
+                    **self.head, "finished_utc": _utc_now(),
+                    "output_paths": outputs, "output_digests": digests,
+                })
+                for path in self.paths:  # the manifest, last in the list, goes last
+                    try:
+                        os.replace(path + ".partial", path)
+                    except OSError as exc:
+                        raise _write_error(path, exc) from None
+        finally:
+            for path in self.paths:
+                with contextlib.suppress(OSError):
+                    os.remove(path + ".partial")
+
+
+def _env_seed() -> int | None:
+    """The master seed that PROPDP_SEED sets, or None when it is not set."""
+    text = os.environ.get("PROPDP_SEED")
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"PROPDP_SEED must be an integer, got {text!r}") from None
 
 
 # --- theory ------------------------------------------------------------------
@@ -177,7 +186,7 @@ def _theory_point(config: harness.ExperimentConfig, delta: float) -> dict:
         **spec.trace_inputs(config, delta),
     }
     try:
-        theory = spec.solve(config, delta, seed=lambda: config.seed)
+        theory = spec.solve(config, delta, seed=config.seed)
     except NumericError as exc:
         return {"inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}
     return {"inputs": inputs, "solution": theory.solution, "predictions": theory.predictions}
@@ -190,17 +199,16 @@ def cmd_theory(args) -> int:
         raise ConfigError("--delta values must be > 0")
     if args.kappa <= 0:
         raise ConfigError("--kappa must be > 0")
+    seed = _env_seed()
     config = harness.ExperimentConfig(
         model=args.model, signal=args.signal or f"gaussian:{args.kappa}", noise=args.noise,
         L=args.L, lam=args.lam, nu=args.nu, step_size=args.step_size, steps=args.steps,
-        mc_samples=args.mc_samples, seed=_master_seed(args),
+        mc_samples=args.mc_samples, seed=args.seed if seed is None else seed,
     )
     results = [_theory_point(config, delta) for delta in args.deltas]
-    manifest = _ManifestWriter(
-        {"command": "theory", **{k: v for k, v in vars(args).items() if k != "func"}},
-        config.seed,
-    )
-    _write_json(results, args.out, manifest)
+    settings = {"command": "theory", **{k: v for k, v in vars(args).items() if k != "func"}}
+    with _Outputs(settings, config.seed) as outputs:
+        outputs.write_json(args.out, results)
     return 0
 
 
@@ -210,6 +218,11 @@ SIMULATE_HEADER = (
     "model", "design", "n", "d", "delta", "lambda", "nu", "L", "kappa",
     "sigma_eps", "replicate", "seed", "metric", "empirical", "theory",
     "fit_iterations", "grad_norm",
+)
+SUMMARY_HEADER = (  # the figure column is only in a figure's summary
+    "figure", "model", "design", "n", "d", "delta", "lambda", "nu", "L",
+    "kappa", "metric", "replicates", "empirical_mean", "empirical_stderr",
+    "theory", "z_score",
 )
 
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(harness.ExperimentConfig)}
@@ -237,40 +250,40 @@ def _load_simulate_config(args) -> harness.ExperimentConfig:
         payload["ratios"] = tuple(_parse_float_list(args.ratios, "--ratios"))
     if "model" not in payload:
         raise ConfigError("simulate needs --model or a config file with one")
-    if os.environ.get("PROPDP_SEED") is not None:
-        payload["seed"] = _master_seed(args)
+    seed = _env_seed()
+    if seed is not None:
+        payload["seed"] = seed
     return harness.ExperimentConfig(**payload)
 
 
-def _simulate_rows(records):
+def _simulate_rows(config: harness.ExperimentConfig, records):
+    """SIMULATE_HEADER rows; the sweep's settings are formatted once."""
+    cells = {key: _fmt(value) for key, value in harness.settings_echo(config).items()}
     for record in records:
+        cells.update(
+            n=_fmt(record.n), d=_fmt(record.d), delta=_fmt(record.d / record.n),
+            replicate=_fmt(record.replicate), seed=_fmt(record.seed),
+            fit_iterations=_fmt(record.fit_iterations), grad_norm=_fmt(record.grad_norm),
+        )
+        theory = record.theory or {}
         for metric in sorted(record.empirical):
-            theory = None
-            if record.theory is not None and metric in record.theory:
-                theory = record.theory[metric]
-            yield (
-                record.model, record.design, record.n, record.d, record.delta,
-                record.lam, record.nu, record.L, record.kappa, record.sigma_eps,
-                record.replicate, record.seed, metric,
-                record.empirical[metric], theory,
-                record.fit_iterations, record.grad_norm,
+            cells.update(
+                metric=metric, empirical=_fmt(record.empirical[metric]),
+                theory=_fmt(theory.get(metric)),
             )
+            yield [cells[key] for key in SIMULATE_HEADER]
 
 
 def cmd_simulate(args) -> int:
     """Run a replicated sweep and emit one CSV row per (replicate, metric)."""
     config = _load_simulate_config(args)
-    manifest = _ManifestWriter(
-        {"command": "simulate", **dataclasses.asdict(config)}, config.seed
-    )
     records = harness.run_experiment(config, jobs=args.jobs)
-    _write_csv(SIMULATE_HEADER, _simulate_rows(records), args.out, manifest)
-    if args.summary is not None:
-        rows = harness.summarize(records)
-        header = list(rows[0])
-        _write_csv(header, ([row[k] for k in header] for row in rows), args.summary, manifest)
-    if manifest.outputs:
-        manifest.write((args.out or args.summary) + ".manifest.json")
+    with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
+        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_rows(config, records))
+        if args.summary is not None:
+            header = SUMMARY_HEADER[1:]
+            rows = (_cells(row, header) for row in harness.summarize(records))
+            outputs.write_csv(args.summary, header, rows)
     return 0
 
 
@@ -300,19 +313,14 @@ def cmd_privacy(args) -> int:
         "zcdp_rho": report.zcdp_rho,
         "rdp_curve": [[alpha, eps] for alpha, eps in report.rdp_curve],
     }
-    manifest = _ManifestWriter({"command": "privacy", **payload["inputs"]}, None)
-    _write_json(payload, args.out, manifest)
+    with _Outputs({"command": "privacy", **payload["inputs"]}, None) as outputs:
+        outputs.write_json(args.out, payload)
     return 0
 
 
 # --- figure -------------------------------------------------------------------
 
 THEORY_HEADER = ("figure", "label", "ratio", "delta", "nu", "metric", "value")
-SUMMARY_HEADER = (
-    "figure", "model", "design", "n", "d", "delta", "lambda", "nu", "L",
-    "kappa", "metric", "replicates", "empirical_mean", "empirical_stderr",
-    "theory", "z_score",
-)
 
 
 def cmd_figure(args) -> int:
@@ -321,47 +329,29 @@ def cmd_figure(args) -> int:
     configs = list(spec.configs)
     if args.replicates is not None:
         configs = [dataclasses.replace(c, replicates=args.replicates) for c in configs]
-    if os.environ.get("PROPDP_SEED") is not None:
-        seed = _master_seed(args)
+    seed = _env_seed()
+    if seed is not None:
         configs = [dataclasses.replace(c, seed=seed) for c in configs]
-
-    manifest = _ManifestWriter(
-        {
-            "command": "figure",
-            "figure": spec.name,
-            "configs": [dataclasses.asdict(c) for c in configs],
-        },
-        configs[0].seed if configs else None,
-    )
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create {args.out}: {exc.strerror or exc}") from None
 
-    theory_rows = spec.theory_rows()
-    theory_path = os.path.join(args.out, f"{spec.name}_theory.csv")
-    _write_csv(
-        THEORY_HEADER,
-        ([row[k] for k in THEORY_HEADER] for row in theory_rows),
-        theory_path,
-        manifest,
-    )
+    def path(suffix: str) -> str:
+        return os.path.join(args.out, f"{spec.name}_{suffix}")
 
-    if configs:
-        summary_rows = []
-        for config in configs:
-            records = harness.run_experiment(config, jobs=args.jobs)
-            for row in harness.summarize(records):
-                summary_rows.append({"figure": spec.name, **row})
-        sim_path = os.path.join(args.out, f"{spec.name}_simulation.csv")
-        _write_csv(
-            SUMMARY_HEADER,
-            ([row[k] for k in SUMMARY_HEADER] for row in summary_rows),
-            sim_path,
-            manifest,
-        )
-
-    manifest.write(os.path.join(args.out, f"{spec.name}_manifest.json"))
+    settings = {"command": "figure", "figure": spec.name,
+                "configs": [dataclasses.asdict(c) for c in configs]}
+    with _Outputs(settings, configs[0].seed if configs else None, path("manifest.json")) as outputs:
+        rows = (_cells(row, THEORY_HEADER) for row in spec.theory_rows())
+        outputs.write_csv(path("theory.csv"), THEORY_HEADER, rows)
+        if configs:
+            rows = (
+                _cells({"figure": spec.name, **row}, SUMMARY_HEADER)
+                for config in configs
+                for row in harness.summarize(harness.run_experiment(config, jobs=args.jobs))
+            )
+            outputs.write_csv(path("simulation.csv"), SUMMARY_HEADER, rows)
     return 0
 
 

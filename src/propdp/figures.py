@@ -65,8 +65,7 @@ def _curve_rows(name: str, label: str, config: ExperimentConfig) -> list[dict]:
     for index, ratio in enumerate(DENSE_RATIOS):
         try:
             theory = spec.solve(
-                config, (1.0 - ratio) / ratio,
-                seed=lambda: child_seed(config.seed, index), initial=guess,
+                config, (1.0 - ratio) / ratio, seed=child_seed(config.seed, index), initial=guess
             )
         except NumericError as exc:
             logger.warning("%s %s: ratio %g left out: %s", name, label, ratio, exc)

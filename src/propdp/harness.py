@@ -28,6 +28,10 @@ RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 DESIGNS = ("rademacher", "gaussian", "bounded_uniform")
 
+# the most entries (n*d) a grid point's design may have: 100x the largest in
+# use (900 x 100), and small enough that one design matrix fits in memory
+MAX_DESIGN_ENTRIES = 10_000_000
+
 
 def grid_from_ratios(total: int, ratios=RATIO_GRID) -> tuple[tuple[int, int], ...]:
     """(n, d) pairs with n*d ~= total along the sample-fraction sweep."""
@@ -111,9 +115,15 @@ class ExperimentConfig:
         spec.check(self)
         if self.total < 1:
             raise ConfigError("ExperimentConfig: total must be >= 1")
+        too_big = f"ExperimentConfig: n*d may not exceed {MAX_DESIGN_ENTRIES}"
+        # checked first, as a larger total overflows the grid formula's floats
+        if self.grid is None and self.total > MAX_DESIGN_ENTRIES:
+            raise ConfigError(too_big)
         points = self.grid_points()
         if not points or min(min(point) for point in points) < 1:
             raise ConfigError("ExperimentConfig: the grid needs a point, and every n, d >= 1")
+        if max(n * d for n, d in points) > MAX_DESIGN_ENTRIES:
+            raise ConfigError(too_big)
 
     def grid_points(self) -> tuple[tuple[int, int], ...]:
         return self.grid if self.grid is not None else grid_from_ratios(self.total, self.ratios)
@@ -121,26 +131,34 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One replicate's empirical metrics paired with the point's predictions."""
+    """One replicate of a sweep: what differs between replicates, the grid
+    point's predictions, and the sweep's ``config``, which fixes every other
+    setting (``settings_echo`` derives the ones a row repeats)."""
 
-    model: str
-    design: str
+    config: ExperimentConfig
+    grid_index: int
     n: int
     d: int
-    delta: float
-    lam: float
-    nu: float
-    L: float
-    kappa: float
-    sigma_eps: str
     replicate: int
-    grid_index: int
     seed: int
     empirical: dict
     theory: dict | None
     # the fit's certificate: Newton steps and final ||grad F|| (None for noisy GD)
     fit_iterations: int | None
     grad_norm: float | None
+
+
+def settings_echo(config: ExperimentConfig) -> dict:
+    """The settings every row of a sweep repeats, keyed by column name."""
+    return {
+        "model": config.model,
+        "design": config.design,
+        "lambda": config.lam,
+        "nu": config.nu,
+        "L": config.L,
+        "kappa": config.signal_law.root_second_moment,
+        "sigma_eps": models.get(config.model).noise_echo(config.noise_law, config.noise),
+    }
 
 
 def gen_design(n: int, d: int, kind: str, seed: int) -> np.ndarray:
@@ -184,67 +202,57 @@ def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> d
     """Predictions for one grid point; None when the solve fails numerically."""
     try:
         return models.get(config.model).solve(
-            config, d / n, seed=lambda: child_seed(config.seed, grid_index)
+            config, d / n, seed=child_seed(config.seed, grid_index)
         ).predictions
     except NumericError:
         return None
 
 
-def _run_cell(args) -> MetricRecord:
-    config, grid_index, n, d, replicate, theory = args
-    spec = models.get(config.model)
+def _run_cell(args) -> tuple:
+    """One replicate's seed, metrics and fit certificate."""
+    config, grid_index, n, d, replicate = args
     seed = child_seed(config.seed, grid_index, replicate)
-
     X = gen_design(n, d, config.design, seed)
     beta_star = gen_signal(d, config.signal_law, seed)
-    empirical, fit = spec.replicate(config, X, beta_star, design_radius(X, config.design), seed)
-
-    return MetricRecord(
-        model=config.model,
-        design=config.design,
-        n=n,
-        d=d,
-        delta=d / n,
-        lam=config.lam,
-        nu=config.nu,
-        L=config.L,
-        kappa=config.signal_law.root_second_moment,
-        sigma_eps=spec.noise_echo(config.noise_law, config.noise),
-        replicate=replicate,
-        grid_index=grid_index,
-        seed=seed,
-        empirical=empirical,
-        theory=theory,
-        fit_iterations=None if fit is None else fit.iterations,
-        grad_norm=None if fit is None else fit.grad_norm,
+    empirical, fit = models.get(config.model).replicate(
+        config, X, beta_star, design_radius(X, config.design), seed
     )
+    if fit is None:
+        return seed, empirical, None, None
+    return seed, empirical, fit.iterations, fit.grad_norm
 
 
 def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> list[MetricRecord]:
     """All replicates over the configured grid, ordered by (grid, replicate)."""
-    cells = []
-    for grid_index, (n, d) in enumerate(config.grid_points()):
-        theory = solve_theory(config, n, d, grid_index)
-        for replicate in range(config.replicates):
-            cells.append((config, grid_index, n, d, replicate, theory))
+    points = config.grid_points()
+    theories = [solve_theory(config, n, d, index) for index, (n, d) in enumerate(points)]
+    cells = [
+        (config, index, n, d, replicate)
+        for index, (n, d) in enumerate(points)
+        for replicate in range(config.replicates)
+    ]
     if jobs <= 1 or len(cells) <= 1:
-        return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(cells) // (8 * jobs))
-        return list(pool.map(_run_cell, cells, chunksize=chunk))
+        results = [_run_cell(cell) for cell in cells]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_cell, cells, chunksize=max(1, len(cells) // (8 * jobs))))
+    return [
+        MetricRecord(config, index, n, d, replicate, seed, empirical, theories[index], *fit)
+        for (_, index, n, d, replicate), (seed, empirical, *fit) in zip(cells, results)
+    ]
 
 
 def summarize(records: list[MetricRecord]) -> list[dict]:
-    """Per-grid-point means, standard errors, theory values, and z-scores."""
+    """Per-grid-point means, standard errors, theory values, and z-scores of
+    one sweep's records, with the sweep's settings."""
     groups: dict[tuple, list[MetricRecord]] = {}
     for record in records:
-        key = (record.n, record.d, record.nu, record.grid_index)
-        groups.setdefault(key, []).append(record)
+        groups.setdefault((record.n, record.d, record.grid_index), []).append(record)
+    echo = settings_echo(records[0].config) if records else {}
     rows = []
-    for (n, d, nu, _), members in sorted(groups.items()):
+    for (n, d, _), members in sorted(groups.items()):
         head = members[0]
-        metrics = sorted(head.empirical)
-        for metric in metrics:
+        for metric in sorted(head.empirical):
             values = np.array([m.empirical[metric] for m in members], dtype=float)
             mean = float(values.mean())
             stderr = (
@@ -252,23 +260,14 @@ def summarize(records: list[MetricRecord]) -> list[dict]:
                 if len(values) > 1
                 else 0.0
             )
-            theory = None
-            if head.theory is not None and metric in head.theory:
-                theory = float(head.theory[metric])
-            z_score = None
-            if theory is not None and stderr > 0.0:
-                z_score = (mean - theory) / stderr
+            theory = (head.theory or {}).get(metric)
+            z_score = (mean - theory) / stderr if theory is not None and stderr > 0.0 else None
             rows.append(
                 {
-                    "model": head.model,
-                    "design": head.design,
+                    **echo,
                     "n": n,
                     "d": d,
-                    "delta": head.delta,
-                    "lambda": head.lam,
-                    "nu": nu,
-                    "L": head.L,
-                    "kappa": head.kappa,
+                    "delta": d / n,
                     "metric": metric,
                     "replicates": len(members),
                     "empirical_mean": mean,

@@ -13,8 +13,8 @@ instrumentation that replaces those attributes sees every call.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +25,17 @@ from . import erm, harness, huber_theory, logistic_theory, losses, state_evoluti
 from .errors import ConfigError, NumericError
 from .laws import ScalarLaw
 from .scalars import clip, logistic_rho_prime
+
+
+@contextlib.contextmanager
+def _float_errors(what: str):
+    """Overflow, an invalid or divide-by-zero floating-point operation, or a
+    singular linear system inside the block is one NumericError."""
+    try:
+        with np.errstate(invalid="raise", over="raise", divide="raise"):
+            yield
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise NumericError(f"{what}: {exc}") from None
 
 
 def step_size_at(delta: float, step_size: float | None = None) -> float:
@@ -116,24 +127,21 @@ class ModelSpec:
         return text
 
     def solve(
-        self, config, delta: float, *, seed: Callable[[], int], initial: tuple | None = None
+        self, config, delta: float, *, seed: int, initial: tuple | None = None
     ) -> Theory:
         """Solve the model's limit at one delta under ``config``'s settings.
 
-        ``initial`` warm-starts the fixed-point solvers; ``seed`` is called
+        ``initial`` warm-starts the fixed-point solvers; ``seed`` is used
         only by the noisy-GD models, whose state evolution is sampled.
         Overflow, an invalid or divide-by-zero floating-point operation or a
         singular Newton system at extreme inputs, and non-finite predictions,
         raise NumericError.
         """
-        try:
-            with np.errstate(invalid="raise", over="raise", divide="raise"):
-                if self.mechanism == "dpsgd":
-                    theory = self._trace(config, delta, seed())
-                else:
-                    theory = self._fixed_point(config, delta, initial)
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-            raise NumericError(f"{self.name} at delta={delta!r}: {exc}") from None
+        with _float_errors(f"{self.name} at delta={delta!r}"):
+            if self.mechanism == "dpsgd":
+                theory = self._trace(config, delta, seed)
+            else:
+                theory = self._fixed_point(config, delta, initial)
         if not all(math.isfinite(v) for v in theory.predictions.values()):
             raise NumericError(f"{self.name} at delta={delta!r}: non-finite prediction")
         return theory
@@ -175,35 +183,37 @@ class ModelSpec:
     ) -> tuple[dict, erm.FitResult | None]:
         """Label, fit and score one replicate of ``config`` (an ExperimentConfig);
         returns the metrics and the fit (None for noisy GD, which has no
-        optimality certificate)."""
-        d = beta_star.shape[0]
-        if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
+        optimality certificate).  Floating-point failures raise NumericError,
+        as in ``solve``."""
+        with _float_errors(f"{self.name} replicate"):
+            d = beta_star.shape[0]
+            if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
+                if self.loss == "huber":
+                    loss = losses.HuberCeLoss(config.L, config.noise_law)
+                else:
+                    loss = losses.LogisticCeLoss()
+                step = step_size_at(d / X.shape[0], config.step_size)
+                trajectory = erm.run_noisy_gd(
+                    erm.Dataset(X, X @ beta_star, radius), loss, step, config.nu, config.steps, seed
+                )
+                errors = trajectory - beta_star
+                mse = [float(e @ e) / d for e in errors]
+                return _per_step(mse, [float(b @ beta_star) / d for b in trajectory]), None
             if self.loss == "huber":
-                loss = losses.HuberCeLoss(config.L, config.noise_law)
+                y = harness.gen_linear_labels(X, beta_star, config.noise_law, seed)
+                loss = losses.HuberLoss(config.L)
             else:
-                loss = losses.LogisticCeLoss()
-            step = step_size_at(d / X.shape[0], config.step_size)
-            trajectory = erm.run_noisy_gd(
-                erm.Dataset(X, X @ beta_star, radius), loss, step, config.nu, config.steps, seed
-            )
-            errors = trajectory - beta_star
-            return _per_step(
-                [float(e @ e) / d for e in errors], [float(b @ beta_star) / d for b in trajectory]
-            ), None
-        if self.loss == "huber":
-            y = harness.gen_linear_labels(X, beta_star, config.noise_law, seed)
-            loss = losses.HuberLoss(config.L)
-        else:
-            y = harness.gen_logistic_labels(X, beta_star, seed)
-            loss = losses.LogisticLoss()
-        data = erm.Dataset(X, y, radius)
-        if self.mechanism == "objective":
-            fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
-        else:
-            fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
-        return empirical_metrics(
-            fit.beta_hat, beta_star, fit.xi, X, y, self.name, L=config.L, beta_tilde=fit.beta_tilde
-        ), fit
+                y = harness.gen_logistic_labels(X, beta_star, seed)
+                loss = losses.LogisticLoss()
+            data = erm.Dataset(X, y, radius)
+            if self.mechanism == "objective":
+                fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
+            else:
+                fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
+            return empirical_metrics(
+                fit.beta_hat, beta_star, fit.xi, X, y, self.name,
+                L=config.L, beta_tilde=fit.beta_tilde,
+            ), fit
 
 
 SPECS = {

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propdp import cli
+from propdp import cli, harness
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
+from propdp.errors import NumericError
+from propdp.laws import parse_law
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -445,14 +447,32 @@ class TestInputBoundary:
         assert {row[header.index("kappa")] for row in rows} == {"1e+50"}
 
     def test_overflowing_estimate_exits_3(self):
-        # the estimation error overflows to inf, which no CSV cell may hold
+        # the replicate's arithmetic overflows: one numeric error, not a
+        # stream of numpy RuntimeWarnings before it
         proc = run_cli(
             "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",
             "--replicates", "1", "--jobs", "1", "--signal", "gaussian:1e200",
         )
         assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert "non-finite number in the output" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("propdp: numeric error: huber_objective replicate: ")
+        # an inf or nan that still reaches a CSV cell is refused
+        with pytest.raises(NumericError, match="non-finite number in the output"):
+            cli._fmt(math.inf)
+
+    def test_every_row_echoes_the_laws(self):
+        signal, noise = "mix:0.5*gaussian:0.6,0.5*point:0.8", "mix:0.5*gaussian:0.2,0.5*point:1"
+        code, stdout = run_in_process(
+            "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.3,0.7",
+            "--replicates", "2", "--jobs", "1", "--signal", signal, "--noise", noise,
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(stdout))
+        assert len(rows) == 2 * 2 * 4
+        kappa = parse_law(signal).root_second_moment  # the hypot of sqrt(w)*loc, sqrt(w)*scale
+        assert kappa == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert {row[header.index("sigma_eps")] for row in rows} == {noise}
+        assert {row[header.index("kappa")] for row in rows} == {repr(kappa)}
 
     # the same settings are refused, or accepted, by both commands
     @pytest.mark.parametrize(
@@ -477,7 +497,11 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "settings",
-        [{"total": 0}, {"total": -5}, {"grid": [[0, 5]]}, {"ratios": []}],
+        [
+            {"total": 0}, {"total": -5}, {"grid": [[0, 5]]}, {"ratios": []},
+            # too large to allocate: n*d is capped, and the cap comes before any float math
+            {"total": 10**100}, {"total": 10**400}, {"grid": [[1000000, 1000000]]},
+        ],
     )
     def test_empty_or_degenerate_grid_is_a_config_error(self, settings, tmp_path):
         config = tmp_path / "config.json"
@@ -518,6 +542,43 @@ class TestInputBoundary:
         assert run_cli(*self.OVERFLOW, "--out", str(out)).returncode == 3
         assert os.listdir(tmp_path) == ["f.csv"]
         assert out.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("summary", ["nodir/b.csv", "adir"])
+    def test_failed_command_publishes_no_file(self, summary, tmp_path, capsys):
+        # the replicate CSV is complete, but the summary path cannot be written
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "a.csv"
+        args = [
+            "simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.5",
+            "--replicates", "1", "--jobs", "1",
+            "--out", str(out), "--summary", str(tmp_path / summary),
+        ]
+        assert cli.main(args) == 2
+        assert os.listdir(tmp_path) == ["adir"]
+        out.write_bytes(b"earlier\n")
+        assert cli.main(args) == 2
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "adir"]
+        assert out.read_bytes() == b"earlier\n"
+
+    def test_one_path_for_two_outputs_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = [
+            "simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.5",
+            "--replicates", "1", "--jobs", "1", "--out", str(out), "--summary",
+        ]
+        assert cli.main([*args, str(out)]) == 2
+        assert cli.main([*args, f"{out}.manifest.json"]) == 2  # the manifest's own path
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_figure_publishes_no_file(self, tmp_path, monkeypatch, capsys):
+        # the theory CSV is complete before the sweep fails
+        def fail(config, *, jobs):
+            raise NumericError("injected failure")
+
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        out = tmp_path / "fig1"
+        assert cli.main(["figure", "--name", "fig1", "--replicates", "2", "--out", str(out)]) == 3
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize(
         "args",

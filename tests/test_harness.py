@@ -20,6 +20,7 @@ from propdp.harness import (
     gen_signal,
     grid_from_ratios,
     run_experiment,
+    settings_echo,
     solve_theory,
     summarize,
 )
@@ -267,9 +268,11 @@ class TestRunExperiment:
         first = records[0]
         assert isinstance(first, MetricRecord)
         assert (first.n, first.d) == (30, 15)
-        assert first.delta == pytest.approx(0.5)
+        deltas = {(row["n"], row["d"]): row["delta"] for row in summarize(records)}
+        assert deltas[30, 15] == pytest.approx(0.5)
         assert first.theory is not None
-        assert first.sigma_eps == repr(0.2)
+        assert all(record.config is first.config for record in records)  # one per sweep
+        assert settings_echo(first.config)["sigma_eps"] == repr(0.2)
 
     def test_rerun_bitwise_identical(self):
         a = run_experiment(self.small_config())

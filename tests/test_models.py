@@ -57,10 +57,10 @@ def test_table_covers_every_loss_and_mechanism():
 def test_output_models_solve_at_zero_noise():
     for loss in ("huber", "logistic"):
         output = models.get(f"{loss}_output").solve(
-            harness.ExperimentConfig(model=f"{loss}_output", nu=0.3), 0.5, seed=lambda: 0
+            harness.ExperimentConfig(model=f"{loss}_output", nu=0.3), 0.5, seed=0
         )
         base = models.get(f"{loss}_objective").solve(
-            harness.ExperimentConfig(model=f"{loss}_objective", nu=0.0), 0.5, seed=lambda: 0
+            harness.ExperimentConfig(model=f"{loss}_objective", nu=0.0), 0.5, seed=0
         )
         assert output.solution == base.solution
         assert output.predictions["estimation_error"] == pytest.approx(
@@ -87,7 +87,7 @@ def test_overflowing_shift_is_a_numeric_failure():
     # the nu = 0 solve succeeds; the shift by nu**2 overflows
     config = harness.ExperimentConfig(model="huber_output", nu=1.7e308)
     with pytest.raises(NumericError):
-        models.get("huber_output").solve(config, 0.5, seed=lambda: 0)
+        models.get("huber_output").solve(config, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("model", ["huber_objective", "logistic_objective"])
@@ -98,4 +98,4 @@ def test_invalid_float_operation_is_a_numeric_failure(model):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="invalid value"):
-            models.get(model).solve(config, 1.0, seed=lambda: 0)
+            models.get(model).solve(config, 1.0, seed=0)
