@@ -10,16 +10,15 @@ tests re-check them with a kink-aware Gauss-Legendre panel rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import newton
 from .errors import ConfigError
 from .laws import ScalarLaw
+from .newton import MIN_LAMBDA
 from .scalars import clipped_moment_gradients, clipped_second_moment, interval_probability
-
-MIN_LAMBDA = 1e-8
 
 
 def _clipped_residual(sigma: float, tau: float, L: float, noise: ScalarLaw):
@@ -84,17 +83,11 @@ class HuberSolution:
     condition_number: float = float("nan")
 
     def as_dict(self) -> dict:
+        """The JSON echo: every field but the two laws, with lam as "lambda"."""
         return {
-            "sigma_star": self.sigma_star,
-            "tau_star": self.tau_star,
-            "residual_norm": self.residual_norm,
-            "delta": self.delta,
-            "lambda": self.lam,
-            "nu": self.nu,
-            "L": self.L,
-            "kappa_sq": self.kappa_sq,
-            "iterations": self.iterations,
-            "condition_number": self.condition_number,
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if not isinstance(getattr(self, f.name), ScalarLaw)
         }
 
 

@@ -9,19 +9,18 @@ the two Bernoulli branches weighted by sigmoid(+/- kappa Z1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import newton, quadrature
 from .errors import ConfigError, NumericError
+from .newton import MIN_LAMBDA
 from .scalars import (
     logistic_rho_prime,
     logistic_rho_second,
     prox_logistic,
 )
-
-MIN_LAMBDA = 1e-8
 
 
 def _expectations(
@@ -92,17 +91,9 @@ class LogisticSolution:
             raise NumericError("LogisticSolution: sigma* < gamma*·nu (no valid error law)")
 
     def as_dict(self) -> dict:
+        """The JSON echo: every field, with lam as "lambda"."""
         return {
-            "alpha_star": self.alpha_star,
-            "sigma_star": self.sigma_star,
-            "gamma_star": self.gamma_star,
-            "residual_norm": self.residual_norm,
-            "delta": self.delta,
-            "lambda": self.lam,
-            "nu": self.nu,
-            "kappa": self.kappa,
-            "iterations": self.iterations,
-            "condition_number": self.condition_number,
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name) for f in fields(self)
         }
 
 

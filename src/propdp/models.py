@@ -24,6 +24,7 @@ import numpy as np
 from . import erm, harness, huber_theory, logistic_theory, losses, state_evolution
 from .errors import ConfigError, NumericError
 from .laws import ScalarLaw
+from .newton import MIN_LAMBDA
 from .scalars import clip, logistic_rho_prime
 
 
@@ -105,8 +106,8 @@ class ModelSpec:
                 raise ConfigError(f"{self.name}: mc_samples must be >= {least}")
             if config.step_size is not None and config.step_size <= 0:
                 raise ConfigError(f"{self.name}: step_size must be > 0")
-        elif config.lam < huber_theory.MIN_LAMBDA:
-            raise ConfigError(f"{self.name}: lambda must be >= {huber_theory.MIN_LAMBDA}")
+        elif config.lam < MIN_LAMBDA:
+            raise ConfigError(f"{self.name}: lambda must be >= {MIN_LAMBDA}")
         if self.loss == "logistic" and not config.signal_law.second_moment > 0:
             raise ConfigError(f"{self.name}: kappa must be > 0 (signal with E[X^2] > 0)")
 
@@ -210,10 +211,23 @@ class ModelSpec:
                 fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
             else:
                 fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
-            return empirical_metrics(
-                fit.beta_hat, beta_star, fit.xi, X, y, self.name,
-                L=config.L, beta_tilde=fit.beta_tilde,
-            ), fit
+            return self.score(fit, X, y, beta_star, L=config.L), fit
+
+    def score(self, fit: erm.FitResult, X, y, beta_star, *, L: float = 1.0) -> dict:
+        """Per-replicate summary statistics of one perturbation fit."""
+        d = beta_star.shape[0]
+        error = fit.beta_hat - beta_star
+        metrics = {"estimation_error": float(error @ error) / d}
+        metrics["bias"] = float(fit.beta_hat @ beta_star) / d
+        shift = fit.beta_hat - fit.beta_tilde if self.mechanism == "output" else error
+        metrics["xi_correlation"] = float(shift @ fit.xi) / d
+        if self.loss == "huber":
+            residual = clip(y - X @ fit.beta_hat, L)
+            metrics["truncated_residual"] = float(residual @ residual) / X.shape[0]
+        else:
+            diff = logistic_rho_prime(X @ beta_star) - logistic_rho_prime(X @ fit.beta_hat)
+            metrics["rho_diff"] = float(diff @ diff) / X.shape[0]
+        return metrics
 
 
 SPECS = {
@@ -235,26 +249,3 @@ def get(model: str) -> ModelSpec:
     except KeyError:
         raise ConfigError(f"unknown model {model!r}; available: {', '.join(SPECS)}") from None
 
-
-def empirical_metrics(
-    beta_hat, beta_star, xi, X, y, model: str, *, L: float = 1.0, beta_tilde=None
-) -> dict:
-    """Per-replicate summary statistics of one fitted coefficient vector."""
-    spec = get(model)
-    d = beta_star.shape[0]
-    error = beta_hat - beta_star
-    metrics = {"estimation_error": float(error @ error) / d}
-    metrics["bias"] = float(beta_hat @ beta_star) / d
-    if spec.mechanism == "output":
-        if beta_tilde is None:
-            raise ConfigError("empirical_metrics: output models need beta_tilde")
-        metrics["xi_correlation"] = float((beta_hat - beta_tilde) @ xi) / d
-    else:
-        metrics["xi_correlation"] = float(error @ xi) / d
-    if spec.loss == "huber":
-        residual = clip(y - X @ beta_hat, L)
-        metrics["truncated_residual"] = float(residual @ residual) / X.shape[0]
-    else:
-        diff = logistic_rho_prime(X @ beta_star) - logistic_rho_prime(X @ beta_hat)
-        metrics["rho_diff"] = float(diff @ diff) / X.shape[0]
-    return metrics

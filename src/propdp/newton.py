@@ -16,6 +16,10 @@ from .errors import NonConvergenceError
 
 _MAX_HALVINGS = 40
 
+# The smallest ridge lam at which the Huber and logistic fixed-point systems
+# are solved: below it their Jacobians are too ill-conditioned to trust.
+MIN_LAMBDA = 1e-8
+
 
 @dataclass(frozen=True)
 class NewtonResult:

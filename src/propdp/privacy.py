@@ -243,12 +243,9 @@ def build_report(
                 raise ConfigError("dpsgd mechanism needs T")
             rho = dpsgd_zcdp(T, glm, nu)
             curve = tuple((a, a * rho) for a in alphas)
-            # delta(epsilon) by inverting the order-alpha conversion over the grid
-            raw = min(
-                (math.exp(-(a - 1.0) * (epsilon - e)) for a, e in curve if epsilon > e),
-                default=1.0,
-            )
-            delta = _clamped_delta(raw, "dpsgd report")
+            # T Gaussian steps of sensitivity LR compose to one Gaussian
+            # mechanism of ratio sqrt(T)*LR/nu (Dong, Roth & Su, JRSS-B 2022)
+            delta = hockey_stick(epsilon, math.sqrt(T) * glm.scaled_lipschitz / nu)
         else:
             raise ConfigError(f"unknown mechanism {mechanism!r}")
         return PrivacyReport(mechanism, epsilon, delta, curve, rho)

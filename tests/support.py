@@ -271,7 +271,7 @@ def residual_pair_moment(sol, fn, *, nodes: int = quadrature.DEFAULT_NODES_1D) -
 def gradient_descent_minimize(data, loss, lam, nu, xi, *, tol_scale=GRADIENT_TOL_SCALE):
     """Full-batch gradient descent with Armijo backtracking on the perturbed
     objective, stopping at ||grad F|| <= tol_scale * max(1, n); returns
-    (beta, grad norm, iterations, objective value) as ``erm._minimize`` does.
+    (beta, grad norm, iterations, objective value).
 
     The first-order reference for the Newton learner: from step 2/(lam +
     s*||X||_2^2), with s the loss's ``GlmSensitivity`` smoothness, it halves

@@ -176,6 +176,9 @@ class TestPrivacy:
         # frozen from oracles/oracle_privacy.py
         assert payload["zcdp_rho"] == 56.0
 
+    def test_dpsgd_negative_epsilon_is_a_config_error(self):
+        assert run_cli("privacy", "dpsgd", "--T", "3", "--nu", "1", "--epsilon", "-1").returncode == 2
+
     def test_dpsgd_requires_steps(self):
         assert run_cli("privacy", "dpsgd", "--nu", "0.5").returncode == 2
 
@@ -459,6 +462,19 @@ class TestInputBoundary:
         # an inf or nan that still reaches a CSV cell is refused
         with pytest.raises(NumericError, match="non-finite number in the output"):
             cli._fmt(math.inf)
+
+    @pytest.mark.parametrize("noise, L", [("gaussian:1e8", "1e9"), ("gaussian:1e10", "1e15")])
+    def test_large_labels_are_certified(self, noise, L):
+        # the rounding of X'g alone exceeds 1e-9*n at this label scale, so
+        # the certificate scales with ||grad F(0)||
+        code, stdout = run_in_process(
+            "simulate", "--model", "huber_objective", "--noise", noise, "--L", L,
+            "--total", "400", "--ratios", "0.5", "--replicates", "1", "--jobs", "1",
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(stdout))
+        norms = [float(row[header.index("grad_norm")]) for row in rows]
+        assert rows and all(math.isfinite(v) for v in norms)
 
     def test_every_row_echoes_the_laws(self):
         signal, noise = "mix:0.5*gaussian:0.6,0.5*point:0.8", "mix:0.5*gaussian:0.2,0.5*point:1"

@@ -192,7 +192,7 @@ class TestNewton:
         loss = HuberLoss(1e-12)
         lam, nu = 0.5, 0.2
         xi = box_muller(stream(1, "tiny-L"), d)
-        beta, norm, iterations, _ = _minimize(data, loss, lam, nu, xi)
+        beta, norm, iterations = _minimize(data, loss, lam, nu, xi)
         assert not loss.curvatures(data.X @ beta, data.y).any()
         assert norm <= GRADIENT_TOL_SCALE * n
         assert 1 <= iterations <= 20
@@ -205,9 +205,40 @@ class TestNewton:
         # at nu = 0 and y = 0 the Huber minimizer is beta = 0, the start
         data, _ = make_regression()
         zero = Dataset(data.X, np.zeros(data.n), data.feature_radius)
-        beta, norm, iterations, value = _minimize(zero, HuberLoss(1.0), 0.5, 0.0, np.zeros(data.d))
-        assert iterations == 0 and norm == 0.0 and value == 0.0
+        beta, norm, iterations = _minimize(zero, HuberLoss(1.0), 0.5, 0.0, np.zeros(data.d))
+        assert iterations == 0 and norm == 0.0
         np.testing.assert_array_equal(beta, np.zeros(data.d))
+
+    @pytest.mark.parametrize("shape", ["d<n", "d>n"])
+    @pytest.mark.parametrize("fit_fn", [fit_objective_perturbation, fit_output_perturbation])
+    def test_fit_never_evaluates_the_loss(self, monkeypatch, fit_fn, shape):
+        # the line search and the certificate both read ||grad F|| alone
+        def refuse(self, margins, y):
+            raise AssertionError("a fit evaluated the loss")
+
+        monkeypatch.setattr(HuberLoss, "values", refuse)
+        monkeypatch.setattr(LogisticLoss, "values", refuse)
+        n, d = self.SHAPES[shape]
+        regression, _ = make_regression(seed=3, n=n, d=d)
+        classification, _ = make_classification(seed=3, n=n, d=d)
+        for data, loss in [(regression, HuberLoss(0.5)), (classification, LogisticLoss())]:
+            fit = fit_fn(data, loss, lam=0.8, nu=0.3, seed=2)
+            assert fit.grad_norm <= GRADIENT_TOL_SCALE * n
+
+    def test_large_labels_meet_the_relative_certificate(self):
+        # at label scale 1e10 the rounding of X'g exceeds 1e-9*n; the
+        # certificate is relative to the gradient at the zero start
+        data, _ = make_regression(seed=5, n=40, d=20)
+        y = 1e10 * box_muller(stream(5, "large-labels"), data.n)
+        large = Dataset(data.X, y, data.feature_radius)
+        loss, lam = HuberLoss(1e11), 0.5
+        start = np.linalg.norm(large.X.T @ loss.gradients(np.zeros(large.n), y))
+        assert start > large.n  # so the old bound 1e-9*n no longer governs
+        beta, norm, iterations = _minimize(large, loss, lam, 0.0, np.zeros(large.d))
+        assert norm <= GRADIENT_TOL_SCALE * max(1.0, large.n, start)
+        grad = perturbed_gradient(large, loss, lam, 0.0, 0.0, beta)
+        assert np.linalg.norm(grad) == pytest.approx(norm, rel=1e-12)
+        assert 1 <= iterations <= 20
 
     @pytest.mark.parametrize(
         "limit, value, message",

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from propdp.erm import FitResult
 from propdp.errors import ConfigError, NumericError
 from propdp.harness import (
     DESIGNS,
@@ -25,7 +26,7 @@ from propdp.harness import (
     summarize,
 )
 from propdp.laws import ScalarLaw
-from propdp.models import SPECS, ModelSpec, empirical_metrics, step_size_at
+from propdp.models import SPECS, ModelSpec, step_size_at
 from propdp.scalars import logistic_rho_prime
 
 
@@ -170,6 +171,10 @@ class TestLabels:
         assert y.mean() == pytest.approx(p.mean(), abs=4 / math.sqrt(y.size))
 
 
+def objective_fit(beta_hat, xi):
+    return FitResult(beta_hat, beta_hat, xi, grad_norm=0.0, iterations=0)
+
+
 class TestEmpiricalMetrics:
     def test_huber_metrics_on_crafted_input(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -177,7 +182,7 @@ class TestEmpiricalMetrics:
         beta_hat = np.array([2.0, 0.0])
         xi = np.array([1.0, 3.0])
         y = np.array([0.0, 0.0, 5.0])
-        m = empirical_metrics(beta_hat, beta_star, xi, X, y, "huber_objective", L=1.5)
+        m = SPECS["huber_objective"].score(objective_fit(beta_hat, xi), X, y, beta_star, L=1.5)
         assert m["estimation_error"] == pytest.approx((1 + 1) / 2)
         assert m["bias"] == pytest.approx((2 + 0) / 2)
         assert m["xi_correlation"] == pytest.approx((1 * 1 + 1 * 3) / 2)
@@ -189,25 +194,16 @@ class TestEmpiricalMetrics:
         beta_star = np.array([1.0, 0.0])
         beta_tilde = np.array([0.5, 0.5])
         xi = np.array([2.0, -1.0])
-        beta_hat = beta_tilde + 0.1 * xi
-        y = np.zeros(2)
-        m = empirical_metrics(
-            beta_hat, beta_star, xi, X, y, "huber_output", L=1.0, beta_tilde=beta_tilde
-        )
+        fit = FitResult(beta_tilde + 0.1 * xi, beta_tilde, xi, grad_norm=0.0, iterations=0)
+        m = SPECS["huber_output"].score(fit, X, np.zeros(2), beta_star, L=1.0)
         # <beta_hat - beta_tilde, xi>/d = 0.1*||xi||^2/d
         assert m["xi_correlation"] == pytest.approx(0.1 * 5.0 / 2)
-
-    def test_output_model_requires_beta_tilde(self):
-        with pytest.raises(ConfigError):
-            empirical_metrics(
-                np.zeros(2), np.zeros(2), np.zeros(2), np.eye(2), np.zeros(2), "huber_output"
-            )
 
     def test_logistic_metric(self):
         X = np.eye(2)
         beta_star = np.array([1.0, -1.0])
-        beta_hat = np.array([0.0, 0.0])
-        m = empirical_metrics(beta_hat, beta_star, np.zeros(2), X, np.ones(2), "logistic_objective")
+        fit = objective_fit(np.array([0.0, 0.0]), np.zeros(2))
+        m = SPECS["logistic_objective"].score(fit, X, np.ones(2), beta_star)
         expected = float(
             ((logistic_rho_prime(X @ beta_star) - 0.5) ** 2).sum() / 2
         )

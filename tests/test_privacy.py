@@ -258,6 +258,28 @@ class TestReport:
         assert rep.zcdp_rho == pytest.approx(10 * 1.0 / 32.0, rel=1e-15)
         assert 0.0 <= rep.delta <= 1.0
 
+    def test_one_dpsgd_step_is_output_perturbation_at_unit_lambda(self):
+        glm = GlmSensitivity.huber(1.5, 2.0)
+        for nu, epsilon in [(1.0, 1.0), (0.5, 1.0), (3.0, 0.2)]:
+            dpsgd = build_report("dpsgd", glm, nu=nu, T=1, epsilon=epsilon)
+            output = build_report("output", glm, lam=1.0, nu=nu, epsilon=epsilon)
+            assert dpsgd.delta == output.delta
+
+    def test_dpsgd_delta_is_the_composed_gaussian_mechanism(self):
+        # T steps of ratio LR/nu compose to one Gaussian mechanism of ratio
+        # sqrt(T)*LR/nu, which is tight, so it never exceeds the delta read
+        # off the RDP curve through the order-alpha conversion
+        glm = GlmSensitivity.logistic(1.5)
+        for nu, epsilon in [(4.0, 2.0), (1.0, 1.0), (2.0, 5.0)]:
+            rep = build_report("dpsgd", glm, nu=nu, T=10, epsilon=epsilon)
+            exact = hockey_stick(epsilon, math.sqrt(10) * 1.5 / nu)
+            assert rep.delta == exact
+            inverted = min(
+                (math.exp(-(a - 1.0) * (epsilon - e)) for a, e in rep.rdp_curve if epsilon > e),
+                default=1.0,
+            )
+            assert rep.delta <= min(1.0, inverted)
+
     def test_unknown_mechanism(self):
         with pytest.raises(ConfigError):
             build_report("shuffle", GlmSensitivity.logistic(), lam=1.0, nu=1.0)
