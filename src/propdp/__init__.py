@@ -34,7 +34,6 @@ from .privacy import (
     output_perturbation_delta,
     output_perturbation_nu_for_zcdp,
     output_perturbation_zcdp,
-    rdp_to_dp,
 )
 from .huber_theory import HuberSolution, huber_predictions, solve_huber_system
 from .logistic_theory import (
@@ -82,7 +81,6 @@ __all__ = [
     "output_perturbation_delta",
     "output_perturbation_zcdp",
     "output_perturbation_nu_for_zcdp",
-    "rdp_to_dp",
     "HuberSolution",
     "solve_huber_system",
     "huber_predictions",

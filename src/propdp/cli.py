@@ -1,16 +1,19 @@
 """Command-line front end: four subcommands with bit-stable CSV/JSON output.
 
+``theory`` and ``simulate`` take one flag per ExperimentConfig field, with
+its default (``--L`` is 10 in both); ``theory --kappa K`` is shorthand for
+``--signal gaussian:K``, and ``--jobs`` is capped at the cells and cores.
 Exit codes: 0 on success (per-point solver failures are data, not errors),
-2 on usage/config problems, 3 on internal numeric failures.  The env var
-PROPDP_SEED overrides the master seed everywhere.  A command's output files
-are published together, with a run-manifest sidecar recording the tool
-version, a digest of the canonicalized configuration, the master seed,
-timestamps, and output paths and digests; output files themselves contain no
-timestamps, so identical (config, seed, version) triples reproduce identical
-file digests.  Each file streams into ``<path>.partial``, and all of them
-move into place only once the command's last file is complete: a failed
-command publishes nothing and leaves earlier files alone, and a path that
-cannot be written is a config error.  Output to stdout still streams.
+2 on usage/config problems (a closed stdout among them), 3 on internal
+numeric failures.  PROPDP_SEED overrides the master seed everywhere.  A
+command's output files are published together, with a run-manifest sidecar
+recording the tool version, a digest of the canonicalized configuration, the
+master seed, timestamps, and output paths and digests; output files contain
+no timestamps, so identical (config, seed, version) triples reproduce
+identical file digests.  Each file streams into ``<path>.partial``, and all
+of them move into place only once the command's last file is complete: a
+failed command publishes nothing and leaves earlier files alone, and a path
+that cannot be written is a config error.  Output to stdout still streams.
 """
 
 from __future__ import annotations
@@ -87,7 +90,13 @@ class _Outputs(contextlib.AbstractContextManager):
 
     def _stream(self, path: str | None, emit) -> None:
         if path is None:
-            emit(sys.stdout)
+            try:
+                emit(sys.stdout)
+                sys.stdout.flush()
+            except OSError as exc:  # a closed pipe, say: the flush at exit goes to devnull
+                with contextlib.suppress(OSError, ValueError):
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise _write_error("stdout", exc) from None
             return
         if os.path.abspath(path) in map(os.path.abspath, self.paths):
             raise ConfigError(f"cannot write {path}: it is already an output of this command")
@@ -162,13 +171,14 @@ def finite(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def float_list(text: str) -> tuple[float, ...]:
+    """Argument type for one or more comma-separated finite numbers."""
     try:
-        values = [finite(part) for part in text.split(",") if part.strip() != ""]
+        values = tuple(finite(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ConfigError(f"{flag}: want comma-separated finite numbers, got {text!r}") from None
+        values = ()
     if not values:
-        raise ConfigError(f"{flag}: empty list")
+        raise argparse.ArgumentTypeError(f"want comma-separated finite numbers, got {text!r}")
     return values
 
 
@@ -194,19 +204,15 @@ def _theory_point(config: harness.ExperimentConfig, delta: float) -> dict:
 
 def cmd_theory(args) -> int:
     """Solve the asymptotic system at each grid point; JSON to stdout/--out."""
-    args.deltas = _parse_float_list(args.delta, "--delta")
-    if any(delta <= 0 for delta in args.deltas):
+    if any(delta <= 0 for delta in args.delta):
         raise ConfigError("--delta values must be > 0")
-    if args.kappa <= 0:
-        raise ConfigError("--kappa must be > 0")
-    seed = _env_seed()
-    config = harness.ExperimentConfig(
-        model=args.model, signal=args.signal or f"gaussian:{args.kappa}", noise=args.noise,
-        L=args.L, lam=args.lam, nu=args.nu, step_size=args.step_size, steps=args.steps,
-        mc_samples=args.mc_samples, seed=args.seed if seed is None else seed,
-    )
-    results = [_theory_point(config, delta) for delta in args.deltas]
-    settings = {"command": "theory", **{k: v for k, v in vars(args).items() if k != "func"}}
+    if args.kappa is not None:
+        if args.kappa <= 0:
+            raise ConfigError("--kappa must be > 0")
+        args.signal = args.signal or f"gaussian:{args.kappa}"
+    config = _load_config(args)
+    results = [_theory_point(config, delta) for delta in args.delta]
+    settings = {"command": "theory", "delta": args.delta, **dataclasses.asdict(config)}
     with _Outputs(settings, config.seed) as outputs:
         outputs.write_json(args.out, results)
     return 0
@@ -224,37 +230,6 @@ SUMMARY_HEADER = (  # the figure column is only in a figure's summary
     "kappa", "metric", "replicates", "empirical_mean", "empirical_stderr",
     "theory", "z_score",
 )
-
-_CONFIG_FIELDS = {field.name for field in dataclasses.fields(harness.ExperimentConfig)}
-
-
-def _load_simulate_config(args) -> harness.ExperimentConfig:
-    payload: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(payload) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    # the flags share the config's field names; --ratios is parsed below
-    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS - {"ratios"}}
-    payload.update({k: v for k, v in overrides.items() if v is not None})
-    if args.ratios is not None:
-        payload["ratios"] = tuple(_parse_float_list(args.ratios, "--ratios"))
-    if "model" not in payload:
-        raise ConfigError("simulate needs --model or a config file with one")
-    seed = _env_seed()
-    if seed is not None:
-        payload["seed"] = seed
-    return harness.ExperimentConfig(**payload)
-
 
 def _simulate_rows(config: harness.ExperimentConfig, records):
     """SIMULATE_HEADER rows; the sweep's settings are formatted once."""
@@ -276,7 +251,7 @@ def _simulate_rows(config: harness.ExperimentConfig, records):
 
 def cmd_simulate(args) -> int:
     """Run a replicated sweep and emit one CSV row per (replicate, metric)."""
-    config = _load_simulate_config(args)
+    config = _load_config(args)
     records = harness.run_experiment(config, jobs=args.jobs)
     with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
         outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_rows(config, records))
@@ -293,14 +268,11 @@ def cmd_simulate(args) -> int:
 def cmd_privacy(args) -> int:
     """Evaluate the closed-form accountant for one mechanism; JSON output."""
     glm = privacy_mod.GlmSensitivity(args.L, args.s, args.R)
-    alphas = None
-    if args.alphas is not None:
-        alphas = tuple(_parse_float_list(args.alphas, "--alphas"))
-        if any(a <= 1.0 for a in alphas):
-            raise ConfigError("--alphas must all be > 1")
+    if args.alphas is not None and any(a <= 1.0 for a in args.alphas):
+        raise ConfigError("--alphas must all be > 1")
     report = privacy_mod.build_report(
         args.mechanism, glm,
-        lam=args.lam, nu=args.nu, T=args.T, epsilon=args.epsilon, alphas=alphas,
+        lam=args.lam, nu=args.nu, T=args.T, epsilon=args.epsilon, alphas=args.alphas,
     )
     payload = {
         "mechanism": report.mechanism,
@@ -355,7 +327,56 @@ def cmd_figure(args) -> int:
     return 0
 
 
-# --- parser -------------------------------------------------------------------
+# --- parser and a model run's settings ----------------------------------------
+
+
+_FIELDS = dataclasses.fields(harness.ExperimentConfig)
+_FLAG_TYPES = {"str": str, "int": int, "float": finite, "float | None": finite,
+               "tuple[float, ...]": float_list}
+_FLAG_CHOICES = {"model": models.SPECS, "design": harness.DESIGNS}
+
+
+def _add_config_flags(parser, skip=()) -> None:
+    """One flag per ExperimentConfig field, typed from its annotation: ``--L``,
+    ``--step-size``, ``--lambda`` for ``lam``.  Each defaults to None, so the
+    config's own default holds; ``grid`` is set only in a config file."""
+    for field in _FIELDS:
+        if field.name in (*skip, "grid"):
+            continue
+        flag = "--lambda" if field.name == "lam" else "--" + field.name.replace("_", "-")
+        parser.add_argument(
+            flag, dest=field.name, type=_FLAG_TYPES[field.type], default=None,
+            choices=_FLAG_CHOICES.get(field.name),
+            help=None if field.default is dataclasses.MISSING else f"default {field.default}",
+        )
+
+
+def _load_config(args) -> harness.ExperimentConfig:
+    """The model run that ``args`` describes: the config file's fields, if the
+    command takes one, then the flags that were given, then PROPDP_SEED; every
+    field left unset keeps ExperimentConfig's default."""
+    payload: dict = {}
+    if getattr(args, "config", None) is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {args.config}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(payload) - {field.name for field in _FIELDS}
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    flags = {field.name: getattr(args, field.name, None) for field in _FIELDS}
+    payload.update({name: value for name, value in flags.items() if value is not None})
+    if "model" not in payload:
+        raise ConfigError(f"{args.command} needs --model")
+    seed = _env_seed()
+    if seed is not None:
+        payload["seed"] = seed
+    return harness.ExperimentConfig(**payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,37 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     theory = sub.add_parser("theory", help="solve the asymptotic fixed-point systems")
-    theory.add_argument("--model", required=True, choices=models.SPECS)
-    theory.add_argument("--delta", required=True, help="comma-separated d/n ratios")
-    theory.add_argument("--lambda", dest="lam", type=finite, default=1.0)
-    theory.add_argument("--nu", type=finite, default=0.0)
-    theory.add_argument("--L", type=finite, default=1.0)
-    theory.add_argument("--kappa", type=finite, default=1.0)
-    theory.add_argument("--signal", default=None, help="signal law, e.g. gaussian:1")
-    theory.add_argument("--noise", default="gaussian:0.2")
-    theory.add_argument("--steps", type=int, default=3)
-    theory.add_argument("--step-size", dest="step_size", type=finite, default=None)
-    theory.add_argument("--mc-samples", dest="mc_samples", type=int, default=100_000)
-    theory.add_argument("--seed", type=int, default=0)
+    _add_config_flags(theory, skip=("design", "total", "ratios", "replicates"))  # no sweep
+    theory.add_argument("--delta", type=float_list, required=True, help="comma-separated d/n")
+    theory.add_argument("--kappa", type=finite, help="shorthand for --signal gaussian:KAPPA")
     theory.add_argument("--out", default=None)
     theory.set_defaults(func=cmd_theory)
 
     simulate = sub.add_parser("simulate", help="run a seeded replicated sweep")
     simulate.add_argument("--config", default=None, help="JSON config file")
-    simulate.add_argument("--model", default=None, choices=models.SPECS)
-    simulate.add_argument("--design", default=None, choices=harness.DESIGNS)
-    simulate.add_argument("--total", type=int, default=None, help="n*d product")
-    simulate.add_argument("--ratios", default=None, help="comma-separated n/(n+d)")
-    simulate.add_argument("--signal", default=None)
-    simulate.add_argument("--noise", default=None)
-    simulate.add_argument("--L", type=finite, default=None)
-    simulate.add_argument("--lambda", dest="lam", type=finite, default=None)
-    simulate.add_argument("--nu", type=finite, default=None)
-    simulate.add_argument("--step-size", dest="step_size", type=finite, default=None)
-    simulate.add_argument("--steps", type=int, default=None)
-    simulate.add_argument("--replicates", type=int, default=None)
-    simulate.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    simulate.add_argument("--seed", type=int, default=None)
+    _add_config_flags(simulate)
     simulate.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     simulate.add_argument("--out", default=None, help="CSV path (default stdout)")
     simulate.add_argument("--summary", default=None, help="optional summary CSV path")
@@ -416,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     privacy.add_argument("--nu", type=finite, required=True)
     privacy.add_argument("--T", type=int, default=None)
     privacy.add_argument("--epsilon", type=finite, default=1.0)
-    privacy.add_argument("--alphas", default=None, help="comma-separated RDP orders")
+    privacy.add_argument("--alphas", type=float_list, help="comma-separated RDP orders")
     privacy.add_argument("--out", default=None)
     privacy.set_defaults(func=cmd_privacy)
 

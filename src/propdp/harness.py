@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -231,11 +232,14 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> list[MetricRec
         for index, (n, d) in enumerate(points)
         for replicate in range(config.replicates)
     ]
-    if jobs <= 1 or len(cells) <= 1:
+    # the pool forks all its workers at the first submit: no more than there are cells or cores
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_run_cell(cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=max(1, len(cells) // (8 * jobs))))
+        chunksize = max(1, len(cells) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_cell, cells, chunksize=chunksize))
     return [
         MetricRecord(config, index, n, d, replicate, seed, empirical, theories[index], *fit)
         for (_, index, n, d, replicate), (seed, empirical, *fit) in zip(cells, results)

@@ -2,9 +2,8 @@
 
 Covers the Gaussian-mechanism hockey-stick divergence, zCDP and RDP bounds
 for objective perturbation, output perturbation, and noisy gradient
-descent, plus the standard RDP-to-DP conversion.  Feature-radius rescaling
-(L -> L*R, s -> s*R**2) is applied inside the accountant, so callers pass
-raw (L, s, R).
+descent.  Feature-radius rescaling (L -> L*R, s -> s*R**2) is applied
+inside the accountant, so callers pass raw (L, s, R).
 """
 
 from __future__ import annotations
@@ -170,15 +169,6 @@ def dpsgd_zcdp(T: int, glm: GlmSensitivity, nu: float) -> float:
     if nu <= 0:
         raise ConfigError("dpsgd_zcdp: nu must be > 0")
     return T * gaussian_mechanism_zcdp(glm.scaled_lipschitz, nu)
-
-
-def rdp_to_dp(alpha: float, epsilon_rdp: float, delta: float) -> float:
-    """Convert an (alpha, epsilon) RDP point to (epsilon_dp, delta)-DP."""
-    if alpha <= 1:
-        raise ConfigError("rdp_to_dp: alpha must be > 1")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("rdp_to_dp: delta must be in (0, 1)")
-    return epsilon_rdp + math.log(1.0 / delta) / (alpha - 1.0)
 
 
 # --- noise calibration at a zCDP target (used by the comparison figure) ----

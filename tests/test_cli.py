@@ -511,6 +511,47 @@ class TestInputBoundary:
         if expected != 0:
             assert theory[1] == simulate[1] == ""
 
+    def test_theory_without_flags_predicts_simulate_theory_column(self):
+        # n = d = 4, so delta = 1; neither command is given L
+        code, stdout = run_in_process("theory", "--model", "huber_objective", "--delta", "1")
+        assert code == 0
+        predictions = json.loads(stdout)[0]["predictions"]
+        code, stdout = run_in_process(
+            "simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.5",
+            "--replicates", "1", "--jobs", "1",
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(stdout))
+        column = {row[header.index("metric")]: row[header.index("theory")] for row in rows}
+        assert column == {metric: repr(value) for metric, value in predictions.items()}
+
+    @pytest.mark.parametrize("model", list(cli.models.SPECS))
+    def test_both_commands_default_to_the_config(self, model, monkeypatch):
+        monkeypatch.delenv("PROPDP_SEED", raising=False)
+        parser = cli.build_parser()
+        for argv in (["theory", "--model", model, "--delta", "1"], ["simulate", "--model", model]):
+            config = cli._load_config(parser.parse_args(argv))
+            assert config == harness.ExperimentConfig(model=model)
+
+    def test_closed_stdout_is_a_config_error(self):
+        # 1200 rows, more than a pipe buffer holds: a write fails once the reader is gone
+        env = os.environ.copy()
+        env.pop("PROPDP_SEED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "propdp.cli", "simulate", "--model", "huber_objective",
+             "--total", "100", "--ratios", "0.5", "--replicates", "300", "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=300)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert stderr.startswith("propdp: config error: cannot write stdout: ")
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
     @pytest.mark.parametrize(
         "settings",
         [
@@ -623,13 +664,14 @@ class TestInputBoundary:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        model=st.sampled_from(["huber_objective", "huber_output"]),
+        model=st.sampled_from(list(cli.models.SPECS)),
         delta=NUMBERS, lam=NUMBERS, nu=NUMBERS, L=NUMBERS, kappa=NUMBERS,
     )
     def test_theory_exit_codes_and_strict_json(self, model, delta, lam, nu, L, kappa):
         code, stdout = run_in_process(
             "theory", "--model", model, f"--delta={delta!r}", f"--lambda={lam!r}",
             f"--nu={nu!r}", f"--L={L!r}", f"--kappa={kappa!r}",
+            "--steps", "1", "--mc-samples", "10000",
         )
         assert_contract(code, stdout)
 

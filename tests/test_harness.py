@@ -3,10 +3,12 @@ and parallel/serial equivalence."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+from propdp import harness
 from propdp.erm import FitResult
 from propdp.errors import ConfigError, NumericError
 from propdp.harness import (
@@ -283,6 +285,35 @@ class TestRunExperiment:
         for rs, rp in zip(serial, parallel):
             assert rs.empirical == rp.empirical
             assert rs.seed == rp.seed
+
+    @pytest.mark.parametrize(
+        "jobs, cores, workers",
+        [(100_000, 4, 4), (100_000, 64, 6), (5, None, None), (1, 8, None)],
+    )
+    def test_pool_is_bounded_by_cells_and_cores(self, jobs, cores, workers, monkeypatch):
+        # the pool is a fake that records its size and maps serially: no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                assert chunksize >= 1
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        records = run_experiment(self.small_config(), jobs=jobs)  # 6 cells
+        assert sizes == ([] if workers is None else [workers])
+        serial = run_experiment(self.small_config())
+        assert [r.empirical for r in records] == [r.empirical for r in serial]
 
     def test_seed_changes_results(self):
         a = run_experiment(self.small_config())

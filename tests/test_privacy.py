@@ -29,7 +29,6 @@ from propdp.privacy import (
     output_perturbation_delta,
     output_perturbation_nu_for_zcdp,
     output_perturbation_zcdp,
-    rdp_to_dp,
 )
 
 
@@ -227,17 +226,6 @@ class TestCalibration:
         floor = math.log1p(glm.scaled_smoothness / 0.01)
         with pytest.raises(ConfigError):
             objective_perturbation_nu_for_zcdp(glm, 0.01, floor * 0.5)
-
-
-class TestRdpConversion:
-    def test_formula(self):
-        assert rdp_to_dp(2.0, 1.0, 1e-5) == pytest.approx(1.0 + math.log(1e5), rel=1e-13)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            rdp_to_dp(1.0, 1.0, 1e-5)
-        with pytest.raises(ConfigError):
-            rdp_to_dp(2.0, 1.0, 0.0)
 
 
 class TestReport:
