@@ -17,7 +17,13 @@ The package provides:
 - a CLI, ``propdp``, with subcommands theory / simulate / privacy / figure.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# records go to the handlers the application sets up (none by the CLI yet),
+# not to the stderr of every program that imports the package
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import ConfigError, NonConvergenceError, NumericError
 from .laws import ScalarLaw, parse_law

@@ -10,6 +10,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import operator
@@ -25,6 +26,8 @@ from .laws import ScalarLaw, parse_law
 from .rng import box_muller, child_seed, stream
 from .scalars import logistic_rho_prime
 
+logger = logging.getLogger(__name__)
+
 RATIO_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 DESIGNS = ("rademacher", "gaussian", "bounded_uniform")
@@ -32,6 +35,9 @@ DESIGNS = ("rademacher", "gaussian", "bounded_uniform")
 # the most entries (n*d) a grid point's design may have: 100x the largest in
 # use (900 x 100), and small enough that one design matrix fits in memory
 MAX_DESIGN_ENTRIES = 10_000_000
+
+# the most cells (grid points x replicates) a sweep may run: 11x fig6's 90,000
+MAX_CELLS = 1_000_000
 
 
 def grid_from_ratios(total: int, ratios=RATIO_GRID) -> tuple[tuple[int, int], ...]:
@@ -125,6 +131,10 @@ class ExperimentConfig:
             raise ConfigError("ExperimentConfig: the grid needs a point, and every n, d >= 1")
         if max(n * d for n, d in points) > MAX_DESIGN_ENTRIES:
             raise ConfigError(too_big)
+        if len(points) * self.replicates > MAX_CELLS:
+            raise ConfigError(
+                f"ExperimentConfig: grid points x replicates may not exceed {MAX_CELLS}"
+            )
 
     def grid_points(self) -> tuple[tuple[int, int], ...]:
         return self.grid if self.grid is not None else grid_from_ratios(self.total, self.ratios)
@@ -205,7 +215,8 @@ def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> d
         return models.get(config.model).solve(
             config, d / n, seed=child_seed(config.seed, grid_index)
         ).predictions
-    except NumericError:
+    except NumericError as exc:
+        logger.warning("%s at n=%d, d=%d: no theory: %s", config.model, n, d, exc)
         return None
 
 

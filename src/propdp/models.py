@@ -99,11 +99,12 @@ class ModelSpec:
         floor, or for noisy GD (no ridge term) a state-evolution budget and a
         positive step; and a logistic signal with E[X**2] > 0."""
         if self.mechanism == "dpsgd":
-            top, least = state_evolution.MAX_STEPS, state_evolution.MIN_MC_SAMPLES
+            top = state_evolution.MAX_STEPS
+            least, most = state_evolution.MIN_MC_SAMPLES, state_evolution.MAX_MC_SAMPLES
             if not 1 <= config.steps <= top:
                 raise ConfigError(f"{self.name}: steps must be in [1, {top}]")
-            if config.mc_samples < least:
-                raise ConfigError(f"{self.name}: mc_samples must be >= {least}")
+            if not least <= config.mc_samples <= most:
+                raise ConfigError(f"{self.name}: mc_samples must be in [{least}, {most}]")
             if config.step_size is not None and config.step_size <= 0:
                 raise ConfigError(f"{self.name}: step_size must be > 0")
         elif config.lam < MIN_LAMBDA:
@@ -213,7 +214,7 @@ class ModelSpec:
                 fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
             return self.score(fit, X, y, beta_star, L=config.L), fit
 
-    def score(self, fit: erm.FitResult, X, y, beta_star, *, L: float = 1.0) -> dict:
+    def score(self, fit: erm.FitResult, X, y, beta_star, *, L: float) -> dict:
         """Per-replicate summary statistics of one perturbation fit."""
         d = beta_star.shape[0]
         error = fit.beta_hat - beta_star

@@ -340,6 +340,22 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("theory", "--model", "huber_dpsgd_ce", "--delta", "1", "--steps", "1",
+             "--mc-samples", "1000000000000"),
+            ("simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",
+             "--replicates", "1000000000000", "--jobs", "1"),
+        ],
+    )
+    def test_oversized_budget_is_refused_before_allocating(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
 
 class TestFigure:
     def test_fig1_smoke(self, tmp_path):

@@ -106,11 +106,23 @@ class TestConfig:
             ExperimentConfig(model="huber_dpsgd_ce", **{field: value})
 
     def test_dpsgd_trace_budget_validated(self):
-        for overrides in ({"mc_samples": 5}, {"steps": 0}, {"steps": 17}):
+        # a huge budget is refused before anything is drawn
+        for overrides in ({"mc_samples": 5}, {"mc_samples": 10**12}, {"steps": 0}, {"steps": 17}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(model="huber_dpsgd_ce", **overrides)
         # the trace settings mean nothing to the fixed-point models
         ExperimentConfig(model="huber_objective", mc_samples=5, steps=0)
+
+    def test_cell_count_bounded(self):
+        # grid points x replicates is refused when the config is built, before
+        # run_experiment lists a single cell
+        single = dict(model="huber_objective", total=100, ratios=(0.5,))
+        ExperimentConfig(**single, replicates=harness.MAX_CELLS)
+        for replicates in (harness.MAX_CELLS + 1, 10**12):
+            with pytest.raises(ConfigError, match="replicates"):
+                ExperimentConfig(**single, replicates=replicates)
+        with pytest.raises(ConfigError, match="replicates"):
+            ExperimentConfig(model="huber_objective", replicates=harness.MAX_CELLS // 9 + 1)
 
     def test_values_are_normalized(self):
         cfg = ExperimentConfig(model="huber_objective", ratios=[0.5, 1 / 3], grid=[[10, 20]])
@@ -205,7 +217,7 @@ class TestEmpiricalMetrics:
         X = np.eye(2)
         beta_star = np.array([1.0, -1.0])
         fit = objective_fit(np.array([0.0, 0.0]), np.zeros(2))
-        m = SPECS["logistic_objective"].score(fit, X, np.ones(2), beta_star)
+        m = SPECS["logistic_objective"].score(fit, X, np.ones(2), beta_star, L=10.0)
         expected = float(
             ((logistic_rho_prime(X @ beta_star) - 0.5) ** 2).sum() / 2
         )
@@ -235,7 +247,7 @@ class TestSolveTheory:
             "bias_t2",
         }
 
-    def test_failure_returns_none(self, monkeypatch):
+    def test_failure_returns_none(self, monkeypatch, caplog):
         # a lam below the conditioning floor is refused when the config is
         # built; a solve that fails numerically gives None
         with pytest.raises(ConfigError):
@@ -245,7 +257,10 @@ class TestSolveTheory:
             raise NumericError("injected failure")
 
         monkeypatch.setattr(ModelSpec, "solve", fail)
-        assert solve_theory(ExperimentConfig(model="huber_objective"), 40, 20, 0) is None
+        with caplog.at_level("WARNING", logger="propdp.harness"):
+            assert solve_theory(ExperimentConfig(model="huber_objective"), 40, 20, 0) is None
+        assert "huber_objective at n=40, d=20" in caplog.text
+        assert "injected failure" in caplog.text
 
 
 class TestRunExperiment:

@@ -1,10 +1,10 @@
-"""Noisy-GD state-evolution engine tests.
+"""Noisy-GD state-evolution tests.
 
 Reference values come from oracles/oracle_state_evolution.py: a direct
 quadrature derivation of the first iterate's moments, and an exact linear-case
 computation using frozen spectral moments of the Gram matrix (entries of X
 have variance 1/d, d/n = delta).  Bias is exact in the linear case because
-the gradient-slope scalars are constant there; mse carries the engine's
+the gradient-slope scalars are constant there; mse carries the solve's
 covariance-estimation noise, so those comparisons use loose tolerances.
 """
 
@@ -225,3 +225,102 @@ class TestValidation:
             state_evolution_huber(1, 0.3, 0.0, 0.5, G1, NOISE_02, 0.0)
         with pytest.raises(ConfigError):
             state_evolution_logistic(1, 0.3, 0.0, -0.5, G1)
+
+
+# float.hex values recorded from the recursion before it became one solve
+# function.  The summation order is part of the output: a reordered sum shows
+# here, most of all at T = 8, where eigh carries it into the sampled paths.
+PINNED = {
+    ("huber", 3): {
+        "mse": [
+            "0x1.0000000000000p+0", "0x1.7de25775b92a4p-2", "0x1.83025ccebcee0p-3",
+            "0x1.eed9f0fd3e570p-4",
+        ],
+        "bias": [
+            "0x0.0p+0", "0x1.13ed0dedaaaefp-1", "0x1.5bf56568c672cp-1",
+            "0x1.a79a2109e242fp-1",
+        ],
+        "mse_mc": [
+            "0x1.f5c2390917908p-1", "0x1.80e46364a71ebp-2", "0x1.870161f27962dp-3",
+            "0x1.f2f2a0fcdfa54p-4",
+        ],
+        "mse_stderr": [
+            "0x1.c48f2ad425028p-7", "0x1.5a00698eb7836p-8", "0x1.60df33f244e97p-9",
+            "0x1.c0859265e5064p-10",
+        ],
+    },
+    ("logistic", 3): {
+        "mse": [
+            "0x1.0000000000000p+0", "0x1.6c93050d68932p-1", "0x1.197a215b11a27p-1",
+            "0x1.c8486f80be790p-2",
+        ],
+        "bias": [
+            "0x0.0p+0", "0x1.52a035dd34c3cp-3", "0x1.20f6fab893ee2p-2",
+            "0x1.7a8201a47b532p-2",
+        ],
+        "mse_mc": [
+            "0x1.f5c2390917908p-1", "0x1.6725fffedb1d9p-1", "0x1.16de6c14e5b1dp-1",
+            "0x1.c5db2fcfbae3fp-2",
+        ],
+        "mse_stderr": [
+            "0x1.c48f2ad425028p-7", "0x1.43deeaaa1ecb7p-7", "0x1.f78153b6528acp-8",
+            "0x1.9a7bd7ee80d4dp-8",
+        ],
+    },
+    ("huber", 8): {
+        "mse": [
+            "0x1.0000000000000p+0", "0x1.7ea80dc19c178p-2", "0x1.83fb4fb9970e8p-3",
+            "0x1.f35de4b2476c0p-4", "0x1.777345aa0dc70p-4", "0x1.39c6b15a4acd8p-4",
+            "0x1.351d143297318p-4", "0x1.4698a2a309df0p-4", "0x1.885377cd5de10p-4",
+        ],
+        "bias": [
+            "0x0.0p+0", "0x1.13ed0dedaaaefp-1", "0x1.5bf56568c672cp-1",
+            "0x1.a79a2109e242fp-1", "0x1.a2dd064fdcb40p-1", "0x1.d4fd3d930afdap-1",
+            "0x1.be05d4c215c3fp-1", "0x1.ed1e5a3e0bc24p-1", "0x1.ca3787a5c1bedp-1",
+        ],
+        "mse_mc": [
+            "0x1.f5c2390917908p-1", "0x1.79e5951103764p-2", "0x1.7ef750657ce86p-3",
+            "0x1.f3d1fa49f3b5ep-4", "0x1.73be78826a42cp-4", "0x1.3ca4807de136dp-4",
+            "0x1.321ac4020ea9ap-4", "0x1.4cc36bcc85867p-4", "0x1.86342c60392e5p-4",
+        ],
+        "mse_stderr": [
+            "0x1.c48f2ad425028p-7", "0x1.58e4ff75226d4p-8", "0x1.5328a81776396p-9",
+            "0x1.c7185677ac3a3p-10", "0x1.4955ba5e38843p-10", "0x1.1f7cb17663688p-10",
+            "0x1.141736b2c47efp-10", "0x1.27f84bf76cf4ep-10", "0x1.6639a624440eep-10",
+        ],
+    },
+    ("logistic", 8): {
+        "mse": [
+            "0x1.0000000000000p+0", "0x1.6ca2e926a43a4p-1", "0x1.19a040a5d8a76p-1",
+            "0x1.c8ae3847ae4b2p-2", "0x1.7d72db25361c8p-2", "0x1.45ffa1f3cdfc8p-2",
+            "0x1.1b1e14978d53cp-2", "0x1.f1e704666f0d8p-3", "0x1.ba53f713875e8p-3",
+        ],
+        "bias": [
+            "0x0.0p+0", "0x1.52a035dd34c3cp-3", "0x1.20f6fab893ee2p-2",
+            "0x1.7a8201a47b532p-2", "0x1.c1324be4da293p-2", "0x1.fa283d938d67ap-2",
+            "0x1.14c11d0609d08p-1", "0x1.28d6281c08346p-1", "0x1.3a15c189f5246p-1",
+        ],
+        "mse_mc": [
+            "0x1.f5c2390917908p-1", "0x1.64d7fa7909578p-1", "0x1.133845fb38446p-1",
+            "0x1.be1a4cf9acbfbp-2", "0x1.747e4e157259bp-2", "0x1.3e92e5aaf8415p-2",
+            "0x1.147d271445b75p-2", "0x1.e66e7d8d404c0p-3", "0x1.b14c1fc94cdb2p-3",
+        ],
+        "mse_stderr": [
+            "0x1.c48f2ad425028p-7", "0x1.424fc09646371p-7", "0x1.f1c79b36a89acp-8",
+            "0x1.9456b2683f9f4p-8", "0x1.511e9aaa565b4p-8", "0x1.2054e2f87ce13p-8",
+            "0x1.f707abcea71b8p-9", "0x1.bc47de99cefbfp-9", "0x1.8b7bf59faca36p-9",
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("loss, steps", sorted(PINNED))
+def test_trace_bits_are_pinned(loss, steps):
+    if loss == "huber":
+        tr = state_evolution_huber(
+            steps, 0.4, 0.1, 0.5, G1, NOISE_02, 1.0, mc_samples=10_000, seed=2024
+        )
+    else:
+        tr = state_evolution_logistic(steps, 0.4, 0.1, 0.5, G1, mc_samples=10_000, seed=2024)
+    for field, expected in PINNED[loss, steps].items():
+        assert [float(x).hex() for x in getattr(tr, field)] == expected, field
