@@ -5,15 +5,17 @@ its default (``--L`` is 10 in both); ``theory --kappa K`` is shorthand for
 ``--signal gaussian:K``, and ``--jobs`` is capped at the cells and cores.
 Exit codes: 0 on success (per-point solver failures are data, not errors),
 2 on usage/config problems (a closed stdout among them), 3 on internal
-numeric failures.  PROPDP_SEED overrides the master seed everywhere.  A
-command's output files are published together, with a run-manifest sidecar
-recording the tool version, a digest of the canonicalized configuration, the
-master seed, timestamps, and output paths and digests; output files contain
-no timestamps, so identical (config, seed, version) triples reproduce
-identical file digests.  Each file streams into ``<path>.partial``, and all
-of them move into place only once the command's last file is complete: a
-failed command publishes nothing and leaves earlier files alone, and a path
-that cannot be written is a config error.  Output to stdout still streams.
+numeric failures.  PROPDP_SEED overrides the master seed everywhere; in
+``figure`` it and ``--replicates`` reach every run, theory curve and
+simulation sweep alike.  A command's output files are published together,
+with a run-manifest sidecar recording the tool version, a digest of the
+canonicalized configuration (every run of a figure), the master seed,
+timestamps, and output paths and digests; output files contain no
+timestamps, so identical (config, seed, version) triples reproduce identical
+file digests.  Each file streams into ``<path>.partial``, and all of them
+move into place only once the command's last file is complete: a failed
+command publishes nothing and leaves earlier files alone, and a path that
+cannot be written is a config error.  Output to stdout still streams.
 """
 
 from __future__ import annotations
@@ -296,14 +298,14 @@ THEORY_HEADER = ("figure", "label", "ratio", "delta", "nu", "metric", "value")
 
 
 def cmd_figure(args) -> int:
-    """Write a figure's dense theory curves and (when present) simulation dots."""
+    """Write a figure's dense theory curves and, when it simulates, its dots."""
     spec = figures.get_figure(args.name)
-    configs = list(spec.configs)
-    if args.replicates is not None:
-        configs = [dataclasses.replace(c, replicates=args.replicates) for c in configs]
-    seed = _env_seed()
-    if seed is not None:
-        configs = [dataclasses.replace(c, seed=seed) for c in configs]
+    changes = {"replicates": args.replicates, "seed": _env_seed()}
+    changes = {name: value for name, value in changes.items() if value is not None}
+    if changes:
+        spec = dataclasses.replace(spec, runs=tuple(
+            (label, dataclasses.replace(config, **changes)) for label, config in spec.runs
+        ))
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -312,15 +314,15 @@ def cmd_figure(args) -> int:
     def path(suffix: str) -> str:
         return os.path.join(args.out, f"{spec.name}_{suffix}")
 
-    settings = {"command": "figure", "figure": spec.name,
-                "configs": [dataclasses.asdict(c) for c in configs]}
-    with _Outputs(settings, configs[0].seed if configs else None, path("manifest.json")) as outputs:
+    runs = [{"label": label, **dataclasses.asdict(config)} for label, config in spec.runs]
+    settings = {"command": "figure", "figure": spec.name, "runs": runs}
+    with _Outputs(settings, spec.runs[0][1].seed, path("manifest.json")) as outputs:
         rows = (_cells(row, THEORY_HEADER) for row in spec.theory_rows())
         outputs.write_csv(path("theory.csv"), THEORY_HEADER, rows)
-        if configs:
+        if spec.simulate:
             rows = (
                 _cells({"figure": spec.name, **row}, SUMMARY_HEADER)
-                for config in configs
+                for config in spec.configs
                 for row in harness.summarize(harness.run_experiment(config, jobs=args.jobs))
             )
             outputs.write_csv(path("simulation.csv"), SUMMARY_HEADER, rows)

@@ -1,12 +1,13 @@
-"""Stored figure configurations: dense theory curves plus, for the
-simulation figures, ready-to-run experiment sweeps.
+"""Stored figure configurations: each figure is one list of labelled runs.
 
-Every figure is a FigureSpec: each of its ``curves`` is a label with the
-ExperimentConfig it is solved under, and ``theory_rows()`` returns CSV-ready
-dicts with one row per (curve, grid point, metric); ``configs`` lists the
-simulation sweeps whose summaries are plotted as dots on the same axes.  The
-comparison figure (fig2) is theory-only: it calibrates each mechanism's noise
-level to a shared concentrated-DP budget and plots the resulting risk curves.
+Every figure is a FigureSpec whose ``runs`` pair a curve label with the
+ExperimentConfig it is solved under.  ``theory_rows()`` returns CSV-ready
+dicts with one row per (run, dense grid point, metric), and ``configs`` gives
+the same runs' configs as the simulation sweeps whose summaries are plotted as
+dots on the same axes, so a curve and its dots cannot disagree on a setting.
+The comparison figure (fig2) is theory-only (``simulate=False``): it
+calibrates each mechanism's noise level to a shared concentrated-DP budget and
+plots the resulting risk curves.
 """
 
 from __future__ import annotations
@@ -31,14 +32,18 @@ DENSE_RATIOS = tuple(float(r) for r in np.round(np.linspace(0.10, 0.90, 41), 6))
 @dataclass(frozen=True)
 class FigureSpec:
     name: str
-    description: str
-    curves: tuple[tuple[str, ExperimentConfig], ...]  # (label, settings) per theory curve
-    configs: tuple[ExperimentConfig, ...]
+    runs: tuple[tuple[str, ExperimentConfig], ...]  # (curve label, settings) per run
+    simulate: bool = True  # False: theory curves only, no simulation dots
     metrics: tuple[str, ...] | None = None  # the curves' plotted metrics; None keeps all
+
+    @property
+    def configs(self) -> tuple[ExperimentConfig, ...]:
+        """The simulation sweeps: every run's config, or none for a theory-only figure."""
+        return tuple(config for _, config in self.runs) if self.simulate else ()
 
     def theory_rows(self) -> list[dict]:
         rows = []
-        for label, config in self.curves:
+        for label, config in self.runs:
             rows += _curve_rows(self.name, label, config)
         return [row for row in rows if self.metrics is None or row["metric"] in self.metrics]
 
@@ -79,28 +84,20 @@ def _curve_rows(name: str, label: str, config: ExperimentConfig) -> list[dict]:
 
 
 # --- fig1: robust regression with a perturbed objective ---------------------
+# huber loss: four metrics vs sample fraction at nu in {0, 0.2}
 
-FIG1 = FigureSpec(
-    "fig1",
-    "robust (huber) regression, objective perturbation: four metrics vs "
-    "sample fraction at nu in {0, 0.2}",
-    tuple(
-        (f"objective nu={nu:g}", ExperimentConfig(model="huber_objective", nu=nu))
-        for nu in (0.0, 0.2)
-    ),
-    tuple(
-        ExperimentConfig(model="huber_objective", nu=nu, seed=101)
-        for nu in (0.0, 0.2)
-    ),
-)
+FIG1 = FigureSpec("fig1", tuple(
+    (f"objective nu={nu:g}", ExperimentConfig(model="huber_objective", nu=nu, seed=101))
+    for nu in (0.0, 0.2)
+))
 
 
 # --- fig2: objective vs output at a matched concentrated-DP budget ----------
+# theory-only: risk at zCDP budgets rho in {1, 2}, huber (L=1, noise std 0.1)
+# and logistic
 
 FIG2 = FigureSpec(
     "fig2",
-    "theory-only: objective vs output perturbation risk at matched zCDP "
-    "budgets rho in {1, 2} (huber L=1 with noise std 0.1, and logistic)",
     tuple(
         (
             f"{loss_name} {mechanism} rho={rho:g}",
@@ -119,68 +116,49 @@ FIG2 = FigureSpec(
             ("output", privacy.output_perturbation_nu_for_zcdp),
         )
     ),
-    (),
+    simulate=False,
     metrics=("estimation_error",),
 )
 
 
 # --- fig4: logistic regression with a perturbed objective -------------------
+# four metrics vs sample fraction at nu in {0, 0.2}
 
-FIG4 = FigureSpec(
-    "fig4",
-    "logistic regression, objective perturbation: four metrics vs sample "
-    "fraction at nu in {0, 0.2}",
-    tuple(
-        (f"objective nu={nu:g}", ExperimentConfig(model="logistic_objective", nu=nu))
-        for nu in (0.0, 0.2)
-    ),
-    tuple(
-        ExperimentConfig(model="logistic_objective", nu=nu, replicates=200, seed=104)
-        for nu in (0.0, 0.2)
-    ),
-)
+FIG4 = FigureSpec("fig4", tuple(
+    (
+        f"objective nu={nu:g}",
+        ExperimentConfig(model="logistic_objective", nu=nu, replicates=200, seed=104),
+    )
+    for nu in (0.0, 0.2)
+))
 
 
 # --- fig5: output perturbation for both losses -------------------------------
+# huber (L=10, noise std 0.2) and logistic: estimation error vs sample
+# fraction at nu in {0, 0.5}
 
-FIG5 = FigureSpec(
-    "fig5",
-    "output perturbation for huber (L=10, noise std 0.2) and logistic: "
-    "estimation error vs sample fraction at nu in {0, 0.5}",
-    tuple(
-        (f"{loss_name} output nu={nu:g}", ExperimentConfig(model=f"{loss_name}_output", nu=nu))
-        for nu in (0.0, 0.5)
-        for loss_name in ("huber", "logistic")
-    ),
-    tuple(
-        ExperimentConfig(model=model, nu=nu, seed=105)
-        for model in ("huber_output", "logistic_output")
-        for nu in (0.0, 0.5)
-    ),
-)
+FIG5 = FigureSpec("fig5", tuple(
+    (
+        f"{loss_name} output nu={nu:g}",
+        ExperimentConfig(model=f"{loss_name}_output", nu=nu, seed=105),
+    )
+    for nu in (0.0, 0.5)
+    for loss_name in ("huber", "logistic")
+))
 
 
 # --- fig6: noisy gradient descent on the conditional-expectation losses -----
+# full batch, labels are noiseless margins: per-step estimation error at nu in
+# {0, 0.1}, step size 0.5/(1+delta), 3 steps
 
-FIG6 = FigureSpec(
-    "fig6",
-    "noisy full-batch gradient descent on the conditional-expectation losses "
-    "(labels are noiseless margins): per-step estimation error at nu in "
-    "{0, 0.1}, step size 0.5/(1+delta), 3 steps",
-    tuple(
-        (
-            f"{loss_name}_ce nu={nu:g}",
-            ExperimentConfig(model=f"{loss_name}_dpsgd_ce", nu=nu, seed=106),
-        )
-        for nu in (0.0, 0.1)
-        for loss_name in ("huber", "logistic")
-    ),
-    tuple(
-        ExperimentConfig(model=model, nu=nu, replicates=10_000, seed=106)
-        for model in ("huber_dpsgd_ce", "logistic_dpsgd_ce")
-        for nu in (0.0, 0.1)
-    ),
-)
+FIG6 = FigureSpec("fig6", tuple(
+    (
+        f"{loss_name}_ce nu={nu:g}",
+        ExperimentConfig(model=f"{loss_name}_dpsgd_ce", nu=nu, replicates=10_000, seed=106),
+    )
+    for nu in (0.0, 0.1)
+    for loss_name in ("huber", "logistic")
+))
 
 
 FIGURES = {spec.name: spec for spec in (FIG1, FIG2, FIG4, FIG5, FIG6)}

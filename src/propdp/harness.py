@@ -53,10 +53,17 @@ def grid_from_ratios(total: int, ratios=RATIO_GRID) -> tuple[tuple[int, int], ..
 
 
 def _finite(value) -> float:
-    """``value`` as a float, if it is a finite real number."""
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """``value`` as a float, if it is a finite real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"want a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value) -> int:
+    """``value`` as an int, if it is an integer and not a bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"want an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -83,24 +90,25 @@ class ExperimentConfig:
     def __post_init__(self):
         """Every setting is checked here, once, types first: integer fields go
         through ``operator.index``, laws must be text, float fields must be
-        finite real numbers, ``ratios`` becomes a tuple of floats and ``grid`` a
-        tuple of int pairs.  The laws are parsed here too, into ``signal_law``
-        and ``noise_law``, which are not fields, so ``asdict``, ``replace``,
-        ``==`` and the config hash see only the text."""
+        finite real numbers (only ``step_size`` may be None), no number may be a
+        bool, ``ratios`` becomes a tuple of floats and ``grid`` a tuple of int
+        pairs.  The laws are parsed here too, into ``signal_law`` and
+        ``noise_law``, which are not fields, so ``asdict``, ``replace``, ``==``
+        and the config hash see only the text."""
         try:
             for name in ("model", "design", "signal", "noise"):
                 if not isinstance(getattr(self, name), str):
                     raise TypeError(f"want text, got {getattr(self, name)!r}")
             for name in ("total", "steps", "replicates", "mc_samples", "seed"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                object.__setattr__(self, name, _integer(getattr(self, name)))
             for name in ("L", "lam", "nu", "step_size"):  # not converted: a 10 stays 10
-                if getattr(self, name) is not None:
+                if name != "step_size" or self.step_size is not None:
                     _finite(getattr(self, name))
             name = "ratios"
             object.__setattr__(self, name, tuple(_finite(r) for r in self.ratios))
             name = "grid"
             if self.grid is not None:
-                grid = tuple((operator.index(n), operator.index(d)) for n, d in self.grid)
+                grid = tuple((_integer(n), _integer(d)) for n, d in self.grid)
                 object.__setattr__(self, name, grid)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"ExperimentConfig: bad {name}: {exc}") from None

@@ -3,6 +3,7 @@ manifests, and bit-stable reruns."""
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propdp import cli, harness
+from propdp import cli, figures, harness
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
 from propdp.errors import NumericError
 from propdp.laws import parse_law
@@ -382,6 +383,51 @@ class TestFigure:
         assert (out / "fig2_theory.csv").exists()
         assert not (out / "fig2_simulation.csv").exists()
 
+    def test_overrides_reach_every_run(self, tmp_path, monkeypatch):
+        # the theory curves and the simulation sweeps both see --replicates and PROPDP_SEED
+        seen = []
+
+        def curve_rows(name, label, config):
+            seen.append(config)
+            return []
+
+        def run_experiment(config, *, jobs):
+            seen.append(config)
+            return []
+
+        monkeypatch.setattr(figures, "_curve_rows", curve_rows)
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        monkeypatch.setenv("PROPDP_SEED", "7")
+        args = ["figure", "--name", "fig6", "--replicates", "1", "--jobs", "1"]
+        assert cli.main([*args, "--out", str(tmp_path)]) == 0
+        assert len(seen) == 2 * len(figures.FIGURES["fig6"].runs)
+        assert all(config.seed == 7 and config.replicates == 1 for config in seen)
+        assert json.loads((tmp_path / "fig6_manifest.json").read_text())["master_seed"] == 7
+
+    def test_theory_only_manifest_hashes_its_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(figures, "_curve_rows", lambda name, label, config: [])
+        monkeypatch.delenv("PROPDP_SEED", raising=False)
+
+        def manifest(out):
+            assert cli.main(["figure", "--name", "fig2", "--out", str(out)]) == 0
+            return json.loads((out / "fig2_manifest.json").read_text())
+
+        before = manifest(tmp_path / "before")
+        spec = figures.FIGURES["fig2"]
+        (label, config), *rest = spec.runs
+        moved = (label, dataclasses.replace(config, nu=2.0 * config.nu))
+        monkeypatch.setitem(figures.FIGURES, "fig2", dataclasses.replace(spec, runs=(moved, *rest)))
+        after = manifest(tmp_path / "after")
+        assert before["config_hash"] != after["config_hash"]
+        assert before["master_seed"] == after["master_seed"] == config.seed
+
+    def test_theory_only_figure_checks_its_replicates(self, tmp_path, capsys):
+        out = tmp_path / "fig2"
+        assert cli.main(["figure", "--name", "fig2", "--replicates", "0", "--out", str(out)]) == 2
+        _, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("propdp: config error: ")
+
 
 # --- the input boundary: every argument ends in exit 0, 2 or 3 ---------------
 
@@ -588,6 +634,9 @@ class TestInputBoundary:
             '"grid": [[1]]', '"grid": 5', '"grid": [[1e400, 2]]', '"ratios": ["x"]',
             '"ratios": 0.5', '"total": 1e400', '"signal": 5', '"noise": null',
             '"seed": "x"', '"seed": 1.5', '"mc_samples": "x"',
+            # only step_size may be null, and no number may be a bool
+            '"lam": null', '"L": null', '"nu": null', '"L": true', '"nu": false',
+            '"replicates": true', '"grid": [[true, 2]]', '"step_size": true',
         ],
     )
     def test_mistyped_config_value_is_a_config_error(self, text, tmp_path, capsys):
@@ -598,6 +647,13 @@ class TestInputBoundary:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("propdp: config error: ")
+
+    def test_null_step_size_keeps_the_default(self, tmp_path):
+        config = tmp_path / "config.json"
+        settings = {"total": 16, "ratios": [0.5], "replicates": 1, "step_size": None}
+        config.write_text(json.dumps({"model": "huber_objective", **settings}))
+        code, _ = run_in_process("simulate", "--config", str(config), "--jobs", "1")
+        assert code == 0
 
     OVERFLOW = (
         "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",

@@ -21,6 +21,14 @@ class TestCatalog:
         assert spec.name == "fig1"
         assert all(isinstance(c, ExperimentConfig) for c in spec.configs)
 
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_runs_are_well_formed(self, name):
+        spec = FIGURES[name]
+        labels = [label for label, _ in spec.runs]
+        assert len(set(labels)) == len(labels)  # theory rows and the bench key on the label
+        assert (spec.configs == ()) == (not spec.simulate)
+        assert all(isinstance(config, ExperimentConfig) for _, config in spec.runs)
+
     def test_unknown_figure(self):
         with pytest.raises(ConfigError):
             get_figure("fig3")
@@ -40,6 +48,7 @@ class TestSpecs:
         assert all(c.seed == 101 for c in spec.configs)
 
     def test_fig2_is_theory_only(self):
+        assert not get_figure("fig2").simulate
         assert get_figure("fig2").configs == ()
 
     def test_fig4_logistic(self):
