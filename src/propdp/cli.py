@@ -234,19 +234,23 @@ SUMMARY_HEADER = (  # the figure column is only in a figure's summary
 )
 
 def _simulate_rows(config: harness.ExperimentConfig, records):
-    """SIMULATE_HEADER rows; the sweep's settings are formatted once."""
+    """SIMULATE_HEADER rows; the sweep's settings are formatted once, and a
+    grid point's n, d, delta and theory cells once per grid point."""
     cells = {key: _fmt(value) for key, value in harness.settings_echo(config).items()}
+    grid_index = None
     for record in records:
+        if record.grid_index != grid_index:
+            grid_index = record.grid_index
+            cells.update(n=_fmt(record.n), d=_fmt(record.d), delta=_fmt(record.d / record.n))
+            metrics = sorted(record.empirical)
+            theory = {metric: _fmt((record.theory or {}).get(metric)) for metric in metrics}
         cells.update(
-            n=_fmt(record.n), d=_fmt(record.d), delta=_fmt(record.d / record.n),
             replicate=_fmt(record.replicate), seed=_fmt(record.seed),
             fit_iterations=_fmt(record.fit_iterations), grad_norm=_fmt(record.grad_norm),
         )
-        theory = record.theory or {}
-        for metric in sorted(record.empirical):
+        for metric in metrics:
             cells.update(
-                metric=metric, empirical=_fmt(record.empirical[metric]),
-                theory=_fmt(theory.get(metric)),
+                metric=metric, empirical=_fmt(record.empirical[metric]), theory=theory[metric]
             )
             yield [cells[key] for key in SIMULATE_HEADER]
 

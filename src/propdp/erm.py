@@ -20,6 +20,11 @@ minimizer that objective perturbation's privacy guarantee assumes
 scale of X'y, keeps the bound above the rounding of X'g for large labels;
 at ordinary scales max(1, n) governs.  Perturbation vectors come from
 counter-based streams keyed by (seed, purpose tag), never by the data.
+
+Noisy GD runs a block of replicates as one stack of designs (a single
+replicate is a stack of one): elementwise work runs once per block, while
+each replicate keeps its own matrix-vector products and noise streams, so
+its iterates do not depend on the block it runs in.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ GRADIENT_TOL_SCALE = 1e-9
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature rows with a verified norm bound and a matching label vector."""
+    """Feature rows with a verified norm bound and a matching label vector;
+    or a stack of R such replicates, X of shape (R, n, d) and y (R, n), each
+    checked as one dataset would be."""
 
     X: np.ndarray
     y: np.ndarray
@@ -49,15 +56,15 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-            raise ConfigError("Dataset: X must be a nonempty n x d matrix")
-        if y.shape != (X.shape[0],):
+        if X.ndim not in (2, 3) or min(X.shape) < 1:
+            raise ConfigError("Dataset: X must be a nonempty n x d matrix, or a stack of them")
+        if y.shape != X.shape[:-1]:
             raise ConfigError("Dataset: y must have one entry per row of X")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ConfigError("Dataset: non-finite entries")
         if self.feature_radius <= 0:
             raise ConfigError("Dataset: feature_radius must be > 0")
-        row_norms = np.linalg.norm(X, axis=1)
+        row_norms = np.linalg.norm(X, axis=-1)
         worst = float(row_norms.max())
         if worst > self.feature_radius + 1e-9:
             raise ConfigError(
@@ -69,11 +76,11 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.X.shape[1]
+        return self.X.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -183,12 +190,18 @@ def run_noisy_gd(
     step_size: float,
     nu: float,
     steps: int,
-    seed: int,
+    seed: int | list[int],
 ) -> np.ndarray:
     """Noisy full-batch gradient descent from zero; returns all T+1 iterates.
 
     Each step subtracts step_size times the summed (not averaged) per-sample
-    gradient plus fresh Gaussian noise: no ridge term is involved.
+    gradient plus fresh Gaussian noise: no ridge term is involved.  A stack
+    of R replicates (``data.X`` of shape (R, n, d), one seed each) runs as
+    one block and returns (R, T+1, d); one replicate with one seed is a
+    stack of one and returns (T+1, d).  The block applies the loss and the
+    Box-Muller transform to all R replicates at once, but keeps each
+    replicate's matrix-vector products and noise stream its own, so a
+    replicate's iterates are the same bits in any block.
     """
     if not loss.is_conditional_expectation:
         raise ConfigError(
@@ -200,13 +213,20 @@ def run_noisy_gd(
         raise ConfigError("run_noisy_gd: nu must be >= 0")
     if steps < 1:
         raise ConfigError("run_noisy_gd: steps must be >= 1")
-    X, y = data.X, data.y
-    trajectory = np.zeros((steps + 1, data.d))
-    beta = np.zeros(data.d)
+    single = data.X.ndim == 2
+    X, y = (data.X[None], data.y[None]) if single else (data.X, data.y)
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != X.shape[0]:
+        raise ConfigError("run_noisy_gd: want one seed per replicate")
+    replicates, _, d = X.shape
+    trajectory = np.zeros((replicates, steps + 1, d))
+    beta = np.zeros((replicates, d))
     for t in range(steps):
-        grad = X.T @ loss.gradients(X @ beta, y)
+        margins = np.stack([Xk @ bk for Xk, bk in zip(X, beta)])
+        gradients = loss.gradients(margins, y)
+        grad = np.stack([Xk.T @ gk for Xk, gk in zip(X, gradients)])
         if nu > 0:
-            grad = grad + nu * box_muller(stream(seed, "noisy-gd-xi", t), data.d)
+            grad = grad + nu * box_muller([stream(s, "noisy-gd-xi", t) for s in seeds], d)
         beta = beta - step_size * grad
-        trajectory[t + 1] = beta
-    return trajectory
+        trajectory[:, t + 1] = beta
+    return trajectory[0] if single else trajectory

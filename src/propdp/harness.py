@@ -3,7 +3,7 @@ asymptotic predictions.
 
 A sweep fixes n*d and walks the sample-fraction grid n/(n+d); each grid point
 solves the matching limit system once and runs seeded replicates of the
-configured learner.  Child seeds are derived from (master seed, grid index,
+configured learner, in blocks of replicates.  Child seeds are derived from (master seed, grid index,
 replicate index) so no two cells share a random stream and reruns are
 bit-identical.
 """
@@ -38,6 +38,12 @@ MAX_DESIGN_ENTRIES = 10_000_000
 
 # the most cells (grid points x replicates) a sweep may run: 11x fig6's 90,000
 MAX_CELLS = 1_000_000
+
+# a grid point's replicates run in blocks of BLOCK_REPLICATES, fewer when the
+# block's stacked designs would exceed BLOCK_ENTRIES entries (2 MB); the
+# boundaries depend on the grid point alone, never on the worker count
+BLOCK_REPLICATES = 64
+BLOCK_ENTRIES = 250_000
 
 
 def grid_from_ratios(total: int, ratios=RATIO_GRID) -> tuple[tuple[int, int], ...]:
@@ -194,12 +200,13 @@ def gen_design(n: int, d: int, kind: str, seed: int) -> np.ndarray:
 
 
 def design_radius(X: np.ndarray, kind: str) -> float:
-    """Feature-norm bound: exact for bounded designs, empirical for gaussian."""
+    """Feature-norm bound of a design or a stack of them: exact for bounded
+    designs, empirical for gaussian."""
     if kind == "rademacher":
         return 1.0 + 1e-9
     if kind == "bounded_uniform":
         return math.sqrt(3.0)
-    return float(np.linalg.norm(X, axis=1).max()) + 1e-9
+    return float(np.linalg.norm(X, axis=-1).max()) + 1e-9
 
 
 def gen_signal(d: int, law: ScalarLaw, seed: int) -> np.ndarray:
@@ -228,40 +235,62 @@ def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> d
         return None
 
 
-def _run_cell(args) -> tuple:
-    """One replicate's seed, metrics and fit certificate."""
-    config, grid_index, n, d, replicate = args
-    seed = child_seed(config.seed, grid_index, replicate)
-    X = gen_design(n, d, config.design, seed)
-    beta_star = gen_signal(d, config.signal_law, seed)
-    empirical, fit = models.get(config.model).replicate(
-        config, X, beta_star, design_radius(X, config.design), seed
+def _run_cell(args) -> list[tuple]:
+    """One block of a grid point's replicates, ``start <= replicate < stop``:
+    each replicate's seed, metrics and fit certificate."""
+    config, grid_index, n, d, start, stop = args
+    seeds = [child_seed(config.seed, grid_index, replicate) for replicate in range(start, stop)]
+    X, beta_star = np.empty((len(seeds), n, d)), np.empty((len(seeds), d))
+    for k, seed in enumerate(seeds):
+        X[k] = gen_design(n, d, config.design, seed)
+        beta_star[k] = gen_signal(d, config.signal_law, seed)
+    fits = models.get(config.model).replicate(
+        config, X, beta_star, design_radius(X, config.design), seeds
     )
-    if fit is None:
-        return seed, empirical, None, None
-    return seed, empirical, fit.iterations, fit.grad_norm
+    return [
+        (seed, empirical, None, None) if fit is None
+        else (seed, empirical, fit.iterations, fit.grad_norm)
+        for seed, (empirical, fit) in zip(seeds, fits)
+    ]
+
+
+def _blocks(config: ExperimentConfig) -> list[tuple]:
+    """The ``_run_cell`` arguments of every block, ordered by (grid, replicate)."""
+    blocks = []
+    for index, (n, d) in enumerate(config.grid_points()):
+        size = max(1, min(BLOCK_REPLICATES, BLOCK_ENTRIES // (n * d)))
+        for start in range(0, config.replicates, size):
+            blocks.append((config, index, n, d, start, min(start + size, config.replicates)))
+    return blocks
 
 
 def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> list[MetricRecord]:
-    """All replicates over the configured grid, ordered by (grid, replicate)."""
+    """All replicates over the configured grid, ordered by (grid, replicate).
+
+    The grid points' theory solves and the blocks of replicates are the
+    tasks; with more than one worker they share one pool, the solves first,
+    so the slow ones overlap the blocks.  Records are the same under any
+    ``jobs``."""
     points = config.grid_points()
-    theories = [solve_theory(config, n, d, index) for index, (n, d) in enumerate(points)]
-    cells = [
-        (config, index, n, d, replicate)
-        for index, (n, d) in enumerate(points)
-        for replicate in range(config.replicates)
-    ]
-    # the pool forks all its workers at the first submit: no more than there are cells or cores
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    blocks = _blocks(config)
+    # the pool forks all its workers at the first submit: no more than there are tasks or cores
+    workers = min(jobs, len(points) + len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_run_cell(cell) for cell in cells]
+        theories = [solve_theory(config, n, d, index) for index, (n, d) in enumerate(points)]
+        results = [_run_cell(block) for block in blocks]
     else:
-        chunksize = max(1, len(cells) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=chunksize))
+            solves = [
+                pool.submit(solve_theory, config, n, d, index)
+                for index, (n, d) in enumerate(points)
+            ]
+            chunksize = max(1, len(blocks) // (8 * workers))
+            results = list(pool.map(_run_cell, blocks, chunksize=chunksize))
+            theories = [solve.result() for solve in solves]
     return [
         MetricRecord(config, index, n, d, replicate, seed, empirical, theories[index], *fit)
-        for (_, index, n, d, replicate), (seed, empirical, *fit) in zip(cells, results)
+        for (_, index, n, d, start, _), block in zip(blocks, results)
+        for replicate, (seed, empirical, *fit) in enumerate(block, start)
     ]
 
 

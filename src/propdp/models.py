@@ -181,38 +181,48 @@ class ModelSpec:
         return Theory(sol.as_dict(), _predictions(sol), guess)
 
     def replicate(
-        self, config, X, beta_star, radius: float, seed: int
-    ) -> tuple[dict, erm.FitResult | None]:
-        """Label, fit and score one replicate of ``config`` (an ExperimentConfig);
-        returns the metrics and the fit (None for noisy GD, which has no
-        optimality certificate).  Floating-point failures raise NumericError,
-        as in ``solve``."""
+        self, config, X, beta_star, radius: float, seeds
+    ) -> list[tuple[dict, erm.FitResult | None]]:
+        """Label, fit and score a block of replicates of ``config`` (an
+        ExperimentConfig): X is a stack of R designs (R, n, d), beta_star
+        (R, d) their signals, with one seed each.  Returns each replicate's
+        metrics and fit (None for noisy GD, which has no optimality
+        certificate).  Noisy GD runs the block as one stack; the perturbation
+        fits run one replicate at a time.  Floating-point failures raise
+        NumericError, as in ``solve``."""
         with _float_errors(f"{self.name} replicate"):
-            d = beta_star.shape[0]
+            d = beta_star.shape[-1]
             if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
                 if self.loss == "huber":
                     loss = losses.HuberCeLoss(config.L, config.noise_law)
                 else:
                     loss = losses.LogisticCeLoss()
-                step = step_size_at(d / X.shape[0], config.step_size)
-                trajectory = erm.run_noisy_gd(
-                    erm.Dataset(X, X @ beta_star, radius), loss, step, config.nu, config.steps, seed
+                step = step_size_at(d / X.shape[1], config.step_size)
+                margins = np.stack([Xk @ bk for Xk, bk in zip(X, beta_star)])
+                trajectories = erm.run_noisy_gd(
+                    erm.Dataset(X, margins, radius), loss, step, config.nu, config.steps, seeds
                 )
-                errors = trajectory - beta_star
-                mse = [float(e @ e) / d for e in errors]
-                return _per_step(mse, [float(b @ beta_star) / d for b in trajectory]), None
-            if self.loss == "huber":
-                y = harness.gen_linear_labels(X, beta_star, config.noise_law, seed)
-                loss = losses.HuberLoss(config.L)
-            else:
-                y = harness.gen_logistic_labels(X, beta_star, seed)
-                loss = losses.LogisticLoss()
-            data = erm.Dataset(X, y, radius)
-            if self.mechanism == "objective":
-                fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
-            else:
-                fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
-            return self.score(fit, X, y, beta_star, L=config.L), fit
+                errors = trajectories - beta_star[:, None, :]
+                scored = []
+                for error, path, bk in zip(errors, trajectories, beta_star):
+                    mse = [float(e @ e) / d for e in error]
+                    scored.append((_per_step(mse, [float(b @ bk) / d for b in path]), None))
+                return scored
+            scored = []
+            for Xk, bk, seed in zip(X, beta_star, seeds):
+                if self.loss == "huber":
+                    y = harness.gen_linear_labels(Xk, bk, config.noise_law, seed)
+                    loss = losses.HuberLoss(config.L)
+                else:
+                    y = harness.gen_logistic_labels(Xk, bk, seed)
+                    loss = losses.LogisticLoss()
+                data = erm.Dataset(Xk, y, radius)
+                if self.mechanism == "objective":
+                    fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
+                else:
+                    fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
+                scored.append((self.score(fit, Xk, y, bk, L=config.L), fit))
+            return scored
 
     def score(self, fit: erm.FitResult, X, y, beta_star, *, L: float) -> dict:
         """Per-replicate summary statistics of one perturbation fit."""

@@ -9,6 +9,7 @@ produced by an explicit Box-Muller transform of the stream's uniforms.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -26,17 +27,26 @@ def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def box_muller(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard normal draws via Box-Muller on the generator's uniforms."""
+def box_muller(gen: np.random.Generator | list[np.random.Generator], size) -> np.ndarray:
+    """Standard normal draws via Box-Muller on the generator's uniforms.
+
+    ``gen`` may also be a sequence of generators: row k of the result is then
+    ``box_muller(gen[k], size)``, with every row transformed in one pass."""
+    single = isinstance(gen, np.random.Generator)
+    gens = [gen] if single else list(gen)
     shape = (size,) if np.isscalar(size) else tuple(size)
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     half = (n + 1) // 2
-    u1 = 1.0 - gen.random(half)  # (0, 1]: keeps log finite
-    u2 = gen.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
+    u1, u2 = np.empty((len(gens), half)), np.empty((len(gens), half))
+    for row, g in enumerate(gens):
+        g.random(out=u1[row])
+        g.random(out=u2[row])
+    radius = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1 - u in (0, 1]: keeps log finite
     angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-    return z.reshape(shape)
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :n]
+    if single:
+        return z[0].reshape(shape)
+    return z.reshape((len(gens), *shape))
 
 
 def child_seed(master: int, *indices: int) -> int:

@@ -59,6 +59,24 @@ class TestDataset:
             Dataset(X, np.zeros(3), 1.0)
         Dataset(X, np.zeros(3), 2.0)  # exact bound passes
 
+    def test_stack_checks_every_replicate(self):
+        # a stack of three replicates in which only the middle one is bad
+        X, y = np.full((3, 4, 2), 0.5), np.zeros((3, 4))
+        Dataset(X, y, 1.0)
+        for row, value in ((2, np.nan), (3, 0.9)):
+            bad = X.copy()
+            bad[1, row, 0] = value
+            with pytest.raises(ConfigError):
+                Dataset(bad, y, 1.0)
+        bad_y = y.copy()
+        bad_y[1, 2] = np.inf
+        with pytest.raises(ConfigError):
+            Dataset(X, bad_y, 1.0)
+        with pytest.raises(ConfigError):
+            Dataset(X, np.zeros((3, 3)), 1.0)
+        with pytest.raises(ConfigError):
+            Dataset(np.zeros((0, 4, 2)), np.zeros((0, 4)), 1.0)
+
 
 class TestObjectivePerturbation:
     def test_certificate(self):
@@ -310,3 +328,31 @@ class TestNoisyGd:
             run_noisy_gd(data, self.loss, step_size=0.1, nu=-0.1, steps=1, seed=0)
         with pytest.raises(ConfigError):
             run_noisy_gd(data, self.loss, step_size=0.1, nu=0.0, steps=0, seed=0)
+
+    def make_stack(self, replicates=3):
+        parts = [self.make_margin_data(seed=seed, n=30, d=12)[0] for seed in range(replicates)]
+        radius = max(part.feature_radius for part in parts)
+        stack = Dataset(np.stack([p.X for p in parts]), np.stack([p.y for p in parts]), radius)
+        return stack, parts
+
+    @pytest.mark.parametrize("loss", [loss, LogisticCeLoss()], ids=["huber", "logistic"])
+    def test_stack_matches_single_replicates(self, loss):
+        # a replicate's iterates are the same bits alone or inside a block
+        stack, parts = self.make_stack()
+        seeds = [11, 12, 13]
+        block = run_noisy_gd(stack, loss, step_size=0.3, nu=0.2, steps=3, seed=seeds)
+        assert block.shape == (3, 4, 12)
+        for part, seed, path in zip(parts, seeds, block):
+            single = run_noisy_gd(part, loss, step_size=0.3, nu=0.2, steps=3, seed=seed)
+            np.testing.assert_array_equal(path, single)
+
+    def test_stack_validation(self):
+        stack, _ = self.make_stack()
+        with pytest.raises(ConfigError, match="one seed per replicate"):
+            run_noisy_gd(stack, self.loss, step_size=0.3, nu=0.1, steps=1, seed=[1, 2])
+        with pytest.raises(ConfigError):
+            run_noisy_gd(stack, HuberLoss(1.0), step_size=0.3, nu=0.0, steps=1, seed=[1, 2, 3])
+        for bad in ({"step_size": 0.0}, {"nu": -0.1}, {"steps": 0}):
+            kwargs = {"step_size": 0.3, "nu": 0.1, "steps": 1, **bad}
+            with pytest.raises(ConfigError):
+                run_noisy_gd(stack, self.loss, seed=[1, 2, 3], **kwargs)

@@ -4,6 +4,7 @@ and parallel/serial equivalence."""
 import dataclasses
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -306,7 +307,8 @@ class TestRunExperiment:
         [(100_000, 4, 4), (100_000, 64, 6), (5, None, None), (1, 8, None)],
     )
     def test_pool_is_bounded_by_cells_and_cores(self, jobs, cores, workers, monkeypatch):
-        # the pool is a fake that records its size and maps serially: no process starts
+        # the pool is a fake that records its size and runs every task serially:
+        # no process starts
         sizes = []
 
         class FakePool:
@@ -319,15 +321,22 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
             def map(self, fn, items, chunksize):
                 assert chunksize >= 1
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        records = run_experiment(self.small_config(), jobs=jobs)  # 6 cells
+        # 6 tasks, min(jobs, tasks, cores) workers: 3 theory points and 3 blocks
+        config = self.small_config(grid=((30, 15), (15, 30), (20, 20)))
+        records = run_experiment(config, jobs=jobs)
         assert sizes == ([] if workers is None else [workers])
-        serial = run_experiment(self.small_config())
+        serial = run_experiment(config)
         assert [r.empirical for r in records] == [r.empirical for r in serial]
 
     def test_seed_changes_results(self):
@@ -353,6 +362,75 @@ class TestRunExperiment:
             "estimation_error_t2",
             "bias_t2",
         }
+
+
+class TestBlocks:
+    """A grid point's replicates run in blocks; a replicate's values depend
+    neither on its block nor on the worker count."""
+
+    # float.hex of values from before replicates ran in blocks.  Grid point 0
+    # (12 x 6) runs blocks of BLOCK_REPLICATES = 64, so replicate 66 is in a
+    # partial block; grid point 1 (400 x 300) is capped by BLOCK_ENTRIES.
+    PINNED = {
+        ("huber_dpsgd_ce", 0, 63): {
+            "bias_t1": "0x1.1583a52355714p-2",
+            "bias_t2": "0x1.82bb150a902cfp-2",
+            "estimation_error_t1": "0x1.61e93d641d4ffp-3",
+            "estimation_error_t2": "0x1.32084c8afd183p-4",
+        },
+        ("huber_dpsgd_ce", 0, 66): {
+            "bias_t1": "0x1.359bf277a019cp-2",
+            "bias_t2": "0x1.615ea8d7669afp-2",
+            "estimation_error_t1": "0x1.00da33a6f1d10p-2",
+            "estimation_error_t2": "0x1.06d19a3c4e14dp-2",
+        },
+        ("huber_dpsgd_ce", 1, 66): {
+            "bias_t1": "0x1.59fc6abdba37bp-2",
+            "bias_t2": "0x1.e39818e43ea4fp-2",
+            "estimation_error_t1": "0x1.06700b3c70c1bp-1",
+            "estimation_error_t2": "0x1.82787eefc5c60p-2",
+        },
+        ("logistic_dpsgd_ce", 0, 63): {
+            "bias_t1": "0x1.d8ce6f17954c3p-5",
+            "bias_t2": "0x1.e1c4d7640369bp-4",
+            "estimation_error_t1": "0x1.c9a02f4fa701bp-2",
+            "estimation_error_t2": "0x1.64b0a49c57364p-2",
+        },
+        ("logistic_dpsgd_ce", 0, 66): {
+            "bias_t1": "0x1.4a840bf8efdf9p-4",
+            "bias_t2": "0x1.ab8ec59e219b3p-4",
+            "estimation_error_t1": "0x1.00872a048a46ap-1",
+            "estimation_error_t2": "0x1.ecb91f9cbbde3p-2",
+        },
+        ("logistic_dpsgd_ce", 1, 66): {
+            "bias_t1": "0x1.19eb00d9ce603p-4",
+            "bias_t2": "0x1.07f36ed5a2b8fp-3",
+            "estimation_error_t1": "0x1.b51fd7bc6208ep-1",
+            "estimation_error_t2": "0x1.86716cef16cc3p-1",
+        },
+    }
+
+    def test_blocks_are_capped_by_replicates_and_entries(self):
+        config = ExperimentConfig(
+            model="huber_dpsgd_ce", grid=((12, 6), (400, 300), (5000, 2000)), replicates=67
+        )
+        sizes = [(index, stop - start) for _, index, _, _, start, stop in harness._blocks(config)]
+        assert sizes == [(0, 64), (0, 3)] + [(1, 2)] * 33 + [(1, 1)] + [(2, 1)] * 67
+
+    @pytest.mark.parametrize("model", ["huber_dpsgd_ce", "logistic_dpsgd_ce"])
+    def test_noisy_gd_values_are_pinned(self, model):
+        config = ExperimentConfig(
+            model=model, grid=((12, 6), (400, 300)), replicates=67, steps=2, nu=0.3,
+            mc_samples=10_000, seed=41,
+        )
+        assert config.replicates % harness.BLOCK_REPLICATES != 0
+        serial = run_experiment(config)
+        assert run_experiment(config, jobs=2) == serial
+        empirical = {(r.grid_index, r.replicate): r.empirical for r in serial}
+        pinned = {key[1:]: values for key, values in self.PINNED.items() if key[0] == model}
+        assert len(pinned) == 3
+        for key, values in pinned.items():
+            assert {name: value.hex() for name, value in empirical[key].items()} == values
 
 
 class TestSummarize:

@@ -49,6 +49,13 @@ class TestBoxMuller:
         assert (z**3).mean() == pytest.approx(0.0, abs=4 * math.sqrt(15 / n))
         assert (z**4).mean() == pytest.approx(3.0, abs=4 * math.sqrt(96 / n))
 
+    def test_rows_are_their_own_streams(self):
+        # one generator per row: each row is that generator's own draws, bit for bit
+        rows = box_muller([stream(s, "rows", 3) for s in range(4)], (7, 3))
+        assert rows.shape == (4, 7, 3)
+        for s, row in enumerate(rows):
+            np.testing.assert_array_equal(row, box_muller(stream(s, "rows", 3), (7, 3)))
+
     def test_normal_helper_matches(self):
         np.testing.assert_array_equal(
             normal(9, "helper", 2, size=64),
