@@ -23,9 +23,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -438,11 +440,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _set_allocator_thresholds() -> None:
+    """Serve blocks of up to 32 MiB from the heap, and keep up to 64 MiB of
+    free heap top, instead of mapping each large block afresh.  Under
+    glibc's defaults the solvers' temporaries above 128 kB are mapped,
+    unmapped and faulted in again on every call: a bench fit_wide cycle
+    took 131k minor page faults and 0.2-0.3 s of system time, against 20
+    faults with these thresholds.  A no-op where there is no mallopt; pool
+    workers forked from this process inherit the setting."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Show the package's WARNING records on stderr while a command runs; the
+    handler goes again on return, so repeated in-process calls add none."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("propdp: %(levelname)s: %(message)s"))
+    package = logging.getLogger("propdp")
+    package.addHandler(handler)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+
+
 def main(argv=None) -> int:
+    _set_allocator_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _warnings_to_stderr():
+            return args.func(args)
     except ConfigError as exc:
         print(f"propdp: config error: {exc}", file=sys.stderr)
         return 2

@@ -12,14 +12,13 @@ import logging
 import math
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr
-
 from .errors import ConfigError, NumericError
 from .scalars import gaussian_cdf
 
 logger = logging.getLogger(__name__)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,24 @@ def default_alpha_grid() -> tuple[float, ...]:
     return tuple(1.0 + 2.0**k / 100.0 for k in range(21))
 
 
+def log_ndtr(x: float) -> float:
+    """log Phi(x) for the standard normal CDF Phi, to within a few ulps
+    relative at x <= 0: log(gaussian_cdf(x)) down to x = -20, and below it
+    the asymptotic series Phi(x) = pdf(x)/(-x) * (1 - 1/x**2 + 3/x**4 - ...),
+    summed until a term no longer changes the total."""
+    if x < -20.0:
+        inv_sq = 1.0 / (x * x)
+        total, term, k = 1.0, 1.0, 0
+        while True:
+            k += 1
+            term *= -(2 * k - 1) * inv_sq
+            if total + term == total:
+                break
+            total += term
+        return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log(total)
+    return math.log(float(gaussian_cdf(x)))
+
+
 def hockey_stick(epsilon: float, ratio: float) -> float:
     """Hockey-stick divergence between N(ratio, 1) and N(0, 1) at e**epsilon.
 
@@ -87,7 +104,7 @@ def hockey_stick(epsilon: float, ratio: float) -> float:
     if epsilon < 0:
         raise ConfigError("hockey_stick: epsilon must be >= 0")
     # exp(eps) * Phi(-eps/r - r/2) in log space; the exponent is always <= 0
-    exponent = epsilon + float(log_ndtr(-0.5 * ratio - epsilon / ratio))
+    exponent = epsilon + log_ndtr(-0.5 * ratio - epsilon / ratio)
     value = float(gaussian_cdf(0.5 * ratio - epsilon / ratio)) - math.exp(exponent)
     return min(1.0, max(0.0, value))
 

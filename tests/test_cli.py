@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propdp import cli, figures, harness
+from propdp import cli, figures, harness, models
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
 from propdp.errors import NumericError
 from propdp.laws import parse_law
@@ -53,6 +54,50 @@ class TestBasics:
 
     def test_unknown_figure_name_is_usage_error(self):
         assert run_cli("figure", "--name", "fig9", "--out", "x").returncode == 2
+
+    def test_no_scipy_at_runtime(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from propdp import cli\n"
+            "assert cli.main(['theory', '--model', 'huber_objective', '--delta', '0.5',"
+            " '--out', sys.argv[1] + '/t.json']) == 0\n"
+            "assert cli.main(['privacy', 'objective', '--nu', '1', '--lambda', '1',"
+            " '--out', sys.argv[1] + '/p.json']) == 0\n"
+            "assert cli.main(['figure', '--name', 'fig2', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestWarnings:
+    SIMULATE = ("simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.5",
+                "--replicates", "1", "--jobs", "1")
+
+    def test_failed_theory_point_is_reported_on_stderr(self, monkeypatch, capsys):
+        def fail(self, config, delta, *, seed, initial=None):
+            raise NumericError("injected failure")
+
+        monkeypatch.setattr(models.ModelSpec, "solve", fail)
+        handlers = list(logging.getLogger("propdp").handlers)
+        assert cli.main(list(self.SIMULATE)) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "propdp: WARNING: huber_objective at n=4, d=4: no theory: injected failure\n"
+        )
+        theory = next(csv.DictReader(io.StringIO(out)))["theory"]
+        assert theory == ""
+        # the handler lives for one call: a second call prints the message once
+        assert logging.getLogger("propdp").handlers == handlers
+        assert cli.main(list(self.SIMULATE)) == 0
+        assert capsys.readouterr().err.count("injected failure") == 1
+
+    def test_library_use_stays_silent(self, capsys):
+        logging.getLogger("propdp.harness").warning("not for stderr")
+        assert capsys.readouterr().err == ""
 
 
 class TestTheory:
@@ -513,14 +558,16 @@ class TestInputBoundary:
 
     def test_overflowing_estimate_exits_3(self):
         # the replicate's arithmetic overflows: one numeric error, not a
-        # stream of numpy RuntimeWarnings before it
+        # stream of numpy RuntimeWarnings before it; the grid point's failed
+        # theory solve is the one warning ahead of it
         proc = run_cli(
             "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.5",
             "--replicates", "1", "--jobs", "1", "--signal", "gaussian:1e200",
         )
         assert proc.returncode == 3
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("propdp: numeric error: huber_objective replicate: ")
+        warning, error = proc.stderr.splitlines()
+        assert warning.startswith("propdp: WARNING: huber_objective at n=10, d=10: no theory: ")
+        assert error.startswith("propdp: numeric error: huber_objective replicate: ")
         # an inf or nan that still reaches a CSV cell is refused
         with pytest.raises(NumericError, match="non-finite number in the output"):
             cli._fmt(math.inf)

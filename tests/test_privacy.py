@@ -8,6 +8,7 @@ in-test for a grid sweep.
 
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -22,6 +23,7 @@ from propdp.privacy import (
     dpsgd_zcdp,
     gaussian_mechanism_zcdp,
     hockey_stick,
+    log_ndtr,
     objective_perturbation_delta,
     objective_perturbation_nu_for_zcdp,
     objective_perturbation_rdp,
@@ -68,6 +70,24 @@ class TestGlmSensitivity:
             GlmSensitivity(0.0, 1.0)
         with pytest.raises(ConfigError):
             GlmSensitivity(1.0, 1.0, -2.0)
+
+
+class TestLogNdtr:
+    @staticmethod
+    def exact(x: float) -> float:
+        with mpmath.workdps(40):
+            return float(mpmath.log(mpmath.ncdf(mpmath.mpf(x))))
+
+    @pytest.mark.parametrize("x", [
+        -19.0, -19.999, -20.0, math.nextafter(-20.0, -21.0), -20.001, -21.0,
+        -0.0, -0.5, -1.0, -5.0, -10.0, -37.5, -40.0, -1e3, -1e5, -1e8,
+    ])
+    def test_matches_mpmath_on_both_sides_of_the_series_seam(self, x):
+        assert log_ndtr(x) == pytest.approx(self.exact(x), rel=1e-15)
+
+    def test_nan_and_infinity(self):
+        assert math.isnan(log_ndtr(math.nan))
+        assert log_ndtr(-math.inf) == -math.inf
 
 
 class TestHockeyStick:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from propdp.laws import parse_law
 from propdp.quadrature import (
@@ -50,6 +51,22 @@ class TestRule:
             z[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+    @pytest.mark.parametrize("n", [20, 80, 120, 240, 400])
+    def test_matches_scipy_roots_hermite(self, n):
+        # scipy's rule, moved to the N(0,1) scale, is the test-side oracle;
+        # above 150 nodes scipy switches to an asymptotic rule of its own
+        x, w = roots_hermite(n)
+        z, weights = standard_normal_rule(n)
+        np.testing.assert_allclose(z, math.sqrt(2.0) * x, rtol=0, atol=3e-14)
+        np.testing.assert_allclose(weights, w / math.sqrt(math.pi), rtol=0, atol=1e-15)
+
+    def test_symmetric_and_finite_at_400_nodes(self):
+        z, w = standard_normal_rule(400)
+        assert np.isfinite(z).all() and np.isfinite(w).all() and (w >= 0).all()
+        np.testing.assert_allclose(z, -z[::-1], rtol=0, atol=1e-14)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestRule2D:

@@ -6,7 +6,9 @@ Frozen reference values come from the independent scripts under oracles/
 """
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from propdp.scalars import (
     clip,
     clipped_mean,
     clipped_second_moment,
+    erfc,
     expected_huber,
     gaussian_cdf,
     gaussian_pdf,
@@ -193,6 +196,22 @@ class TestProxLogisticDerivative:
         assert prox_logistic_derivative(x, g) == pytest.approx(0.6688863962062681, abs=1e-9)
 
 
+def _exact_erfc(x: float) -> float:
+    """erfc(x) rounded to a float; mpmath overflows near |x| = 1e154, and
+    beyond |x| = 30 the value rounds to 0 or 2 anyway."""
+    if abs(x) > 30.0:
+        return 0.0 if x > 0 else 2.0
+    with mpmath.workdps(40):
+        return float(mpmath.erfc(mpmath.mpf(x)))
+
+
+def _assert_erfc_accurate(got: float, x: float) -> None:
+    """Within 1e-15 relative of mpmath where erfc(x) is a normal float."""
+    want = _exact_erfc(x)
+    if want >= sys.float_info.min:
+        assert abs(got - want) <= 1e-15 * want, (x, got, want)
+
+
 class TestGaussianFunctions:
     def test_pdf_cdf_at_zero(self):
         assert gaussian_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
@@ -205,6 +224,73 @@ class TestGaussianFunctions:
     def test_cdf_tails(self):
         assert gaussian_cdf(8.0) == pytest.approx(1.0, abs=1e-12)
         assert gaussian_cdf(-8.0) == pytest.approx(6.22096057427178e-16, rel=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_matches_mpmath_at_the_rounded_argument(self, x):
+        # gaussian_cdf(x) is 0.5 * erfc(-x / sqrt(2)); the rounding of that
+        # quotient is the input's own error, so mpmath takes the same quotient
+        u = -x / math.sqrt(2.0)
+        want = _exact_erfc(u) / 2.0
+        got = float(gaussian_cdf(x))
+        if want >= sys.float_info.min:
+            assert abs(got - want) <= 1e-15 * want, (x, got, want)
+        elif u >= 26.6:
+            assert got == 0.0
+
+    def test_saturates_and_passes_nan(self):
+        assert gaussian_cdf(np.array([-40.0, 9.0, np.inf])).tolist() == [0.0, 1.0, 1.0]
+        assert math.isnan(gaussian_cdf(np.nan))
+
+
+class TestErfc:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_matches_mpmath_over_the_float_range(self, x):
+        _assert_erfc_accurate(float(erfc(x)), x)
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 5e-324, 0.46875, math.nextafter(0.46875, 1), -0.46875, 4.0,
+        math.nextafter(4.0, 5), -4.0, -5.999, 26.5, 26.54,
+    ])
+    def test_matches_mpmath_at_the_seams(self, x):
+        _assert_erfc_accurate(float(erfc(x)), x)
+        _assert_erfc_accurate(float(erfc(np.array([x]))[0]), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-6.0, 27.0))
+    def test_matches_mpmath_where_it_is_computed(self, x):
+        _assert_erfc_accurate(float(erfc(x)), x)
+
+    def test_saturates_exactly(self):
+        x = np.array([26.6, 27.0, 1e300, np.inf, -6.0, -7.0, -1e300, -np.inf])
+        assert erfc(x).tolist() == [0.0] * 4 + [2.0] * 4
+        assert [float(erfc(v)) for v in x] == [0.0] * 4 + [2.0] * 4
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(erfc(np.nan))
+        out = erfc(np.array([np.nan, 0.0, np.nan, 30.0, -30.0, 1.0]))
+        assert np.isnan(out[[0, 2]]).all()
+        assert out[[1, 3, 4]].tolist() == [1.0, 0.0, 2.0]
+
+    def test_scalar_path_is_bit_identical_to_the_array_path(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            rng.uniform(-7.0, 28.0, 20_000),
+            rng.uniform(-0.5, 0.5, 5_000),
+            rng.uniform(3.9, 4.1, 5_000),
+            [0.46875, -0.46875, 4.0, -4.0, 0.0, -0.0, 26.6, -6.0],
+        ])
+        batch = erfc(x)
+        assert [float(erfc(v)).hex() for v in x] == [v.hex() for v in batch.tolist()]
+        assert erfc(x.reshape(30_008 // 8, 8)).ravel().tolist() == batch.tolist()
+
+    def test_keeps_the_input_shape(self):
+        assert erfc(np.zeros((2, 3))).shape == (2, 3)
+        x = np.linspace(-8.0, 30.0, 12).reshape(3, 4)
+        assert erfc(x.T).tolist() == erfc(x).T.tolist()  # a strided view
+        assert erfc(np.zeros(0)).shape == (0,)
+        assert isinstance(erfc(1.0), np.float64)
 
 
 class TestClippedMoments:

@@ -230,6 +230,8 @@ class TestValidation:
 # float.hex values recorded from the recursion before it became one solve
 # function.  The summation order is part of the output: a reordered sum shows
 # here, most of all at T = 8, where eigh carries it into the sampled paths.
+# The Huber T = 8 values were recorded again when the clipped moments moved
+# to scalars.erfc; 17 of them moved, by at most 2.3e-15 relative.
 PINNED = {
     ("huber", 3): {
         "mse": [
@@ -270,23 +272,23 @@ PINNED = {
     ("huber", 8): {
         "mse": [
             "0x1.0000000000000p+0", "0x1.7ea80dc19c178p-2", "0x1.83fb4fb9970e8p-3",
-            "0x1.f35de4b2476c0p-4", "0x1.777345aa0dc70p-4", "0x1.39c6b15a4acd8p-4",
-            "0x1.351d143297318p-4", "0x1.4698a2a309df0p-4", "0x1.885377cd5de10p-4",
+            "0x1.f35de4b2476c0p-4", "0x1.777345aa0dc70p-4", "0x1.39c6b15a4acd0p-4",
+            "0x1.351d143297320p-4", "0x1.4698a2a309df0p-4", "0x1.885377cd5de20p-4",
         ],
         "bias": [
             "0x0.0p+0", "0x1.13ed0dedaaaefp-1", "0x1.5bf56568c672cp-1",
             "0x1.a79a2109e242fp-1", "0x1.a2dd064fdcb40p-1", "0x1.d4fd3d930afdap-1",
-            "0x1.be05d4c215c3fp-1", "0x1.ed1e5a3e0bc24p-1", "0x1.ca3787a5c1bedp-1",
+            "0x1.be05d4c215c3ep-1", "0x1.ed1e5a3e0bc24p-1", "0x1.ca3787a5c1becp-1",
         ],
         "mse_mc": [
             "0x1.f5c2390917908p-1", "0x1.79e5951103764p-2", "0x1.7ef750657ce86p-3",
-            "0x1.f3d1fa49f3b5ep-4", "0x1.73be78826a42cp-4", "0x1.3ca4807de136dp-4",
-            "0x1.321ac4020ea9ap-4", "0x1.4cc36bcc85867p-4", "0x1.86342c60392e5p-4",
+            "0x1.f3d1fa49f3b5cp-4", "0x1.73be78826a42ep-4", "0x1.3ca4807de136cp-4",
+            "0x1.321ac4020ea9cp-4", "0x1.4cc36bcc85869p-4", "0x1.86342c60392f0p-4",
         ],
         "mse_stderr": [
-            "0x1.c48f2ad425028p-7", "0x1.58e4ff75226d4p-8", "0x1.5328a81776396p-9",
-            "0x1.c7185677ac3a3p-10", "0x1.4955ba5e38843p-10", "0x1.1f7cb17663688p-10",
-            "0x1.141736b2c47efp-10", "0x1.27f84bf76cf4ep-10", "0x1.6639a624440eep-10",
+            "0x1.c48f2ad425028p-7", "0x1.58e4ff75226d4p-8", "0x1.5328a81776394p-9",
+            "0x1.c7185677ac3a8p-10", "0x1.4955ba5e38843p-10", "0x1.1f7cb17663683p-10",
+            "0x1.141736b2c47f6p-10", "0x1.27f84bf76cf53p-10", "0x1.6639a624440f7p-10",
         ],
     },
     ("logistic", 8): {
