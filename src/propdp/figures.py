@@ -42,10 +42,14 @@ class FigureSpec:
         return tuple(config for _, config in self.runs) if self.simulate else ()
 
     def theory_rows(self) -> list[dict]:
+        """The runs' dense curves, computing only the plotted metrics.  Runs
+        that pose the same fixed-point system (output perturbation solves at
+        nu = 0 whatever its nu) share each solve, for this call only."""
+        solved: dict = {}
         rows = []
         for label, config in self.runs:
-            rows += _curve_rows(self.name, label, config)
-        return [row for row in rows if self.metrics is None or row["metric"] in self.metrics]
+            rows += _curve_rows(self.name, label, config, metrics=self.metrics, solved=solved)
+        return rows
 
 
 def _row(name: str, label: str, ratio: float, nu: float, metric: str, value: float) -> dict:
@@ -60,23 +64,36 @@ def _row(name: str, label: str, ratio: float, nu: float, metric: str, value: flo
     }
 
 
-def _curve_rows(name: str, label: str, config: ExperimentConfig) -> list[dict]:
-    """One model's predictions along the dense grid, each fixed-point solve
-    warm-started from the previous grid point's solution to stay on the
-    continuous branch; a grid point whose solve fails is logged and left out."""
+def _curve_rows(
+    name: str, label: str, config: ExperimentConfig, *,
+    metrics: tuple[str, ...] | None = None, solved: dict | None = None,
+) -> list[dict]:
+    """One model's predictions along the dense grid (``metrics`` and
+    ``solved`` as in ``ModelSpec.solve``).  To stay on the continuous branch,
+    each fixed-point solve starts from the straight-line extrapolation
+    2*x_k - x_(k-1) of the two previous solutions (the ratios are evenly
+    spaced), or from x_k alone where that leaves the positive orthant or
+    only one is known; a grid point whose solve fails is logged and left
+    out, and the next one starts cold."""
     spec = models.get(config.model)
     rows = []
-    guess = None
+    previous = guess = None
     for index, ratio in enumerate(DENSE_RATIOS):
+        initial = guess
+        if previous is not None:
+            ahead = tuple(2.0 * x - y for x, y in zip(guess, previous))
+            if all(x > 0 for x in ahead):
+                initial = ahead
         try:
             theory = spec.solve(
-                config, (1.0 - ratio) / ratio, seed=child_seed(config.seed, index), initial=guess
+                config, (1.0 - ratio) / ratio, seed=child_seed(config.seed, index),
+                initial=initial, metrics=metrics, solved=solved,
             )
         except NumericError as exc:
             logger.warning("%s %s: ratio %g left out: %s", name, label, ratio, exc)
-            guess = None
+            previous = guess = None
             continue
-        guess = theory.guess
+        previous, guess = guess, theory.guess
         rows.extend(
             _row(name, label, ratio, config.nu, k, v) for k, v in theory.predictions.items()
         )

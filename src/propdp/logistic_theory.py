@@ -156,13 +156,19 @@ def rho_prime_difference(sol: LogisticSolution, *, nodes: int = quadrature.DEFAU
     return float(np.dot(w, branch))
 
 
-def logistic_predictions(sol: LogisticSolution) -> dict[str, float]:
-    """Predicted empirical metrics under the limiting laws."""
+def logistic_predictions(
+    sol: LogisticSolution, metrics: tuple[str, ...] | None = None
+) -> dict[str, float]:
+    """Predicted empirical metrics under the limiting laws.  ``rho_diff``,
+    the only one that evaluates the prox, is left out unless ``metrics`` is
+    None or names it."""
     kappa_sq = sol.kappa**2
-    return {
+    preds = {
         "estimation_error": (1.0 - sol.alpha_star) ** 2 * kappa_sq + sol.sigma_star**2,
         "bias": sol.alpha_star * kappa_sq,
         "xi_correlation": -sol.gamma_star * sol.nu,
-        "rho_diff": rho_prime_difference(sol),
     }
+    if metrics is None or "rho_diff" in metrics:
+        preds["rho_diff"] = rho_prime_difference(sol)
+    return preds
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,23 +53,26 @@ def _per_step(mse, bias) -> dict[str, float]:
     return out
 
 
-def _predictions(sol) -> dict[str, float]:
+def _predictions(sol, metrics=None) -> dict[str, float]:
+    """The solution's predicted metrics, at least those in ``metrics`` (None: all)."""
     if isinstance(sol, huber_theory.HuberSolution):
         return huber_theory.huber_predictions(sol)
-    return logistic_theory.logistic_predictions(sol)
+    return logistic_theory.logistic_predictions(sol, metrics)
 
 
 def output_perturbation_predictions(base, nu: float) -> dict[str, float]:
     """Metrics for adding nu*xi to the non-private minimizer.
 
-    ``base`` is a Huber or logistic solution at nu = 0.  The loss-specific
-    fourth metric of the perturbed output has no closed form and is left out.
+    ``base`` is a Huber or logistic solution at nu = 0, of which only the
+    estimation error and the bias are read.  The loss-specific fourth metric
+    of the perturbed output has no closed form, so it is neither computed nor
+    returned.
     """
     if base.nu != 0.0:
         raise ConfigError("output_perturbation_predictions: base solution must have nu = 0")
     if nu < 0:
         raise ConfigError("output_perturbation_predictions: nu must be >= 0")
-    preds = _predictions(base)
+    preds = _predictions(base, ("estimation_error", "bias"))
     return {
         "estimation_error": preds["estimation_error"] + nu**2,
         "bias": preds["bias"],
@@ -129,12 +132,16 @@ class ModelSpec:
         return text
 
     def solve(
-        self, config, delta: float, *, seed: int, initial: tuple | None = None
+        self, config, delta: float, *, seed: int, initial: tuple | None = None,
+        metrics: tuple[str, ...] | None = None, solved: dict | None = None,
     ) -> Theory:
         """Solve the model's limit at one delta under ``config``'s settings.
 
         ``initial`` warm-starts the fixed-point solvers; ``seed`` is used
         only by the noisy-GD models, whose state evolution is sampled.
+        ``metrics`` names the predictions to compute and return (None: all).
+        ``solved`` maps a fixed-point solver's inputs, warm start included,
+        to its solution: a solve found there is reused, a new one is added.
         Overflow, an invalid or divide-by-zero floating-point operation or a
         singular Newton system at extreme inputs, and non-finite predictions,
         raise NumericError.
@@ -143,7 +150,12 @@ class ModelSpec:
             if self.mechanism == "dpsgd":
                 theory = self._trace(config, delta, seed)
             else:
-                theory = self._fixed_point(config, delta, initial)
+                theory = self._fixed_point(
+                    config, delta, initial, metrics, {} if solved is None else solved
+                )
+        if metrics is not None:
+            predictions = {k: v for k, v in theory.predictions.items() if k in metrics}
+            theory = replace(theory, predictions=predictions)
         if not all(math.isfinite(v) for v in theory.predictions.values()):
             raise NumericError(f"{self.name} at delta={delta!r}: non-finite prediction")
         return theory
@@ -162,23 +174,25 @@ class ModelSpec:
             )
         return Theory(trace.as_dict(), _per_step(trace.mse, trace.bias), None)
 
-    def _fixed_point(self, config, delta, initial) -> Theory:
+    def _fixed_point(self, config, delta, initial, metrics, solved) -> Theory:
         nu_solve = 0.0 if self.mechanism == "output" else config.nu
         if self.loss == "huber":
-            sol = huber_theory.solve_huber_system(
-                delta, config.lam, nu_solve, config.L, config.signal_law, config.noise_law,
-                initial=initial,
-            )
+            solver = huber_theory.solve_huber_system
+            inputs = (delta, config.lam, nu_solve, config.L, config.signal_law, config.noise_law)
+        else:
+            solver = logistic_theory.solve_logistic_system
+            inputs = (delta, config.lam, nu_solve, math.sqrt(config.signal_law.second_moment))
+        key = (self.loss, *inputs, initial)
+        sol = solved.get(key)
+        if sol is None:
+            sol = solved[key] = solver(*inputs, initial=initial)
+        if self.loss == "huber":
             guess = (sol.sigma_star, sol.tau_star)
         else:
-            sol = logistic_theory.solve_logistic_system(
-                delta, config.lam, nu_solve, math.sqrt(config.signal_law.second_moment),
-                initial=initial,
-            )
             guess = (sol.alpha_star, sol.sigma_star, sol.gamma_star)
         if self.mechanism == "output":
             return Theory(sol.as_dict(), output_perturbation_predictions(sol, config.nu), guess)
-        return Theory(sol.as_dict(), _predictions(sol), guess)
+        return Theory(sol.as_dict(), _predictions(sol, metrics), guess)
 
     def replicate(
         self, config, X, beta_star, radius: float, seeds

@@ -39,7 +39,8 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonRe
     """Newton with halving line search; iterates stay strictly positive.
 
     ``f(x)`` returns ``(F, J)``; a non-finite F or J raises NonConvergenceError
-    at the start and rejects the candidate during the line search.
+    at the start and rejects the candidate during the line search.  The
+    reported condition number is that of J at the returned iterate.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, J, norm = _evaluate(f, x)
@@ -47,11 +48,13 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonRe
         raise NonConvergenceError(
             "newton: non-finite residual or Jacobian", last_iterate=x, residual=norm
         )
-    cond = np.inf
-    for it in range(max_iter):
-        if norm <= tol:
-            return NewtonResult(x, norm, it, cond)
-        cond = float(np.linalg.cond(J))
+    iterations = 0
+    while norm > tol:
+        if iterations == max_iter:
+            raise NonConvergenceError(
+                f"newton: residual {norm:.3e} after {max_iter} iterations",
+                last_iterate=x, residual=norm,
+            )
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -71,11 +74,8 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonRe
             raise NonConvergenceError(
                 f"newton: stalled at residual {norm:.3e}", last_iterate=x, residual=norm
             )
-    if norm <= tol:
-        return NewtonResult(x, norm, max_iter, cond)
-    raise NonConvergenceError(
-        f"newton: residual {norm:.3e} after {max_iter} iterations", last_iterate=x, residual=norm
-    )
+        iterations += 1
+    return NewtonResult(x, norm, iterations, float(np.linalg.cond(J)))
 
 
 def multistart_seeds(k: int, count: int = 8) -> list[np.ndarray]:

@@ -12,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 
-DEFAULT_NODES_1D = 120
 DEFAULT_NODES_2D = 80
 
 NEWTON_STEPS = 2  # the eigenvalues are good to ~1e-14; two steps reach the float limit

@@ -36,6 +36,9 @@ from propdp.scalars import (
 
 _JACOBIAN_REL_STEP = 1e-6
 
+# node count of the one-dimensional Gauss-Hermite rule behind the expectations here
+DEFAULT_NODES_1D = 120
+
 
 def central_difference_jacobian(f, x) -> np.ndarray:
     """Jacobian of the residual-only map ``f`` at x by central differences
@@ -118,7 +121,7 @@ def normal(seed: int, tag: str, *indices: int, size) -> np.ndarray:
     return box_muller(stream(seed, tag, *indices), size)
 
 
-def expect(fn, n: int = quadrature.DEFAULT_NODES_1D) -> float:
+def expect(fn, n: int = DEFAULT_NODES_1D) -> float:
     """E[fn(Z)] for Z ~ N(0,1)."""
     z, w = quadrature.standard_normal_rule(n)
     return float(np.dot(w, fn(z)))
@@ -130,7 +133,7 @@ def expect2d(fn, n: int = quadrature.DEFAULT_NODES_2D) -> float:
     return float(np.dot(w, fn(z1, z2)))
 
 
-def law_expect(fn, law: ScalarLaw, n: int = quadrature.DEFAULT_NODES_1D) -> float:
+def law_expect(fn, law: ScalarLaw, n: int = DEFAULT_NODES_1D) -> float:
     """E[fn(X)] for X ~ law, exact over point masses, GH over Gaussians."""
     z, w = quadrature.standard_normal_rule(n)
     total = 0.0
@@ -175,7 +178,7 @@ def system_residual_quadrature(
     L: float,
     kappa_sq: float,
     noise: ScalarLaw,
-    nodes: int = quadrature.DEFAULT_NODES_1D,
+    nodes: int = DEFAULT_NODES_1D,
 ) -> np.ndarray:
     """The residuals of ``huber_theory.system_residual`` evaluated by an
     independent discretization.
@@ -249,7 +252,7 @@ def limit_triple_moment(sol, fn, *, nodes: int = 48) -> float:
     return total
 
 
-def residual_pair_moment(sol, fn, *, nodes: int = quadrature.DEFAULT_NODES_1D) -> float:
+def residual_pair_moment(sol, fn, *, nodes: int = DEFAULT_NODES_1D) -> float:
     """E[fn(eps0, clip((sigma*Z + eps0)/(1+tau*), L))] under the residual law
     of a HuberSolution."""
     z, w = quadrature.standard_normal_rule(nodes)

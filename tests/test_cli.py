@@ -432,7 +432,7 @@ class TestFigure:
         # the theory curves and the simulation sweeps both see --replicates and PROPDP_SEED
         seen = []
 
-        def curve_rows(name, label, config):
+        def curve_rows(name, label, config, **kwargs):
             seen.append(config)
             return []
 
@@ -450,7 +450,7 @@ class TestFigure:
         assert json.loads((tmp_path / "fig6_manifest.json").read_text())["master_seed"] == 7
 
     def test_theory_only_manifest_hashes_its_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(figures, "_curve_rows", lambda name, label, config: [])
+        monkeypatch.setattr(figures, "_curve_rows", lambda name, label, config, **kwargs: [])
         monkeypatch.delenv("PROPDP_SEED", raising=False)
 
         def manifest(out):

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from propdp import models
+from propdp import huber_theory, logistic_theory, models
 from propdp.errors import ConfigError, NumericError
 from propdp.figures import DENSE_RATIOS, FIGURE_NAMES, FIGURES, get_figure
 from propdp.harness import ExperimentConfig
@@ -118,3 +118,57 @@ class TestTheoryRows:
             for (label, ratio), value in est.items():
                 if label == lab:
                     assert value - est[(base, ratio)] == pytest.approx(0.25, abs=1e-12)
+
+
+def _record_calls(monkeypatch) -> dict:
+    """Replace the two fixed-point solvers and ``rho_prime_difference`` with
+    wrappers that record each call's arguments."""
+    calls = {}
+    for module, attr in (
+        (huber_theory, "solve_huber_system"),
+        (logistic_theory, "solve_logistic_system"),
+        (logistic_theory, "rho_prime_difference"),
+    ):
+        seen = calls[attr] = []
+
+        def wrapper(*args, _original=getattr(module, attr), _seen=seen, **kwargs):
+            _seen.append((args, tuple(sorted(kwargs.items()))))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+class TestTheoryRowsWork:
+    def test_fig2_solves_each_distinct_system_once(self, monkeypatch):
+        calls = _record_calls(monkeypatch)
+        get_figure("fig2").theory_rows()
+        assert calls["rho_prime_difference"] == []  # fig2 plots the estimation error alone
+        # per loss: the two objective curves' systems, and one set shared by
+        # the two output curves, which both solve at nu = 0 from the same starts
+        for solver in ("solve_huber_system", "solve_logistic_system"):
+            assert len(set(calls[solver])) == len(calls[solver]) == 3 * len(DENSE_RATIOS)
+
+    def test_no_solve_is_kept_between_calls(self, monkeypatch):
+        calls = _record_calls(monkeypatch)
+        get_figure("fig2").theory_rows()
+        first = {name: len(seen) for name, seen in calls.items()}
+        get_figure("fig2").theory_rows()
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            name: 2 * count for name, count in first.items()
+        }
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5"])
+    def test_warm_started_points_match_cold_solves(self, name):
+        spec = get_figure(name)
+        configs = dict(spec.runs)
+        cold = {}
+        for row in spec.theory_rows():
+            key = (row["label"], row["ratio"])
+            if key not in cold:
+                config = configs[row["label"]]
+                cold[key] = models.get(config.model).solve(
+                    config, row["delta"], seed=config.seed, metrics=spec.metrics
+                ).predictions
+            assert row["value"] == pytest.approx(cold[key][row["metric"]], rel=1e-9, abs=0)
+        assert len(cold) == len(spec.runs) * len(DENSE_RATIOS)

@@ -57,6 +57,14 @@ class TestFrozenSolutions:
         )
         assert warm.sigma_star == pytest.approx(cold.sigma_star, rel=1e-10)
 
+    def test_converged_start_reports_a_finite_condition_number(self):
+        cold = solve_logistic_system(1.0, 1.0, 0.2, 1.0)
+        again = solve_logistic_system(
+            1.0, 1.0, 0.2, 1.0, initial=(cold.alpha_star, cold.sigma_star, cold.gamma_star)
+        )
+        assert again.iterations == 0
+        assert np.isfinite(again.condition_number)
+
     def test_solution_ranges(self):
         sol = solve_logistic_system(0.5, 1.0, 0.2, 1.0)
         assert 0.0 < sol.alpha_star < 1.0
@@ -116,6 +124,12 @@ class TestPredictions:
         assert preds["bias"] == pytest.approx(sol.alpha_star, rel=1e-14)
         assert preds["xi_correlation"] == pytest.approx(-sol.gamma_star * 0.2, rel=1e-14)
         assert 0.0 < preds["rho_diff"] < 1.0
+
+    def test_rho_diff_only_when_asked(self):
+        sol = solve_logistic_system(0.5, 1.0, 0.2, 1.0)
+        full = logistic_predictions(sol)
+        assert set(logistic_predictions(sol, ("estimation_error",))) == set(full) - {"rho_diff"}
+        assert logistic_predictions(sol, ("rho_diff",))["rho_diff"] == full["rho_diff"]
 
     def test_rho_diff_against_monte_carlo(self):
         sol = solve_logistic_system(0.5, 1.0, 0.2, 1.0)

@@ -50,6 +50,17 @@ class TestDampedNewton:
         assert exc_info.value.last_iterate is not None
         assert exc_info.value.residual is not None and exc_info.value.residual > 0
 
+    def test_converged_start_reports_a_finite_condition_number(self):
+        res = damped_newton(quad_root_at_2, np.array([2.0]))
+        assert res.iterations == 0
+        assert res.condition_number == pytest.approx(1.0)  # J = [[4]]
+
+    def test_condition_number_is_taken_at_the_returned_iterate(self):
+        res = damped_newton(coupled_system, np.array([0.5, 2.5]))
+        J = coupled_system(res.x)[1]
+        assert res.iterations > 0
+        assert res.condition_number == np.linalg.cond(J)
+
     def test_tolerance_honored(self):
         res = damped_newton(quad_root_at_2, np.array([3.0]), tol=1e-13)
         assert res.residual_norm <= 1e-13

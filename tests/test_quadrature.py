@@ -8,12 +8,11 @@ from scipy.special import roots_hermite
 
 from propdp.laws import parse_law
 from propdp.quadrature import (
-    DEFAULT_NODES_1D,
     DEFAULT_NODES_2D,
     standard_normal_rule,
     standard_normal_rule_2d,
 )
-from support import expect, expect2d, law_expect
+from support import DEFAULT_NODES_1D, expect, expect2d, law_expect
 
 
 class TestRule:
