@@ -62,7 +62,7 @@ from .erm import (
 )
 from .harness import (
     ExperimentConfig,
-    MetricRecord,
+    GridPoint,
     run_experiment,
     summarize,
 )
@@ -106,7 +106,7 @@ __all__ = [
     "fit_output_perturbation",
     "run_noisy_gd",
     "ExperimentConfig",
-    "MetricRecord",
+    "GridPoint",
     "run_experiment",
     "summarize",
     "FIGURE_NAMES",

@@ -15,7 +15,8 @@ timestamps, so identical (config, seed, version) triples reproduce identical
 file digests.  Each file streams into ``<path>.partial``, and all of them
 move into place only once the command's last file is complete: a failed
 command publishes nothing and leaves earlier files alone, and a path that
-cannot be written is a config error.  Output to stdout still streams.
+cannot be written is a config error.  Output to stdout still streams, so a
+command that fails partway may have printed part of its rows.
 """
 
 from __future__ import annotations
@@ -136,8 +137,11 @@ class _Outputs(contextlib.AbstractContextManager):
                 outputs = [os.path.abspath(path) for path in self.paths]
                 digests = {}
                 for output, path in zip(outputs, self.paths):
-                    with open(path + ".partial", "rb") as fh:
-                        digests[output] = hashlib.sha256(fh.read()).hexdigest()
+                    digest = hashlib.sha256()
+                    with open(path + ".partial", "rb") as fh:  # 1 MiB at a time
+                        for chunk in iter(lambda: fh.read(1 << 20), b""):
+                            digest.update(chunk)
+                    digests[output] = digest.hexdigest()
                 self.write_json(self.manifest or self.paths[0] + ".manifest.json", {
                     **self.head, "finished_utc": _utc_now(),
                     "output_paths": outputs, "output_digests": digests,
@@ -235,38 +239,43 @@ SUMMARY_HEADER = (  # the figure column is only in a figure's summary
     "theory", "z_score",
 )
 
-def _simulate_rows(config: harness.ExperimentConfig, records):
-    """SIMULATE_HEADER rows; the sweep's settings are formatted once, and a
-    grid point's n, d, delta and theory cells once per grid point."""
+def _simulate_rows(config: harness.ExperimentConfig, points):
+    """SIMULATE_HEADER rows of a sweep's grid points, as they arrive; the
+    sweep's settings are formatted once, and a point's n, d, delta and theory
+    cells once per point."""
     cells = {key: _fmt(value) for key, value in harness.settings_echo(config).items()}
-    grid_index = None
-    for record in records:
-        if record.grid_index != grid_index:
-            grid_index = record.grid_index
-            cells.update(n=_fmt(record.n), d=_fmt(record.d), delta=_fmt(record.d / record.n))
-            metrics = sorted(record.empirical)
-            theory = {metric: _fmt((record.theory or {}).get(metric)) for metric in metrics}
-        cells.update(
-            replicate=_fmt(record.replicate), seed=_fmt(record.seed),
-            fit_iterations=_fmt(record.fit_iterations), grad_norm=_fmt(record.grad_norm),
-        )
-        for metric in metrics:
+    for point in points:
+        cells.update(n=_fmt(point.n), d=_fmt(point.d), delta=_fmt(point.d / point.n))
+        metrics = sorted(point.replicates[0][1])
+        theory = {metric: _fmt((point.theory or {}).get(metric)) for metric in metrics}
+        for replicate, (seed, values, iterations, grad_norm) in enumerate(point.replicates):
             cells.update(
-                metric=metric, empirical=_fmt(record.empirical[metric]), theory=theory[metric]
+                replicate=_fmt(replicate), seed=_fmt(seed),
+                fit_iterations=_fmt(iterations), grad_norm=_fmt(grad_norm),
             )
-            yield [cells[key] for key in SIMULATE_HEADER]
+            for metric in metrics:
+                cells.update(metric=metric, empirical=_fmt(values[metric]), theory=theory[metric])
+                yield [cells[key] for key in SIMULATE_HEADER]
 
 
 def cmd_simulate(args) -> int:
-    """Run a replicated sweep and emit one CSV row per (replicate, metric)."""
+    """Run a replicated sweep and emit one CSV row per (replicate, metric), a
+    grid point's rows as it arrives; only the points' summary rows are kept."""
     config = _load_config(args)
-    records = harness.run_experiment(config, jobs=args.jobs)
+    summary: list[dict] = []
+
+    def points():
+        for point in harness.run_experiment(config, jobs=args.jobs):
+            if args.summary is not None:
+                summary.extend(harness.summarize([point]))
+            yield point
+
     with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
-        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_rows(config, records))
+        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_rows(config, points()))
         if args.summary is not None:
             header = SUMMARY_HEADER[1:]
-            rows = (_cells(row, header) for row in harness.summarize(records))
-            outputs.write_csv(args.summary, header, rows)
+            summary.sort(key=lambda row: (row["n"], row["d"]))  # summarize's order, over the sweep
+            outputs.write_csv(args.summary, header, (_cells(row, header) for row in summary))
     return 0
 
 
@@ -329,7 +338,8 @@ def cmd_figure(args) -> int:
             rows = (
                 _cells({"figure": spec.name, **row}, SUMMARY_HEADER)
                 for config in spec.configs
-                for row in harness.summarize(harness.run_experiment(config, jobs=args.jobs))
+                # the sweep runs first, so a timer on summarize sees only the reduction
+                for row in harness.summarize(list(harness.run_experiment(config, jobs=args.jobs)))
             )
             outputs.write_csv(path("simulation.csv"), SUMMARY_HEADER, rows)
     return 0

@@ -10,11 +10,13 @@ bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import numbers
 import operator
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -155,22 +157,19 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class MetricRecord:
-    """One replicate of a sweep: what differs between replicates, the grid
-    point's predictions, and the sweep's ``config``, which fixes every other
-    setting (``settings_echo`` derives the ones a row repeats)."""
+class GridPoint:
+    """One grid point of a sweep: its predictions and, in replicate order,
+    each replicate's ``(seed, empirical, fit_iterations, grad_norm)``, the
+    last two being the fit's certificate (Newton steps and final ||grad F||;
+    None for noisy GD).  The sweep's ``config`` fixes every other setting
+    (``settings_echo`` derives the ones a row repeats)."""
 
     config: ExperimentConfig
-    grid_index: int
+    index: int
     n: int
     d: int
-    replicate: int
-    seed: int
-    empirical: dict
     theory: dict | None
-    # the fit's certificate: Newton steps and final ||grad F|| (None for noisy GD)
-    fit_iterations: int | None
-    grad_norm: float | None
+    replicates: list[tuple]
 
 
 def settings_echo(config: ExperimentConfig) -> dict:
@@ -264,68 +263,52 @@ def _blocks(config: ExperimentConfig) -> list[tuple]:
     return blocks
 
 
-def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> list[MetricRecord]:
-    """All replicates over the configured grid, ordered by (grid, replicate).
+def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> Iterator[GridPoint]:
+    """The configured grid's points in grid order, each yielded once its last
+    block of replicates is back, so a caller holds one point at a time.
 
     The grid points' theory solves and the blocks of replicates are the
     tasks; with more than one worker they share one pool, the solves first,
-    so the slow ones overlap the blocks.  Records are the same under any
-    ``jobs``."""
+    so the slow ones overlap the blocks.  Points are the same under any
+    ``jobs``.  Closing the generator early cancels the blocks not yet started."""
     points = config.grid_points()
     blocks = _blocks(config)
     # the pool forks all its workers at the first submit: no more than there are tasks or cores
     workers = min(jobs, len(points) + len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        theories = [solve_theory(config, n, d, index) for index, (n, d) in enumerate(points)]
-        results = [_run_cell(block) for block in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solves = [
-                pool.submit(solve_theory, config, n, d, index)
-                for index, (n, d) in enumerate(points)
-            ]
-            chunksize = max(1, len(blocks) // (8 * workers))
-            results = list(pool.map(_run_cell, blocks, chunksize=chunksize))
-            theories = [solve.result() for solve in solves]
-    return [
-        MetricRecord(config, index, n, d, replicate, seed, empirical, theories[index], *fit)
-        for (_, index, n, d, start, _), block in zip(blocks, results)
-        for replicate, (seed, empirical, *fit) in enumerate(block, start)
-    ]
+    with contextlib.ExitStack() as stack:
+        if workers <= 1:
+            theories = (solve_theory(config, n, d, index) for index, (n, d) in enumerate(points))
+            results = map(_run_cell, blocks)
+        else:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            solves = [pool.submit(solve_theory, config, n, d, i) for i, (n, d) in enumerate(points)]
+            theories = (solve.result() for solve in solves)
+            results = pool.map(_run_cell, blocks, chunksize=max(1, len(blocks) // (8 * workers)))
+        for (index, (n, d)), theory in zip(enumerate(points), theories):
+            replicates = []
+            while len(replicates) < config.replicates:
+                replicates += next(results)
+            yield GridPoint(config, index, n, d, theory, replicates)
 
 
-def summarize(records: list[MetricRecord]) -> list[dict]:
+def summarize(points: Iterable[GridPoint]) -> list[dict]:
     """Per-grid-point means, standard errors, theory values, and z-scores of
-    one sweep's records, with the sweep's settings."""
-    groups: dict[tuple, list[MetricRecord]] = {}
-    for record in records:
-        groups.setdefault((record.n, record.d, record.grid_index), []).append(record)
-    echo = settings_echo(records[0].config) if records else {}
+    one sweep's points, with the sweep's settings; sorted by (n, d), and a
+    repeated point keeps its grid order."""
     rows = []
-    for (n, d, _), members in sorted(groups.items()):
-        head = members[0]
-        for metric in sorted(head.empirical):
-            values = np.array([m.empirical[metric] for m in members], dtype=float)
+    for point in sorted(points, key=lambda point: (point.n, point.d)):
+        echo = settings_echo(point.config)
+        empiricals = [replicate[1] for replicate in point.replicates]
+        for metric in sorted(empiricals[0]):
+            values = np.array([empirical[metric] for empirical in empiricals], dtype=float)
             mean = float(values.mean())
-            stderr = (
-                float(values.std(ddof=1) / math.sqrt(len(values)))
-                if len(values) > 1
-                else 0.0
-            )
-            theory = (head.theory or {}).get(metric)
+            stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+            theory = (point.theory or {}).get(metric)
             z_score = (mean - theory) / stderr if theory is not None and stderr > 0.0 else None
-            rows.append(
-                {
-                    **echo,
-                    "n": n,
-                    "d": d,
-                    "delta": d / n,
-                    "metric": metric,
-                    "replicates": len(members),
-                    "empirical_mean": mean,
-                    "empirical_stderr": stderr,
-                    "theory": theory,
-                    "z_score": z_score,
-                }
-            )
+            rows.append({
+                **echo, "n": point.n, "d": point.d, "delta": point.d / point.n, "metric": metric,
+                "replicates": len(values), "empirical_mean": mean, "empirical_stderr": stderr,
+                "theory": theory, "z_score": z_score,
+            })
     return rows

@@ -103,7 +103,6 @@ def solve_logistic_system(
     nu: float,
     kappa: float,
     *,
-    nodes: int = quadrature.DEFAULT_NODES_2D,
     initial: tuple[float, float, float] | None = None,
 ) -> LogisticSolution:
     """Solve the three-equation system for (alpha*, sigma*, gamma*)."""
@@ -117,9 +116,7 @@ def solve_logistic_system(
         raise ConfigError("solve_logistic_system: kappa must be > 0")
 
     def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return system_residual(
-            x[0], x[1], x[2], delta=delta, lam=lam, nu=nu, kappa=kappa, nodes=nodes
-        )
+        return system_residual(x[0], x[1], x[2], delta=delta, lam=lam, nu=nu, kappa=kappa)
 
     x0 = np.asarray(initial, dtype=float) if initial is not None else np.array(
         [1.0, kappa, 1.0 / (2.0 * lam + 1.0)]
@@ -139,7 +136,7 @@ def solve_logistic_system(
     )
 
 
-def rho_prime_difference(sol: LogisticSolution, *, nodes: int = quadrature.DEFAULT_NODES_2D) -> float:
+def rho_prime_difference(sol: LogisticSolution) -> float:
     """E[(sigmoid(kappa Z1) - v0)**2] where v0 is the limiting value of the
     fitted success probability sigmoid(<x, beta_hat>).
 
@@ -147,7 +144,7 @@ def rho_prime_difference(sol: LogisticSolution, *, nodes: int = quadrature.DEFAU
     y0 | Z1 ~ Bernoulli(sigmoid(kappa Z1)); both label branches are integrated
     with their conditional weights.
     """
-    z1, z2, w = quadrature.standard_normal_rule_2d(nodes)
+    z1, z2, w = quadrature.standard_normal_rule_2d(quadrature.DEFAULT_NODES_2D)
     target = logistic_rho_prime(sol.kappa * z1)
     arg = sol.alpha_star * sol.kappa * z1 + sol.sigma_star * z2
     v_pos = logistic_rho_prime(prox_logistic(arg + sol.gamma_star, sol.gamma_star))

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import NonConvergenceError
 
 _MAX_HALVINGS = 40
+_MAX_ITERATIONS = 200
+_RESTARTS = 8
 
 # The smallest ridge lam at which the Huber and logistic fixed-point systems
 # are solved: below it their Jacobians are too ill-conditioned to trust.
@@ -35,7 +37,7 @@ def _evaluate(f, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return fx, J, float(np.linalg.norm(fx)) if finite else np.inf
 
 
-def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonResult:
+def damped_newton(f, x0, *, tol: float = 1e-11) -> NewtonResult:
     """Newton with halving line search; iterates stay strictly positive.
 
     ``f(x)`` returns ``(F, J)``; a non-finite F or J raises NonConvergenceError
@@ -50,9 +52,9 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonRe
         )
     iterations = 0
     while norm > tol:
-        if iterations == max_iter:
+        if iterations == _MAX_ITERATIONS:
             raise NonConvergenceError(
-                f"newton: residual {norm:.3e} after {max_iter} iterations",
+                f"newton: residual {norm:.3e} after {_MAX_ITERATIONS} iterations",
                 last_iterate=x, residual=norm,
             )
         try:
@@ -78,9 +80,9 @@ def damped_newton(f, x0, *, tol: float = 1e-11, max_iter: int = 200) -> NewtonRe
     return NewtonResult(x, norm, iterations, float(np.linalg.cond(J)))
 
 
-def multistart_seeds(k: int, count: int = 8) -> list[np.ndarray]:
+def multistart_seeds(k: int) -> list[np.ndarray]:
     """Log-spaced diagonal seeds in [1e-2, 1e2]**k."""
-    return [np.full(k, c) for c in np.geomspace(1e-2, 1e2, count)]
+    return [np.full(k, c) for c in np.geomspace(1e-2, 1e2, _RESTARTS)]
 
 
 def solve_with_multistart(f, x0) -> NewtonResult:

@@ -45,9 +45,9 @@ MC_CHUNK = 2_000_000
 def sweep_failures(config, metrics, rel_tol):
     """Run one experiment sweep; list the grid points off theory by more than
     max(3 stderr, rel_tol * |theory|)."""
-    records = run_experiment(config, jobs=JOBS)
+    points = run_experiment(config, jobs=JOBS)
     bad = []
-    for row in summarize(records):
+    for row in summarize(points):
         if row["metric"] not in metrics:
             continue
         assert row["theory"] is not None, f"no theory at n={row['n']} d={row['d']}"
@@ -320,7 +320,7 @@ def test_criterion_7_state_evolution_vs_simulation():
                 signal="gaussian:1", noise="gaussian:0.2", L=10.0, lam=1.0,
                 nu=nu, steps=3, replicates=10_000, mc_samples=10_000, seed=107,
             )
-            records = run_experiment(config, jobs=JOBS)
+            (point,) = run_experiment(config, jobs=JOBS)
             n, d = config.grid_points()[0]
             delta = d / n
             seed = child_seed(config.seed, 0)
@@ -335,10 +335,10 @@ def test_criterion_7_state_evolution_vs_simulation():
                     mc_samples=10_000, seed=seed,
                 )
             # the harness served exactly this trace as the point's theory
-            assert records[0].theory["estimation_error_t1"] == trace.mse[1]
+            assert point.theory["estimation_error_t1"] == trace.mse[1]
             for t in (1, 2, 3):
                 vals = np.array(
-                    [r.empirical[f"estimation_error_t{t}"] for r in records]
+                    [empirical[f"estimation_error_t{t}"] for _, empirical, *_ in point.replicates]
                 )
                 stderr = vals.std(ddof=1) / math.sqrt(vals.size)
                 combined = math.hypot(stderr, float(trace.mse_stderr[t]))
@@ -448,8 +448,11 @@ def test_criterion_8_property_suite():
         model="huber_objective", total=400, ratios=(0.5,), nu=0.2,
         replicates=3, seed=24,
     )
-    runs = [run_experiment(config), run_experiment(config)]
-    assert [r.empirical for r in runs[0]] == [r.empirical for r in runs[1]]
+    runs = [
+        [empirical for point in run_experiment(config) for _, empirical, *_ in point.replicates]
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
 
     print("CRITERION 8: PASS — prox, Moreau, gradient, certificate, and "
           "determinism properties hold")

@@ -9,9 +9,11 @@ import io
 import json
 import logging
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +37,17 @@ def run_cli(*args, env_extra=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+_run_cell = harness._run_cell
+
+
+def _cell_failing_at_point_1(args):
+    """``harness._run_cell``, but the blocks of grid point 1 fail; defined at
+    module level so that a pool worker can unpickle it by name."""
+    if args[1] == 1:
+        raise NumericError("injected block failure")
+    return _run_cell(args)
 
 
 def read_csv(path):
@@ -735,6 +748,34 @@ class TestInputBoundary:
         assert cli.main(args) == 2
         assert sorted(os.listdir(tmp_path)) == ["a.csv", "adir"]
         assert out.read_bytes() == b"earlier\n"
+
+    def test_failed_block_in_a_worker_publishes_no_file(self, tmp_path, monkeypatch, capsys):
+        # grid point 0's rows are streaming to the partial file when point 1 fails
+        monkeypatch.setattr(harness, "_run_cell", _cell_failing_at_point_1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # forked workers see the patch
+        args = [
+            "simulate", "--model", "huber_objective", "--total", "100", "--ratios", "0.3,0.5,0.7",
+            "--replicates", "70", "--jobs", "2",
+            "--out", str(tmp_path / "a.csv"), "--summary", str(tmp_path / "s.csv"),
+        ]
+        assert cli.main(args) == 3
+        assert "injected block failure" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        assert multiprocessing.active_children() == []
+
+    def test_output_digest_reads_in_chunks(self, tmp_path):
+        # hashing an 8.4 MB output for the manifest takes a fraction of its size
+        rows = ([f"{i:09d}"] * 60 for i in range(14_000))
+        tracemalloc.start()
+        try:
+            with cli._Outputs({}, None) as outputs:
+                outputs.write_csv(str(tmp_path / "big.csv"), ["cell"] * 60, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "big.csv").stat().st_size
+        assert size >= 4 << 20
+        assert peak < size / 3
 
     def test_one_path_for_two_outputs_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

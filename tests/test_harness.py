@@ -3,6 +3,7 @@ and parallel/serial equivalence."""
 
 import dataclasses
 import math
+import multiprocessing
 import os
 from concurrent.futures import Future
 
@@ -16,7 +17,7 @@ from propdp.harness import (
     DESIGNS,
     RATIO_GRID,
     ExperimentConfig,
-    MetricRecord,
+    GridPoint,
     design_radius,
     gen_design,
     gen_linear_labels,
@@ -31,6 +32,11 @@ from propdp.harness import (
 from propdp.laws import ScalarLaw
 from propdp.models import SPECS, ModelSpec, step_size_at
 from propdp.scalars import logistic_rho_prime
+
+
+def seeds_and_metrics(points):
+    """Each replicate's (seed, empirical metrics), in sweep order."""
+    return [(seed, empirical) for point in points for seed, empirical, *_ in point.replicates]
 
 
 class TestGrid:
@@ -277,30 +283,26 @@ class TestRunExperiment:
         return ExperimentConfig(**args)
 
     def test_record_layout(self):
-        records = run_experiment(self.small_config())
-        assert len(records) == 6
-        first = records[0]
-        assert isinstance(first, MetricRecord)
+        points = list(run_experiment(self.small_config()))
+        assert [len(point.replicates) for point in points] == [3, 3]
+        first = points[0]
+        assert isinstance(first, GridPoint)
         assert (first.n, first.d) == (30, 15)
-        deltas = {(row["n"], row["d"]): row["delta"] for row in summarize(records)}
+        deltas = {(row["n"], row["d"]): row["delta"] for row in summarize(points)}
         assert deltas[30, 15] == pytest.approx(0.5)
         assert first.theory is not None
-        assert all(record.config is first.config for record in records)  # one per sweep
+        assert all(point.config is first.config for point in points)  # one per sweep
         assert settings_echo(first.config)["sigma_eps"] == repr(0.2)
 
     def test_rerun_bitwise_identical(self):
         a = run_experiment(self.small_config())
         b = run_experiment(self.small_config())
-        for ra, rb in zip(a, b):
-            assert ra.seed == rb.seed
-            assert ra.empirical == rb.empirical
+        assert seeds_and_metrics(a) == seeds_and_metrics(b)
 
     def test_parallel_matches_serial(self):
         serial = run_experiment(self.small_config())
         parallel = run_experiment(self.small_config(), jobs=2)
-        for rs, rp in zip(serial, parallel):
-            assert rs.empirical == rp.empirical
-            assert rs.seed == rp.seed
+        assert seeds_and_metrics(serial) == seeds_and_metrics(parallel)
 
     @pytest.mark.parametrize(
         "jobs, cores, workers",
@@ -315,11 +317,8 @@ class TestRunExperiment:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures):
+                assert cancel_futures
 
             def submit(self, fn, *args):
                 future = Future()
@@ -334,15 +333,38 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         # 6 tasks, min(jobs, tasks, cores) workers: 3 theory points and 3 blocks
         config = self.small_config(grid=((30, 15), (15, 30), (20, 20)))
-        records = run_experiment(config, jobs=jobs)
+        points = seeds_and_metrics(run_experiment(config, jobs=jobs))
         assert sizes == ([] if workers is None else [workers])
         serial = run_experiment(config)
-        assert [r.empirical for r in records] == [r.empirical for r in serial]
+        assert points == seeds_and_metrics(serial)
+
+    def test_a_point_arrives_before_the_next_one_runs(self, monkeypatch):
+        # grid point 0 runs in two blocks (64 + 6); none of point 1's runs before it is yielded
+        ran = []
+        run_cell = harness._run_cell
+
+        def counted(args):
+            ran.append(args[1])
+            return run_cell(args)
+
+        monkeypatch.setattr(harness, "_run_cell", counted)
+        config = self.small_config(grid=((12, 6), (12, 6)), replicates=70)
+        point = next(run_experiment(config))
+        assert (point.index, len(point.replicates)) == (0, 70)
+        assert ran == [0, 0]
+
+    def test_closing_the_stream_early_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = self.small_config(grid=((12, 6),) * 4, replicates=70)
+        points = run_experiment(config, jobs=2)
+        assert next(points).index == 0
+        points.close()
+        assert multiprocessing.active_children() == []
 
     def test_seed_changes_results(self):
         a = run_experiment(self.small_config())
         b = run_experiment(self.small_config(seed=78))
-        assert a[0].empirical != b[0].empirical
+        assert next(a).replicates[0][1] != next(b).replicates[0][1]
 
     def test_dpsgd_records(self):
         cfg = ExperimentConfig(
@@ -354,9 +376,9 @@ class TestRunExperiment:
             mc_samples=10_000,
             seed=5,
         )
-        records = run_experiment(cfg)
-        assert len(records) == 2
-        assert set(records[0].empirical) == {
+        (point,) = run_experiment(cfg)
+        assert len(point.replicates) == 2
+        assert set(point.replicates[0][1]) == {
             "estimation_error_t1",
             "bias_t1",
             "estimation_error_t2",
@@ -424,9 +446,13 @@ class TestBlocks:
             mc_samples=10_000, seed=41,
         )
         assert config.replicates % harness.BLOCK_REPLICATES != 0
-        serial = run_experiment(config)
-        assert run_experiment(config, jobs=2) == serial
-        empirical = {(r.grid_index, r.replicate): r.empirical for r in serial}
+        serial = list(run_experiment(config))
+        assert list(run_experiment(config, jobs=2)) == serial
+        empirical = {
+            (point.index, replicate): values
+            for point in serial
+            for replicate, (_, values, *_) in enumerate(point.replicates)
+        }
         pinned = {key[1:]: values for key, values in self.PINNED.items() if key[0] == model}
         assert len(pinned) == 3
         for key, values in pinned.items():
@@ -435,16 +461,17 @@ class TestBlocks:
 
 class TestSummarize:
     def test_summary_math(self):
-        records = run_experiment(self.config())
-        rows = summarize(records)
+        points = list(run_experiment(self.config()))
+        rows = summarize(points)
         by_metric = {
             (r["n"], r["d"], r["metric"]): r for r in rows
         }
         # recompute one cell by hand
         cell = [
-            r.empirical["estimation_error"]
-            for r in records
-            if (r.n, r.d) == (30, 15)
+            empirical["estimation_error"]
+            for p in points
+            if (p.n, p.d) == (30, 15)
+            for _, empirical, *_ in p.replicates
         ]
         row = by_metric[(30, 15, "estimation_error")]
         assert row["replicates"] == len(cell)
@@ -470,11 +497,11 @@ class TestSummarize:
         cfg = ExperimentConfig(
             model="huber_objective", grid=((30, 33), (30, 33)), replicates=3, nu=0.2
         )
-        records = run_experiment(cfg)
-        rows = summarize(records)
+        points = list(run_experiment(cfg))
+        rows = summarize(points)
         assert len(rows) == 2 * 4
         assert all(r["replicates"] == 3 for r in rows)
-        first = [r.empirical["bias"] for r in records if r.grid_index == 0]
+        first = [empirical["bias"] for _, empirical, *_ in points[0].replicates]
         (row,) = [r for r in rows[:4] if r["metric"] == "bias"]
         assert row["empirical_mean"] == pytest.approx(np.mean(first), rel=1e-15)
 
@@ -512,7 +539,7 @@ class TestModelsCatalog:
                 mc_samples=10_000,
                 seed=1,
             )
-            records = run_experiment(cfg)
-            assert len(records) == 1
-            assert records[0].theory is not None, model
-            assert all(np.isfinite(list(records[0].empirical.values()))), model
+            (point,) = run_experiment(cfg)
+            assert len(point.replicates) == 1
+            assert point.theory is not None, model
+            assert all(np.isfinite(list(point.replicates[0][1].values()))), model

@@ -46,7 +46,7 @@ class TestDampedNewton:
     def test_nonconvergence_raises_with_iterate(self):
         # no root: x^2 + 1 = 0 over the reals
         with pytest.raises(NonConvergenceError) as exc_info:
-            damped_newton(no_real_root, np.array([1.0]), max_iter=50)
+            damped_newton(no_real_root, np.array([1.0]))
         assert exc_info.value.last_iterate is not None
         assert exc_info.value.residual is not None and exc_info.value.residual > 0
 
