@@ -80,7 +80,8 @@ class _Outputs(contextlib.AbstractContextManager):
     to stdout when the path is None.  A clean exit moves every file into place
     and then its manifest, at ``manifest`` or else ``<first path>.manifest.json``;
     any exit removes the partial files that are left, so a failure publishes
-    nothing and keeps earlier files at the same paths."""
+    nothing and keeps earlier files at the same paths.  ``head`` holds the
+    manifest's fields ahead of the outputs; a command may add its own."""
 
     def __init__(self, config: dict, master_seed, manifest: str | None = None):
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -260,17 +261,25 @@ def _simulate_rows(config: harness.ExperimentConfig, points):
 
 def cmd_simulate(args) -> int:
     """Run a replicated sweep and emit one CSV row per (replicate, metric), a
-    grid point's rows as it arrives; only the points' summary rows are kept."""
+    grid point's rows as it arrives; only the points' summary rows are kept.
+    The manifest lists the grid points whose theory solve failed."""
     config = _load_config(args)
     summary: list[dict] = []
+    failures: list[dict] = []
 
     def points():
         for point in harness.run_experiment(config, jobs=args.jobs):
             if args.summary is not None:
                 summary.extend(harness.summarize([point]))
+            if point.theory_error is not None:
+                failures.append(
+                    {"grid_index": point.index, "n": point.n, "d": point.d,
+                     "error": point.theory_error}
+                )
             yield point
 
     with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
+        outputs.head["theory_failures"] = failures  # filled as the points arrive
         outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_rows(config, points()))
         if args.summary is not None:
             header = SUMMARY_HEADER[1:]

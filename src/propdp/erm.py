@@ -22,9 +22,11 @@ at ordinary scales max(1, n) governs.  Perturbation vectors come from
 counter-based streams keyed by (seed, purpose tag), never by the data.
 
 Noisy GD runs a block of replicates as one stack of designs (a single
-replicate is a stack of one): elementwise work runs once per block, while
-each replicate keeps its own matrix-vector products and noise streams, so
-its iterates do not depend on the block it runs in.
+replicate is a stack of one): elementwise work runs once per block, the
+matrix-vector products run as one stacked matmul (one BLAS call per
+replicate, the one it makes alone) and the noise streams of all steps are
+keyed in one pass, while each replicate keeps its own products and streams,
+so its iterates do not depend on the block it runs in.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
 from .losses import MarginLoss
-from .rng import box_muller, stream
+from .rng import box_muller, stream, streams
 
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
@@ -199,9 +201,10 @@ def run_noisy_gd(
     of R replicates (``data.X`` of shape (R, n, d), one seed each) runs as
     one block and returns (R, T+1, d); one replicate with one seed is a
     stack of one and returns (T+1, d).  The block applies the loss and the
-    Box-Muller transform to all R replicates at once, but keeps each
-    replicate's matrix-vector products and noise stream its own, so a
-    replicate's iterates are the same bits in any block.
+    Box-Muller transform to all R replicates at once, stacks the products
+    X @ beta and X' g in one matmul, and keys all T steps' noise streams
+    before its loop, but keeps each replicate's products and noise streams
+    its own, so a replicate's iterates are the same bits in any block.
     """
     if not loss.is_conditional_expectation:
         raise ConfigError(
@@ -219,14 +222,16 @@ def run_noisy_gd(
     if len(seeds) != X.shape[0]:
         raise ConfigError("run_noisy_gd: want one seed per replicate")
     replicates, _, d = X.shape
+    if nu > 0:
+        noise = streams([(s, "noisy-gd-xi", t) for t in range(steps) for s in seeds])
     trajectory = np.zeros((replicates, steps + 1, d))
     beta = np.zeros((replicates, d))
     for t in range(steps):
-        margins = np.stack([Xk @ bk for Xk, bk in zip(X, beta)])
+        margins = np.matmul(X, beta[:, :, None])[:, :, 0]
         gradients = loss.gradients(margins, y)
-        grad = np.stack([Xk.T @ gk for Xk, gk in zip(X, gradients)])
+        grad = np.matmul(gradients[:, None, :], X)[:, 0]
         if nu > 0:
-            grad = grad + nu * box_muller([stream(s, "noisy-gd-xi", t) for s in seeds], d)
+            grad = grad + nu * box_muller([next(noise) for _ in seeds], d)
         beta = beta - step_size * grad
         trajectory[:, t + 1] = beta
     return trajectory[0] if single else trajectory

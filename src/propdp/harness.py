@@ -25,7 +25,7 @@ import numpy as np
 from . import models
 from .errors import ConfigError, NumericError
 from .laws import ScalarLaw, parse_law
-from .rng import box_muller, child_seed, stream
+from .rng import box_muller, child_seed, stream, streams
 from .scalars import logistic_rho_prime
 
 logger = logging.getLogger(__name__)
@@ -161,8 +161,10 @@ class GridPoint:
     """One grid point of a sweep: its predictions and, in replicate order,
     each replicate's ``(seed, empirical, fit_iterations, grad_norm)``, the
     last two being the fit's certificate (Newton steps and final ||grad F||;
-    None for noisy GD).  The sweep's ``config`` fixes every other setting
-    (``settings_echo`` derives the ones a row repeats)."""
+    None for noisy GD).  A point whose theory solve failed has no
+    predictions and the failure in ``theory_error``.  The sweep's ``config``
+    fixes every other setting (``settings_echo`` derives the ones a row
+    repeats)."""
 
     config: ExperimentConfig
     index: int
@@ -170,6 +172,7 @@ class GridPoint:
     d: int
     theory: dict | None
     replicates: list[tuple]
+    theory_error: str | None = None
 
 
 def settings_echo(config: ExperimentConfig) -> dict:
@@ -185,9 +188,10 @@ def settings_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def gen_design(n: int, d: int, kind: str, seed: int) -> np.ndarray:
-    """Feature matrix with independent mean-zero, variance-1/d entries."""
-    gen = stream(seed, "design")
+def gen_design(n: int, d: int, kind: str, seed: int | np.random.Generator) -> np.ndarray:
+    """Feature matrix with independent mean-zero, variance-1/d entries, drawn
+    from the (seed, "design") stream; ``seed`` may also be that stream, keyed."""
+    gen = seed if isinstance(seed, np.random.Generator) else stream(seed, "design")
     root_d = math.sqrt(d)
     if kind == "rademacher":
         return (2.0 * gen.integers(0, 2, size=(n, d)) - 1.0) / root_d
@@ -208,8 +212,10 @@ def design_radius(X: np.ndarray, kind: str) -> float:
     return float(np.linalg.norm(X, axis=-1).max()) + 1e-9
 
 
-def gen_signal(d: int, law: ScalarLaw, seed: int) -> np.ndarray:
-    return law.sample(stream(seed, "signal"), d)
+def gen_signal(d: int, law: ScalarLaw, seed: int | list[np.random.Generator]) -> np.ndarray:
+    """Signal coordinates from the (seed, "signal") stream; ``seed`` may also
+    be a list of such streams, keyed, which gives one row each."""
+    return law.sample(seed if isinstance(seed, list) else stream(seed, "signal"), d)
 
 
 def gen_linear_labels(
@@ -223,15 +229,18 @@ def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int) -> np.n
     return (stream(seed, "labels").random(X.shape[0]) < probs).astype(float)
 
 
-def solve_theory(config: ExperimentConfig, n: int, d: int, grid_index: int) -> dict | None:
-    """Predictions for one grid point; None when the solve fails numerically."""
+def solve_theory(
+    config: ExperimentConfig, n: int, d: int, grid_index: int
+) -> tuple[dict | None, str | None]:
+    """Predictions for one grid point and None; or None and the failure,
+    when the solve fails numerically."""
+    spec = models.get(config.model)
     try:
-        return models.get(config.model).solve(
-            config, d / n, seed=child_seed(config.seed, grid_index)
-        ).predictions
+        theory = spec.solve(config, d / n, seed=child_seed(config.seed, grid_index))
     except NumericError as exc:
         logger.warning("%s at n=%d, d=%d: no theory: %s", config.model, n, d, exc)
-        return None
+        return None, f"{type(exc).__name__}: {exc}"
+    return theory.predictions, None
 
 
 def _run_cell(args) -> list[tuple]:
@@ -239,10 +248,11 @@ def _run_cell(args) -> list[tuple]:
     each replicate's seed, metrics and fit certificate."""
     config, grid_index, n, d, start, stop = args
     seeds = [child_seed(config.seed, grid_index, replicate) for replicate in range(start, stop)]
-    X, beta_star = np.empty((len(seeds), n, d)), np.empty((len(seeds), d))
-    for k, seed in enumerate(seeds):
-        X[k] = gen_design(n, d, config.design, seed)
-        beta_star[k] = gen_signal(d, config.signal_law, seed)
+    keyed = streams([(seed, "design") for seed in seeds] + [(seed, "signal") for seed in seeds])
+    X = np.empty((len(seeds), n, d))
+    for k in range(len(seeds)):
+        X[k] = gen_design(n, d, config.design, next(keyed))
+    beta_star = gen_signal(d, config.signal_law, list(keyed))
     fits = models.get(config.model).replicate(
         config, X, beta_star, design_radius(X, config.design), seeds
     )
@@ -285,11 +295,11 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> Iterator[GridP
             solves = [pool.submit(solve_theory, config, n, d, i) for i, (n, d) in enumerate(points)]
             theories = (solve.result() for solve in solves)
             results = pool.map(_run_cell, blocks, chunksize=max(1, len(blocks) // (8 * workers)))
-        for (index, (n, d)), theory in zip(enumerate(points), theories):
+        for (index, (n, d)), (theory, error) in zip(enumerate(points), theories):
             replicates = []
             while len(replicates) < config.replicates:
                 replicates += next(results)
-            yield GridPoint(config, index, n, d, theory, replicates)
+            yield GridPoint(config, index, n, d, theory, replicates, error)
 
 
 def summarize(points: Iterable[GridPoint]) -> list[dict]:

@@ -90,20 +90,28 @@ class ScalarLaw:
             terms += [math.sqrt(w) * loc, math.sqrt(w) * scale]
         return math.hypot(*terms)
 
-    def sample(self, gen: np.random.Generator, size) -> np.ndarray:
-        """Draws, with component choice and Box-Muller normals from ``gen``."""
+    def sample(self, gen: np.random.Generator | list[np.random.Generator], size) -> np.ndarray:
+        """Draws, with component choice and Box-Muller normals from ``gen``.
+
+        ``gen`` may also be a sequence of generators: row k of the result is
+        then ``sample(gen[k], size)``, with every row drawn in one pass."""
+        single = isinstance(gen, np.random.Generator)
+        gens = [gen] if single else list(gen)
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         locs = np.asarray(self.locs)
         scales = np.asarray(self.scales)
         if len(self.weights) == 1:
-            idx = np.zeros(n, dtype=int)
+            idx = np.zeros((len(gens), n), dtype=int)
         else:
             edges = np.cumsum(np.asarray(self.weights))
-            idx = np.searchsorted(edges, gen.random(n), side="right")
+            idx = np.searchsorted(edges, np.array([g.random(n) for g in gens]), side="right")
             idx = np.minimum(idx, len(self.weights) - 1)
-        z = rng.box_muller(gen, n)
-        return (locs[idx] + scales[idx] * z).reshape(shape)
+        z = rng.box_muller(gens, n)
+        draws = locs[idx] + scales[idx] * z
+        if single:
+            return draws[0].reshape(shape)
+        return draws.reshape((len(gens), *shape))
 
 
 # --- clipped moments of m + eps, eps ~ law (exact component sums) ---------

@@ -212,16 +212,16 @@ class ModelSpec:
                 else:
                     loss = losses.LogisticCeLoss()
                 step = step_size_at(d / X.shape[1], config.step_size)
-                margins = np.stack([Xk @ bk for Xk, bk in zip(X, beta_star)])
+                margins = np.matmul(X, beta_star[:, :, None])[:, :, 0]
                 trajectories = erm.run_noisy_gd(
                     erm.Dataset(X, margins, radius), loss, step, config.nu, config.steps, seeds
                 )
+                # one (1, d) @ (d, 1) product per iterate: a dot, as e @ e is
                 errors = trajectories - beta_star[:, None, :]
-                scored = []
-                for error, path, bk in zip(errors, trajectories, beta_star):
-                    mse = [float(e @ e) / d for e in error]
-                    scored.append((_per_step(mse, [float(b @ bk) / d for b in path]), None))
-                return scored
+                mse = np.matmul(errors[:, :, None, :], errors[:, :, :, None])[..., 0, 0] / d
+                bias = np.matmul(trajectories[:, :, None, :], beta_star[:, None, :, None])
+                bias = bias[..., 0, 0] / d
+                return [(_per_step(m, b), None) for m, b in zip(mse, bias)]
             scored = []
             for Xk, bk, seed in zip(X, beta_star, seeds):
                 if self.loss == "huber":

@@ -86,6 +86,19 @@ class TestBasics:
         assert proc.stdout == "[]\n"
 
 
+    def test_import_loads_neither_numpy_random_nor_scipy(self):
+        # numpy.random costs setup time; the runtime loads it when it first draws
+        script = (
+            "import sys\n"
+            "import propdp.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'numpy.random' or m.startswith(('numpy.random.', 'scipy'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestWarnings:
     SIMULATE = ("simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.5",
                 "--replicates", "1", "--jobs", "1")
@@ -106,6 +119,38 @@ class TestWarnings:
         # the handler lives for one call: a second call prints the message once
         assert logging.getLogger("propdp").handlers == handlers
         assert cli.main(list(self.SIMULATE)) == 0
+        assert capsys.readouterr().err.count("injected failure") == 1
+
+    def test_failed_theory_points_are_in_the_manifest(self, monkeypatch, tmp_path, capsys):
+        solve = models.ModelSpec.solve
+
+        def fail_above_one(self, config, delta, **kwargs):
+            if delta > 1:
+                raise NumericError("injected failure")
+            return solve(self, config, delta, **kwargs)
+
+        out = tmp_path / "sim.csv"
+        args = [
+            "simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.2,0.5,0.8",
+            "--replicates", "1", "--jobs", "1", "--out", str(out),
+        ]
+        manifest = tmp_path / "sim.csv.manifest.json"
+        assert cli.main(args) == 0
+        assert json.loads(manifest.read_text())["theory_failures"] == []
+        _, clean = read_csv(out)
+        monkeypatch.setattr(models.ModelSpec, "solve", fail_above_one)
+        assert cli.main(args) == 0
+        assert json.loads(manifest.read_text())["theory_failures"] == [
+            {"grid_index": 0, "n": 2, "d": 8, "error": "NumericError: injected failure"}
+        ]
+        header, rows = read_csv(out)
+        n_col, theory_col = header.index("n"), header.index("theory")
+        assert len(rows) == len(clean)
+        for row, clean_row in zip(rows, clean):
+            if row[n_col] == "2":  # only the failed point loses its theory cells
+                assert row[theory_col] == ""
+                row[theory_col] = clean_row[theory_col]
+            assert row == clean_row
         assert capsys.readouterr().err.count("injected failure") == 1
 
     def test_library_use_stays_silent(self, capsys):

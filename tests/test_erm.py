@@ -346,6 +346,22 @@ class TestNoisyGd:
             single = run_noisy_gd(part, loss, step_size=0.3, nu=0.2, steps=3, seed=seed)
             np.testing.assert_array_equal(path, single)
 
+    @pytest.mark.parametrize("loss", [loss, LogisticCeLoss()], ids=["huber", "logistic"])
+    def test_stack_matches_the_replicate_loop(self, loss):
+        # the stacked products and the streams keyed in one pass give the
+        # bits of the plain loop: per replicate and step, X @ beta, X' g and
+        # its own (seed, "noisy-gd-xi", t) stream
+        stack, parts = self.make_stack()
+        seeds = [11, 2**32 - 1, 13]
+        block = run_noisy_gd(stack, loss, step_size=0.3, nu=0.2, steps=3, seed=seeds)
+        for part, seed, path in zip(parts, seeds, block):
+            beta = np.zeros(part.d)
+            for t in range(3):
+                grad = part.X.T @ loss.gradients(part.X @ beta, part.y)
+                grad = grad + 0.2 * box_muller(stream(seed, "noisy-gd-xi", t), part.d)
+                beta = beta - 0.3 * grad
+                np.testing.assert_array_equal(path[t + 1], beta)
+
     def test_stack_validation(self):
         stack, _ = self.make_stack()
         with pytest.raises(ConfigError, match="one seed per replicate"):

@@ -234,19 +234,22 @@ class TestEmpiricalMetrics:
 class TestSolveTheory:
     def test_huber_objective_keys(self):
         cfg = ExperimentConfig(model="huber_objective", nu=0.2)
-        out = solve_theory(cfg, 40, 20, 0)
+        out, error = solve_theory(cfg, 40, 20, 0)
+        assert error is None
         assert set(out) == {"estimation_error", "bias", "xi_correlation", "truncated_residual"}
 
     def test_output_model_keys(self):
         cfg = ExperimentConfig(model="logistic_output", nu=0.2)
-        out = solve_theory(cfg, 40, 20, 0)
+        out, error = solve_theory(cfg, 40, 20, 0)
+        assert error is None
         assert set(out) == {"estimation_error", "bias", "xi_correlation"}
 
     def test_dpsgd_keys(self):
         cfg = ExperimentConfig(
             model="logistic_dpsgd_ce", steps=2, mc_samples=10_000, nu=0.1
         )
-        out = solve_theory(cfg, 40, 20, 0)
+        out, error = solve_theory(cfg, 40, 20, 0)
+        assert error is None
         assert set(out) == {
             "estimation_error_t1",
             "bias_t1",
@@ -256,7 +259,7 @@ class TestSolveTheory:
 
     def test_failure_returns_none(self, monkeypatch, caplog):
         # a lam below the conditioning floor is refused when the config is
-        # built; a solve that fails numerically gives None
+        # built; a solve that fails numerically gives None and the failure
         with pytest.raises(ConfigError):
             ExperimentConfig(model="huber_objective", lam=1e-12)
 
@@ -265,7 +268,8 @@ class TestSolveTheory:
 
         monkeypatch.setattr(ModelSpec, "solve", fail)
         with caplog.at_level("WARNING", logger="propdp.harness"):
-            assert solve_theory(ExperimentConfig(model="huber_objective"), 40, 20, 0) is None
+            out = solve_theory(ExperimentConfig(model="huber_objective"), 40, 20, 0)
+        assert out == (None, "NumericError: injected failure")
         assert "huber_objective at n=40, d=20" in caplog.text
         assert "injected failure" in caplog.text
 

@@ -138,6 +138,14 @@ class TestSampling:
             se = mk.std(ddof=1) / math.sqrt(draws.size)
             assert law.moment(k) == pytest.approx(mk.mean(), abs=4 * se)
 
+    @pytest.mark.parametrize("text", ["gaussian:1", "mix:0.5*gaussian:1,0.5*point:-2"])
+    def test_rows_are_their_own_streams(self, text):
+        law = parse_law(text)
+        rows = law.sample([stream(s, "rows") for s in range(3)], (4, 5))
+        assert rows.shape == (3, 4, 5)
+        for s, row in enumerate(rows):
+            np.testing.assert_array_equal(row, law.sample(stream(s, "rows"), (4, 5)))
+
     def test_deterministic(self):
         law = parse_law("mix:0.5*gaussian:1,0.5*point:-2")
         a = law.sample(stream(3, "det"), 1000)

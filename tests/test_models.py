@@ -30,7 +30,7 @@ def test_harness_cli_and_figures_agree(model, monkeypatch):
     # figure's first point is solved cold, like the harness's and the CLI's
     monkeypatch.setattr(figures, "DENSE_RATIOS", (0.5,))
     config = harness.ExperimentConfig(model=model, nu=0.2, L=10.0, lam=1.0, seed=SEED)
-    from_harness = harness.solve_theory(config, 20, 20, 0)
+    from_harness, _ = harness.solve_theory(config, 20, 20, 0)
 
     (point,) = theory_command(
         "--model", model, "--delta", "1", "--nu", "0.2", "--L", "10",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from propdp.rng import box_muller, child_seed, stream
+from propdp.rng import box_muller, child_seed, stream, streams
 from support import normal
 
 
@@ -27,6 +27,42 @@ class TestStream:
         _ = s1.random(999)
         fresh = stream(7, "b").random(10)
         np.testing.assert_array_equal(fresh, stream(7, "b").random(10))
+
+
+class TestStreams:
+    """``streams`` hashes many cells' keys in one pass; each generator must be
+    the one ``stream`` builds for its cell, draw for draw."""
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -1)
+    TAGS = ("design", "signal", "noisy-gd-xi", "")
+    INDICES = ((), (0,), (2**40,), (0, 2**40), (7, 0, 2**40, 3))
+
+    @staticmethod
+    def assert_same_draws(cells):
+        gens = list(streams(cells))
+        assert len(gens) == len(cells)
+        for cell, gen in zip(cells, gens):
+            reference = stream(*cell)
+            np.testing.assert_array_equal(gen.random(9), reference.random(9), err_msg=str(cell))
+            np.testing.assert_array_equal(
+                gen.integers(0, 2**62, size=5), reference.integers(0, 2**62, size=5)
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_stream(self, seed):
+        self.assert_same_draws([(seed, tag, *ix) for tag in self.TAGS for ix in self.INDICES])
+
+    def test_mixed_word_widths_in_one_pass(self):
+        # seeds below 2**32 are one 32-bit word, above it two: one call
+        # hashes rows of three to eleven words, interleaved
+        cells = [
+            (seed, tag, *ix)
+            for ix in self.INDICES for seed in self.SEEDS for tag in self.TAGS[:2]
+        ]
+        self.assert_same_draws(cells)
+
+    def test_empty(self):
+        assert list(streams([])) == []
 
 
 class TestBoxMuller:
