@@ -27,6 +27,7 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import math
@@ -61,8 +62,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cells(row: dict, header) -> list[str]:
-    return [_fmt(row[key]) for key in header]
+def _line(values) -> str:
+    """``values`` as one CSV line of ``_fmt`` cells, quoted as csv.writer quotes."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([_fmt(value) for value in values])
+    return buffer.getvalue()
 
 
 def _utc_now() -> str:
@@ -115,13 +119,12 @@ class _Outputs(contextlib.AbstractContextManager):
         except OSError as exc:
             raise _write_error(path, exc) from None
 
-    def write_csv(self, path: str | None, header, rows) -> None:
-        """One header row, then ``rows`` of formatted cells as they come."""
+    def write_csv(self, path: str | None, header, lines) -> None:
+        """One header line, then ``lines`` (``_line``'s text) as they come."""
 
         def emit(fh):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(_line(header))
+            fh.writelines(lines)
 
         self._stream(path, emit)
 
@@ -234,29 +237,28 @@ SIMULATE_HEADER = (
     "sigma_eps", "replicate", "seed", "metric", "empirical", "theory",
     "fit_iterations", "grad_norm",
 )
+_POINT_COLUMNS = SIMULATE_HEADER[:SIMULATE_HEADER.index("replicate")]  # a point's shared cells
 SUMMARY_HEADER = (  # the figure column is only in a figure's summary
     "figure", "model", "design", "n", "d", "delta", "lambda", "nu", "L",
     "kappa", "metric", "replicates", "empirical_mean", "empirical_stderr",
     "theory", "z_score",
 )
 
-def _simulate_rows(config: harness.ExperimentConfig, points):
-    """SIMULATE_HEADER rows of a sweep's grid points, as they arrive; the
-    sweep's settings are formatted once, and a point's n, d, delta and theory
-    cells once per point."""
-    cells = {key: _fmt(value) for key, value in harness.settings_echo(config).items()}
+def _simulate_lines(config: harness.ExperimentConfig, points):
+    """SIMULATE_HEADER lines of a sweep's grid points, as they arrive.  A
+    point's text cells go through ``_line`` once; a line joins them with its
+    replicate's numbers, which need no quotes, in one f-string."""
+    echo = harness.settings_echo(config)
     for point in points:
-        cells.update(n=_fmt(point.n), d=_fmt(point.d), delta=_fmt(point.d / point.n))
-        metrics = sorted(point.replicates[0][1])
-        theory = {metric: _fmt((point.theory or {}).get(metric)) for metric in metrics}
+        cells = {**echo, "n": point.n, "d": point.d, "delta": point.d / point.n}
+        prefix = _line([cells[key] for key in _POINT_COLUMNS])[:-1]
+        metrics = [(metric, _line([metric])[:-1], _fmt((point.theory or {}).get(metric)))
+                   for metric in sorted(point.replicates[0][1])]
         for replicate, (seed, values, iterations, grad_norm) in enumerate(point.replicates):
-            cells.update(
-                replicate=_fmt(replicate), seed=_fmt(seed),
-                fit_iterations=_fmt(iterations), grad_norm=_fmt(grad_norm),
-            )
-            for metric in metrics:
-                cells.update(metric=metric, empirical=_fmt(values[metric]), theory=theory[metric])
-                yield [cells[key] for key in SIMULATE_HEADER]
+            head = f"{prefix},{replicate},{_fmt(seed)},"  # metric, empirical, theory next
+            tail = f",{_fmt(iterations)},{_fmt(grad_norm)}\n"
+            for metric, label, theory_cell in metrics:
+                yield f"{head}{label},{_fmt(values[metric])},{theory_cell}{tail}"
 
 
 def cmd_simulate(args) -> int:
@@ -280,11 +282,12 @@ def cmd_simulate(args) -> int:
 
     with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
         outputs.head["theory_failures"] = failures  # filled as the points arrive
-        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_rows(config, points()))
+        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_lines(config, points()))
         if args.summary is not None:
             header = SUMMARY_HEADER[1:]
             summary.sort(key=lambda row: (row["n"], row["d"]))  # summarize's order, over the sweep
-            outputs.write_csv(args.summary, header, (_cells(row, header) for row in summary))
+            rows = (_line([row[key] for key in header]) for row in summary)
+            outputs.write_csv(args.summary, header, rows)
     return 0
 
 
@@ -341,11 +344,11 @@ def cmd_figure(args) -> int:
     runs = [{"label": label, **dataclasses.asdict(config)} for label, config in spec.runs]
     settings = {"command": "figure", "figure": spec.name, "runs": runs}
     with _Outputs(settings, spec.runs[0][1].seed, path("manifest.json")) as outputs:
-        rows = (_cells(row, THEORY_HEADER) for row in spec.theory_rows())
+        rows = (_line([row[key] for key in THEORY_HEADER]) for row in spec.theory_rows())
         outputs.write_csv(path("theory.csv"), THEORY_HEADER, rows)
         if spec.simulate:
             rows = (
-                _cells({"figure": spec.name, **row}, SUMMARY_HEADER)
+                _line([spec.name, *(row[key] for key in SUMMARY_HEADER[1:])])
                 for config in spec.configs
                 # the sweep runs first, so a timer on summarize sees only the reduction
                 for row in harness.summarize(list(harness.run_experiment(config, jobs=args.jobs)))

@@ -188,18 +188,28 @@ def settings_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def gen_design(n: int, d: int, kind: str, seed: int | np.random.Generator) -> np.ndarray:
+def gen_design(n: int, d: int, kind: str, seed: int | list[np.random.Generator]) -> np.ndarray:
     """Feature matrix with independent mean-zero, variance-1/d entries, drawn
-    from the (seed, "design") stream; ``seed`` may also be that stream, keyed."""
-    gen = seed if isinstance(seed, np.random.Generator) else stream(seed, "design")
-    root_d = math.sqrt(d)
-    if kind == "rademacher":
-        return (2.0 * gen.integers(0, 2, size=(n, d)) - 1.0) / root_d
-    if kind == "gaussian":
-        return box_muller(gen, n * d).reshape(n, d) / root_d
-    if kind == "bounded_uniform":
-        return (2.0 * gen.random((n, d)) - 1.0) * math.sqrt(3.0) / root_d
-    raise ConfigError(f"gen_design: unknown design {kind!r}")
+    from the (seed, "design") stream; ``seed`` may also be a list of such streams,
+    keyed, for an (R, n, d) stack whose arithmetic runs once on all their draws."""
+    gens = seed if isinstance(seed, list) else [stream(seed, "design")]
+    X = np.empty((len(gens), n, d))
+    for k, gen in enumerate(gens):
+        if kind == "rademacher":
+            X[k] = gen.integers(0, 2, size=(n, d))
+        elif kind == "gaussian":
+            X[k] = box_muller(gen, n * d).reshape(n, d)
+        elif kind == "bounded_uniform":
+            X[k] = gen.random((n, d))
+        else:
+            raise ConfigError(f"gen_design: unknown design {kind!r}")
+    if kind != "gaussian":  # 2u - 1, times sqrt(3) for the uniform
+        X *= 2.0
+        X -= 1.0
+        if kind == "bounded_uniform":
+            X *= math.sqrt(3.0)
+    X /= math.sqrt(d)
+    return X if isinstance(seed, list) else X[0]
 
 
 def design_radius(X: np.ndarray, kind: str) -> float:
@@ -249,9 +259,7 @@ def _run_cell(args) -> list[tuple]:
     config, grid_index, n, d, start, stop = args
     seeds = [child_seed(config.seed, grid_index, replicate) for replicate in range(start, stop)]
     keyed = streams([(seed, "design") for seed in seeds] + [(seed, "signal") for seed in seeds])
-    X = np.empty((len(seeds), n, d))
-    for k in range(len(seeds)):
-        X[k] = gen_design(n, d, config.design, next(keyed))
+    X = gen_design(n, d, config.design, [next(keyed) for _ in seeds])
     beta_star = gen_signal(d, config.signal_law, list(keyed))
     fits = models.get(config.model).replicate(
         config, X, beta_star, design_radius(X, config.design), seeds

@@ -117,22 +117,16 @@ class ScalarLaw:
 # --- clipped moments of m + eps, eps ~ law (exact component sums) ---------
 
 
-def _fold(m, law: ScalarLaw, fn, L):
+def law_clipped_mean_inside(m, law: ScalarLaw, L, out: np.ndarray) -> np.ndarray:
+    """E[clip(m + eps, L)] and P(|m + eps| < L) with eps ~ law, written into
+    rows 0 and 1 of ``out``, a (2, *m.shape) array."""
     m = np.asarray(m, dtype=float)
-    total = np.zeros_like(m)
+    out[...] = 0.0
     for w, loc, scale in zip(law.weights, law.locs, law.scales):
-        total = total + w * fn(m + loc, scale, L)
-    return total
-
-
-def law_clipped_mean(m, law: ScalarLaw, L) -> np.ndarray:
-    """E[clip(m + eps, L)] with eps ~ law."""
-    return _fold(m, law, scalars.clipped_mean, L)
-
-
-def law_interval_probability(m, law: ScalarLaw, L) -> np.ndarray:
-    """P(|m + eps| < L) with eps ~ law."""
-    return _fold(m, law, scalars.interval_probability, L)
+        mean, inside = scalars.clipped_mean_inside(m + loc, scale, L)
+        out[0] += w * mean
+        out[1] += w * inside
+    return out
 
 
 def parse_law(text: str) -> ScalarLaw:

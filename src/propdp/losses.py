@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError
-from .laws import ScalarLaw, law_clipped_mean, law_interval_probability
+from .laws import ScalarLaw, law_clipped_mean_inside
 from .scalars import (
     clip, expected_huber, huber, logistic_rho, logistic_rho_prime, logistic_rho_second,
 )
@@ -110,14 +110,17 @@ class HuberCeLoss(MarginLoss):
 
     def gradients(self, margins, y):
         residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
-        return -law_clipped_mean(residual, self.noise, self.L)
+        out = np.empty((2, *residual.shape))
+        return -law_clipped_mean_inside(residual, self.noise, self.L, out)[0]
 
-    def gradient_partials(self, margins, y):
-        """Derivatives of ``gradients`` in the margin and in the label:
-        (P(|y + eps - m| < L), -P(|y + eps - m| < L))."""
+    def gradient_terms(self, margins, y, out):
+        """``gradients`` and its margin and label derivatives, in one pass, into
+        the rows of ``out``: -E[clip(y + eps - m, L)], P(|y + eps - m| < L), -P."""
         residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
-        inside = law_interval_probability(residual, self.noise, self.L)
-        return inside, -inside
+        law_clipped_mean_inside(residual, self.noise, self.L, out=out[:2])
+        np.negative(out[0], out=out[0])
+        np.negative(out[1], out=out[2])
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,12 @@ class LogisticCeLoss(MarginLoss):
             np.asarray(y)
         )
 
-    def gradient_partials(self, margins, y):
-        """Derivatives of ``gradients`` in the margin and in the label:
-        (rho''(m), -rho''(y))."""
-        return logistic_rho_second(np.asarray(margins)), -logistic_rho_second(np.asarray(y))
+    def gradient_terms(self, margins, y, out):
+        """``gradients`` and its margin and label derivatives, from one sigmoid
+        of each argument, into the rows of ``out``: rho'(m) - rho'(y), rho''(m), -rho''(y)."""
+        p_margin = logistic_rho_prime(np.asarray(margins))
+        p_label = logistic_rho_prime(np.asarray(y))
+        np.subtract(p_margin, p_label, out=out[0])
+        np.multiply(p_margin, 1.0 - p_margin, out=out[1])
+        np.negative(np.multiply(p_label, 1.0 - p_label, out=out[2]), out=out[2])
+        return out

@@ -102,9 +102,20 @@ def prox_logistic(x, gamma):
 
 
 def gaussian_pdf(x):
-    """Standard normal density."""
+    """Standard normal density; an exact 0 without exp's slow underflow where x*x > 1500."""
     x = np.asarray(x, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    if x.ndim == 0:
+        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    e = np.multiply(-0.5, x, order="C")
+    e *= x
+    # exp is 0 below -745.14 in any rounding; with a NaN the min is NaN: the plain formula
+    if e.min(initial=0.0) < -750.0:
+        idx = np.flatnonzero(e >= -750.0)
+        part = e.reshape(-1)[idx]
+        e.fill(0.0)
+        e.reshape(-1)[idx] = np.multiply(np.exp(part, out=part), _INV_SQRT_2PI, out=part)
+        return e
+    return np.multiply(np.exp(e, out=e), _INV_SQRT_2PI, out=e)
 
 
 # W. J. Cody's rational approximations to erf and erfc ("Rational Chebyshev
@@ -221,16 +232,18 @@ def interval_probability(mu, s, L):
     return np.where(s > 0, gaussian, (np.abs(mu) < L).astype(float))
 
 
-def clipped_mean(mu, s, L):
-    """E[clip(mu + s*Z, L)] for Z ~ N(0,1); s = 0 gives clip(mu, L)."""
+def clipped_mean_inside(mu, s: float, L):
+    """E[clip(mu + s*Z, L)] and P(|mu + s*Z| < L) for Z ~ N(0,1) and a number s >= 0,
+    from one pair of Gaussian CDFs; s = 0 gives clip(mu, L) and 1{|mu| < L}."""
+    _check_finite("clipped_mean_inside", mu)
     mu = np.asarray(mu, dtype=float)
-    s = np.asarray(s, dtype=float)
-    safe = np.where(s > 0, s, 1.0)
-    a = (-L - mu) / safe
-    b = (L - mu) / safe
+    if not s > 0:
+        return clip(mu, L), (np.abs(mu) < L).astype(float)
+    a = (-L - mu) / s
+    b = (L - mu) / s
     pa, pb = gaussian_cdf(a), gaussian_cdf(b)
-    val = mu * (pb - pa) - safe * (gaussian_pdf(b) - gaussian_pdf(a)) - L * pa + L * (1.0 - pb)
-    return np.where(s > 0, val, clip(mu, L))
+    inside = pb - pa
+    return mu * inside - s * (gaussian_pdf(b) - gaussian_pdf(a)) - L * pa + L * (1.0 - pb), inside
 
 
 def clipped_second_moment(mu, s, L):

@@ -4,9 +4,9 @@ The algorithm iterates beta^{t+1} = beta^t - step*(sum_i grad_i + nu*xi^t) on a
 "conditional expectation" loss whose per-sample gradient is a smooth scalar
 function c(margin, true_margin): the margin gradient of the ``losses``
 conditional-expectation loss (``HuberCeLoss`` or ``LogisticCeLoss``) that
-noisy GD itself runs on, whose ``gradient_partials`` give B below.  In the
-proportional regime its per-coordinate and per-sample behaviour is captured
-by a closed system of 2x2 recursions:
+noisy GD itself runs on, whose ``gradient_terms`` give c and B below in one
+pass.  In the proportional regime its per-coordinate and per-sample behaviour
+is captured by a closed system of 2x2 recursions:
 
   theta^{t+1} = (I + Gamma^t) theta^t - step*nu*[xi^t; 0]
                 + sum_{k<t} R_g(t,k) theta^k + u^t
@@ -56,8 +56,8 @@ MAX_MC_SAMPLES = 1_000_000
 EIGENVALUE_FLOOR = -1e-8
 
 
-def _gaussian_paths(gen, cov: np.ndarray, count: int) -> np.ndarray:
-    """Draw `count` rows from N(0, cov) via eigendecomposition.
+def _gaussian_paths(gen, cov: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Draw `count` rows from N(0, cov) via eigendecomposition; also the clamp count.
 
     Eigenvalues in [-1e-8, 0) are clamped to zero (rank-deficient blocks are
     expected); anything lower is a genuine inconsistency and raises.
@@ -67,11 +67,12 @@ def _gaussian_paths(gen, cov: np.ndarray, count: int) -> np.ndarray:
         raise NumericError(
             f"covariance block has eigenvalue {values.min():.3e} below {EIGENVALUE_FLOOR}"
         )
-    if values.min() < 0.0:
-        logger.debug("clamping %d negative eigenvalue(s) to zero", int((values < 0).sum()))
+    clamped = int((values < 0.0).sum())
+    if clamped:
+        logger.debug("clamping %d negative eigenvalue(s) to zero", clamped)
         values = np.where(values < 0.0, 0.0, values)
     z = box_muller(gen, count * cov.shape[0]).reshape(count, cov.shape[0])
-    return z @ (vectors * np.sqrt(values)).T
+    return z @ (vectors * np.sqrt(values)).T, clamped
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,13 @@ class StateEvolutionTrace:
     bias_mc: np.ndarray
     mse_stderr: np.ndarray
     bias_stderr: np.ndarray
+    clamped_eigenvalues: int  # small negative covariance eigenvalues set to 0
 
     def as_dict(self) -> dict:
-        """The moments and the seed, as the theory command echoes them."""
+        """The moments, the seed and the clamp count, as `theory` echoes them."""
         moments = ("mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr")
-        return {**{key: getattr(self, key).tolist() for key in moments}, "seed": self.seed}
+        out = {key: getattr(self, key).tolist() for key in moments}
+        return {**out, "seed": self.seed, "clamped_eigenvalues": self.clamped_eigenvalues}
 
 
 def _round(loss, t, paths, r_theta, step_size, scale):
@@ -112,16 +115,14 @@ def _round(loss, t, paths, r_theta, step_size, scale):
     m = paths.shape[0]
     omega1, hstar = paths[:, : t + 1], paths[:, t + 1]
     eta1 = np.empty((t + 1, m))
-    c_vals = np.empty((t + 1, m))
-    b11 = np.empty((t + 1, m))
-    b12 = np.empty((t + 1, m))
+    terms = np.empty((3, t + 1, m))  # c(eta^k) and B(eta^k)'s top row, one loss pass per k
+    c_vals, b11, b12 = terms
     for k in range(t + 1):
         memory = np.zeros(m)
         for j in range(k):
             memory += r_theta[k, j] * c_vals[j]
         eta1[k] = omega1[:, k] - step_size * memory
-        c_vals[k] = loss.gradients(eta1[k], hstar)
-        b11[k], b12[k] = loss.gradient_partials(eta1[k], hstar)
+        loss.gradient_terms(eta1[k], hstar, out=terms[:, k])
     rows = np.empty((t + 1, 2))
     rows[t] = scale * np.array([b11[t].mean(), b12[t].mean()])
     # chain[j] holds the top row of B(eta^j) @ d eta^j / d omega^s; each s
@@ -166,14 +167,16 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed) -> State
     basis_cov[0, 0] = kappa_sq
     basis_cov[1 : 1 + T, 1 : 1 + T] = np.eye(T)
     c_g = basis_cov[1 + T :, 1 + T :]
+    clamped = 0
 
     for t in range(T):
         # joint covariance of (omega^0_1..omega^t_1, true margin); the true
         # margin is beta*'s own, the basis' first slot
         rows = np.vstack([coeff[: t + 1], np.eye(1, 1 + 2 * T)])
-        paths = _gaussian_paths(
+        paths, count = _gaussian_paths(
             stream(seed, "state-evolution-omega", t), rows @ basis_cov @ rows.T, m
         )
+        clamped += count
         r_g[t, : t + 1], gram = _round(loss, t, paths, r_theta, step_size, scale)
         del paths
         # every gradient-covariance block is re-estimated from this round's
@@ -204,7 +207,7 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed) -> State
     gen = stream(seed, "state-evolution-theta")
     beta_star = signal.sample(gen, m)
     xi = box_muller(gen, m * T).reshape(m, T)
-    u = _gaussian_paths(gen, c_g, m)
+    u, count = _gaussian_paths(gen, c_g, m)
     theta1 = np.zeros((T + 1, m))
     for t in range(T):
         gamma = r_g[t, t]
@@ -229,6 +232,7 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed) -> State
         bias_mc=prod.mean(axis=1),
         mse_stderr=sq_err.std(axis=1, ddof=1) / root_m,
         bias_stderr=prod.std(axis=1, ddof=1) / root_m,
+        clamped_eigenvalues=clamped + count,
     )
 
 

@@ -3,7 +3,9 @@
 The package solves with closed-form Jacobians only; the helpers here give
 tests an independent view: a central-difference Jacobian, root enumeration
 over a wide start set, the Huber prox and the prox derivative, the closed
-form of the centred clipped Gaussian second moment, the doubled-node
+form of the centred clipped Gaussian second moment, the plain formulas of
+the Gaussian density, the clipped Gaussian mean and their mixture folds (the
+bit-for-bit references of the fused runtime kernels), the doubled-node
 (Gauss-Legendre panel) residual of the Huber system, quadrature
 expectations and limit-law moments, and first-order gradient descent as the
 reference for the Newton learner.
@@ -30,6 +32,7 @@ from propdp.scalars import (
     clipped_second_moment,
     gaussian_cdf,
     gaussian_pdf,
+    interval_probability,
     logistic_rho_second,
     prox_logistic,
 )
@@ -145,13 +148,49 @@ def law_expect(fn, law: ScalarLaw, n: int = DEFAULT_NODES_1D) -> float:
     return total
 
 
-def law_clipped_second_moment(m, law: ScalarLaw, L) -> np.ndarray:
-    """E[clip(m + eps, L)**2] with eps ~ law."""
+def _law_fold(m, law: ScalarLaw, fn, L) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     total = np.zeros_like(m)
     for w, loc, scale in zip(law.weights, law.locs, law.scales):
-        total = total + w * clipped_second_moment(m + loc, scale, L)
+        total = total + w * fn(m + loc, scale, L)
     return total
+
+
+def law_clipped_second_moment(m, law: ScalarLaw, L) -> np.ndarray:
+    """E[clip(m + eps, L)**2] with eps ~ law."""
+    return _law_fold(m, law, clipped_second_moment, L)
+
+
+def gaussian_pdf_formula(x):
+    """The standard normal density as one exp over every element: the
+    bit-for-bit reference of ``scalars.gaussian_pdf``."""
+    x = np.asarray(x, dtype=float)
+    return (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+
+
+def clipped_mean(mu, s, L):
+    """E[clip(mu + s*Z, L)] for Z ~ N(0,1), s = 0 giving clip(mu, L): the
+    formula on its own, with its own CDFs, as the bit-for-bit reference of
+    ``scalars.clipped_mean_inside``."""
+    mu = np.asarray(mu, dtype=float)
+    s = np.asarray(s, dtype=float)
+    safe = np.where(s > 0, s, 1.0)
+    a = (-L - mu) / safe
+    b = (L - mu) / safe
+    pa, pb = gaussian_cdf(a), gaussian_cdf(b)
+    fa, fb = gaussian_pdf_formula(a), gaussian_pdf_formula(b)
+    val = mu * (pb - pa) - safe * (fb - fa) - L * pa + L * (1.0 - pb)
+    return np.where(s > 0, val, clip(mu, L))
+
+
+def law_clipped_mean(m, law: ScalarLaw, L) -> np.ndarray:
+    """E[clip(m + eps, L)] with eps ~ law, one component at a time."""
+    return _law_fold(m, law, clipped_mean, L)
+
+
+def law_interval_probability(m, law: ScalarLaw, L) -> np.ndarray:
+    """P(|m + eps| < L) with eps ~ law, one component at a time."""
+    return _law_fold(m, law, interval_probability, L)
 
 
 @lru_cache(maxsize=64)

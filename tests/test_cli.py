@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -212,6 +213,15 @@ class TestTheory:
         assert set(point["predictions"]) == {
             "estimation_error_t1", "bias_t1", "estimation_error_t2", "bias_t2",
         }
+        assert point["solution"]["clamped_eigenvalues"] == 0
+
+    def test_dpsgd_trace_reports_eigenvalue_clamps(self):
+        proc = run_cli(
+            "theory", "--model", "logistic_dpsgd_ce", "--delta", "9", "--nu", "0",
+            "--steps", "8", "--mc-samples", "10000", "--seed", "0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)[0]["solution"]["clamped_eigenvalues"] > 0
 
     def test_env_seed_override(self):
         proc = run_cli(
@@ -319,6 +329,64 @@ class TestSimulate:
             "estimation_error", "bias", "xi_correlation", "truncated_residual",
         }
         assert all(c == "20" for c in col["n"])
+
+    @staticmethod
+    def _reference_csv(config, points) -> str:
+        """The replicate rows as csv.writer writes each row's 17 cells."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(SIMULATE_HEADER)
+        for point in points:
+            for replicate, (seed, values, iterations, grad_norm) in enumerate(point.replicates):
+                for metric in sorted(values):
+                    cells = {
+                        **harness.settings_echo(config), "n": point.n, "d": point.d,
+                        "delta": point.d / point.n, "replicate": replicate, "seed": seed,
+                        "metric": metric, "empirical": values[metric],
+                        "theory": (point.theory or {}).get(metric),
+                        "fit_iterations": iterations, "grad_norm": grad_norm,
+                    }
+                    writer.writerow([cli._fmt(cells[key]) for key in SIMULATE_HEADER])
+        return buffer.getvalue()
+
+    def test_replicate_cells_follow_the_point_columns(self):
+        # _simulate_lines writes a point's columns, then these in this order
+        rest = ("replicate", "seed", "metric", "empirical", "theory", "fit_iterations", "grad_norm")
+        assert SIMULATE_HEADER == cli._POINT_COLUMNS + rest
+
+    @pytest.mark.parametrize("model, noise", [
+        ("huber_objective", "mix:0.9*gaussian:0.2,0.1*point:3"),  # a quoted sigma_eps cell
+        ("huber_dpsgd_ce", "gaussian:0.2"),
+        ("logistic_output", "gaussian:0.2"),  # an empty sigma_eps cell
+    ])
+    def test_lines_are_the_csv_writer_bytes(self, model, noise, tmp_path):
+        config = harness.ExperimentConfig(
+            model=model, total=200, ratios=(0.3, 0.6), replicates=3, noise=noise, nu=0.1,
+            steps=2, mc_samples=10_000, seed=3,
+        )
+        points = list(harness.run_experiment(config))
+        out = tmp_path / "sim.csv"
+        args = ["--total", "200", "--ratios", "0.3,0.6", "--replicates", "3", "--nu", "0.1",
+                "--steps", "2", "--mc-samples", "10000", "--seed", "3", "--jobs", "1"]
+        argv = ["simulate", "--model", model, "--noise", noise, *args, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_text(encoding="utf-8") == self._reference_csv(config, points)
+
+    def test_lines_keep_the_cell_rules(self):
+        # text cells are quoted, bools, ints and numpy numbers are spelled as
+        # _fmt spells them, and a missing theory is an empty cell
+        config = harness.ExperimentConfig(model="huber_objective", total=100, ratios=(0.5,))
+        replicates = [
+            (np.uint64(7), {"a,b": np.float64(0.1), 'q"x': True, "z": 3}, np.int64(4), 1e-12),
+            (2**64 - 1, {"a,b": -0.0, 'q"x': False, "z": np.int32(-1)}, None, None),
+        ]
+        points = [harness.GridPoint(config, 0, 10, 10, {"z": 0.25}, replicates),
+                  harness.GridPoint(config, 1, 10, 10, None, replicates[::-1])]
+        got = cli._line(SIMULATE_HEADER) + "".join(cli._simulate_lines(config, points))
+        assert got == self._reference_csv(config, points)
+        bad = [harness.GridPoint(config, 0, 10, 10, None, [(1, {"m": math.inf}, None, None)])]
+        with pytest.raises(NumericError, match="non-finite"):
+            list(cli._simulate_lines(config, bad))
 
     def test_fit_certificate_columns(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -810,7 +878,7 @@ class TestInputBoundary:
 
     def test_output_digest_reads_in_chunks(self, tmp_path):
         # hashing an 8.4 MB output for the manifest takes a fraction of its size
-        rows = ([f"{i:09d}"] * 60 for i in range(14_000))
+        rows = (cli._line([f"{i:09d}"] * 60) for i in range(14_000))
         tracemalloc.start()
         try:
             with cli._Outputs({}, None) as outputs:

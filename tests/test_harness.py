@@ -31,6 +31,7 @@ from propdp.harness import (
 )
 from propdp.laws import ScalarLaw
 from propdp.models import SPECS, ModelSpec, step_size_at
+from propdp.rng import box_muller, stream
 from propdp.scalars import logistic_rho_prime
 
 
@@ -173,6 +174,25 @@ class TestDesigns:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             gen_design(5, 5, "sparse", seed=0)
+
+    @pytest.mark.parametrize("kind", DESIGNS)
+    def test_stack_is_each_streams_own_matrix(self, kind):
+        # the stack's arithmetic runs once, on every replicate's draws; each
+        # matrix keeps the bits of its seed's own, single-replicate design
+        seeds = [3, 0, 2**40, 7]
+        stack = gen_design(6, 5, kind, [stream(seed, "design") for seed in seeds])
+        assert stack.shape == (4, 6, 5)
+        for X, seed in zip(stack, seeds):
+            assert X.tobytes() == gen_design(6, 5, kind, seed).tobytes()
+        # the formulas, one matrix at a time
+        gen = stream(3, "design")
+        root_d = math.sqrt(5)
+        want = {
+            "rademacher": lambda: (2.0 * gen.integers(0, 2, size=(6, 5)) - 1.0) / root_d,
+            "gaussian": lambda: box_muller(gen, 30).reshape(6, 5) / root_d,
+            "bounded_uniform": lambda: (2.0 * gen.random((6, 5)) - 1.0) * math.sqrt(3.0) / root_d,
+        }[kind]()
+        assert stack[0].tobytes() == want.tobytes()
 
 
 class TestLabels:

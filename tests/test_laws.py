@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from propdp.errors import ConfigError
-from propdp.laws import (
-    ScalarLaw,
-    law_clipped_mean,
-    law_interval_probability,
-    parse_law,
-)
+from propdp.laws import ScalarLaw, law_clipped_mean_inside, parse_law
 from propdp.rng import stream
 from support import law_clipped_second_moment
+
+
+def law_clipped_mean(m, law, L):
+    return law_clipped_mean_inside(m, law, L, np.empty((2, *np.shape(m))))[0]
+
+
+def law_interval_probability(m, law, L):
+    return law_clipped_mean_inside(m, law, L, np.empty((2, *np.shape(m))))[1]
 
 
 class TestParse:
@@ -93,12 +96,12 @@ class TestClippedFunctionals:
         assert law_interval_probability(0.0, law, 1.0) == 0.0
 
     def test_gaussian_matches_scalar_helpers(self):
-        from propdp.scalars import clipped_mean, clipped_second_moment, interval_probability
+        from propdp.scalars import clipped_mean_inside, clipped_second_moment, interval_probability
 
         law = ScalarLaw.gaussian(0.8)
         for mu in (-1.0, 0.0, 0.4):
             assert law_clipped_mean(mu, law, 1.2) == pytest.approx(
-                clipped_mean(mu, 0.8, 1.2), rel=1e-13
+                clipped_mean_inside(mu, 0.8, 1.2)[0], rel=1e-13
             )
             assert law_clipped_second_moment(mu, law, 1.2) == pytest.approx(
                 clipped_second_moment(mu, 0.8, 1.2), rel=1e-13

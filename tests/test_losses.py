@@ -9,7 +9,8 @@ from propdp.errors import ConfigError
 from propdp.laws import ScalarLaw, parse_law
 from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from propdp.rng import stream
-from propdp.scalars import logistic_rho, logistic_rho_prime
+from propdp.scalars import logistic_rho, logistic_rho_prime, logistic_rho_second
+from support import law_clipped_mean, law_interval_probability
 
 
 def central_diff(loss, margins, y, h=1e-6):
@@ -106,6 +107,13 @@ class TestHuberCeLoss:
             self.loss.gradients(m, y), central_diff(self.loss, m, y), atol=1e-5
         )
 
+    def test_nonfinite_residual_rejected(self):
+        m, y = np.array([0.0, np.inf]), np.zeros(2)
+        with pytest.raises(ValueError, match="non-finite"):
+            self.loss.gradients(m, y)
+        with pytest.raises(ValueError, match="non-finite"):
+            self.loss.gradient_terms(m, y, np.empty((3, 2)))
+
     def test_gradient_bounded_by_clip_level(self):
         m = np.linspace(-50, 50, 101)
         g = self.loss.gradients(m, np.zeros_like(m))
@@ -156,12 +164,61 @@ class TestLogisticCeLoss:
 )
 def test_gradient_partials_match_central_differences(loss):
     # the (margin, label) partials of c(m, y) = gradients(m, y) that state
-    # evolution uses, against central differences of gradients in each slot
+    # evolution uses, from gradient_terms, against central differences of
+    # gradients in each slot
     gen = stream(6, "losses-gradient-partials")
     m, y = 2.0 * gen.normal(size=60), 2.0 * gen.normal(size=60)
     h = 1e-6
-    d_margin, d_label = loss.gradient_partials(m, y)
+    _, d_margin, d_label = loss.gradient_terms(m, y, np.empty((3, m.size)))
     fd_margin = (loss.gradients(m + h, y) - loss.gradients(m - h, y)) / (2 * h)
     fd_label = (loss.gradients(m, y + h) - loss.gradients(m, y - h)) / (2 * h)
     np.testing.assert_allclose(d_margin, fd_margin, atol=1e-8)
     np.testing.assert_allclose(d_label, fd_label, atol=1e-8)
+
+
+def _hex(values) -> list[str]:
+    return [v.hex() for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+@pytest.mark.parametrize(
+    "noise",
+    ["gaussian:0.2", "gaussian:0.4", "mix:0.3*point:0.5,0.7*gaussian:0.4", "point:0.3",
+     "point:0", "mix:0.6*gaussian:0,0.4*gaussian:1.5"],
+)
+@pytest.mark.parametrize("L", [1.5, 10.0])
+def test_huber_gradient_terms_are_the_separate_formulas_bit_for_bit(noise, L):
+    # one pass of the fused kernel gives the bits of -E[clip], P(inside) and
+    # -P(inside), each computed on its own with its own CDFs
+    loss = HuberCeLoss(L=L, noise=parse_law(noise))
+    gen = stream(8, "losses-gradient-terms")
+    m = np.concatenate([3.0 * gen.normal(size=2_000), [0.0, -0.0, L, -L, 60.0, -60.0]])
+    y = np.concatenate([3.0 * gen.normal(size=2_000), [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    mean = law_clipped_mean(y - m, loss.noise, L)
+    inside = law_interval_probability(y - m, loss.noise, L)
+    out = np.full((3, m.size), np.nan)
+    terms = loss.gradient_terms(m, y, out=out)
+    assert terms is out
+    assert _hex(out[0]) == _hex(-mean)
+    assert _hex(out[1]) == _hex(inside)
+    assert _hex(out[2]) == _hex(-inside)
+    buffer = np.empty((3, 2, m.size))  # rows of a strided view, as state evolution passes
+    loss.gradient_terms(m, y, out=buffer[:, 1])
+    assert _hex(buffer[:, 1]) == _hex(out)
+    assert _hex(loss.gradients(m, y)) == _hex(-mean)
+    grid = (m.reshape(2, -1), y.reshape(2, -1))  # a block of replicates
+    assert _hex(loss.gradients(*grid)) == _hex(-law_clipped_mean(grid[1] - grid[0], loss.noise, L))
+
+
+def test_logistic_gradient_terms_are_the_separate_formulas_bit_for_bit():
+    loss = LogisticCeLoss()
+    gen = stream(9, "losses-gradient-terms")
+    m = np.concatenate([4.0 * gen.normal(size=2_000), [0.0, -0.0, 800.0, -800.0]])
+    y = np.concatenate([4.0 * gen.normal(size=2_000), [0.0, 1.0, -800.0, 800.0]])
+    out = np.full((3, m.size), np.nan)
+    assert loss.gradient_terms(m, y, out=out) is out
+    assert _hex(out[0]) == _hex(loss.gradients(m, y))
+    assert _hex(out[1]) == _hex(logistic_rho_second(m))
+    assert _hex(out[2]) == _hex(-logistic_rho_second(y))
+    buffer = np.empty((3, 2, m.size))  # rows of a strided view, as state evolution passes
+    loss.gradient_terms(m, y, out=buffer[:, 1])
+    assert _hex(buffer[:, 1]) == _hex(out)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from propdp.scalars import (
     clip,
-    clipped_mean,
+    clipped_mean_inside,
     clipped_second_moment,
     erfc,
     expected_huber,
@@ -29,10 +29,16 @@ from propdp.scalars import (
     logistic_rho_second,
     prox_logistic,
 )
-from support import prox_huber, prox_logistic_derivative, truncated_second_moment
+from support import (
+    gaussian_pdf_formula, prox_huber, prox_logistic_derivative, truncated_second_moment,
+)
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)
 scales = st.floats(0.0, 50.0, allow_nan=False)
+
+
+def clipped_mean(mu, s, L):
+    return clipped_mean_inside(mu, s, L)[0]
 
 
 class TestHuber:
@@ -242,6 +248,31 @@ class TestGaussianFunctions:
         assert gaussian_cdf(np.array([-40.0, 9.0, np.inf])).tolist() == [0.0, 1.0, 1.0]
         assert math.isnan(gaussian_cdf(np.nan))
 
+    def test_pdf_is_bit_identical_to_one_exp_per_element(self):
+        # the pdf skips exp where x*x > 1500; every element, written or
+        # computed, keeps the bits of the plain formula
+        rng = np.random.default_rng(11)
+        cut = math.sqrt(1500.0)
+        edges = [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 99.0), math.sqrt(1490.26),
+                 math.sqrt(1490.27), 38.6, 38.61, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+        edges += [-v for v in edges]
+        for x in (
+            rng.normal(size=10_000) * 30.0,  # mixed: some elements either side of the cut
+            rng.normal(size=10_000),  # every element computed
+            50.0 + rng.normal(size=10_000),  # nearly every element written as 0
+            np.array(edges),
+            (rng.normal(size=(40, 30)) * 40.0).T,  # a strided view
+            np.zeros(0),
+        ):
+            got, want = gaussian_pdf(x), gaussian_pdf_formula(x)
+            assert got.shape == want.shape
+            hexes = [[v.hex() for v in a.ravel().tolist()] for a in (got, want)]
+            assert hexes[0] == hexes[1]
+        for v in edges:  # 0-d inputs
+            got, want = gaussian_pdf(v), gaussian_pdf_formula(v)
+            assert isinstance(got, np.float64)
+            assert float(got).hex() == float(want).hex()
+
 
 class TestErfc:
     @settings(max_examples=500, deadline=None)
@@ -311,6 +342,12 @@ class TestClippedMoments:
     def test_clipped_mean_zero_scale(self):
         assert clipped_mean(2.5, 0.0, 1.0) == 1.0
         assert clipped_mean(-0.4, 0.0, 1.0) == pytest.approx(-0.4)
+
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_clipped_mean_nonfinite_rejected(self, s, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            clipped_mean_inside(np.array([0.5, bad]), s, 1.0)
 
     def test_clipped_mean_reference(self):
         # frozen from oracles/oracle_gaussian_moments.py: quad 0.33151024,

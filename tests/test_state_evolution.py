@@ -15,10 +15,12 @@ import pytest
 
 from propdp.errors import ConfigError
 from propdp.laws import ScalarLaw
+from propdp.rng import stream
 from propdp.state_evolution import (
     MAX_STEPS,
     MIN_MC_SAMPLES,
     StateEvolutionTrace,
+    _gaussian_paths,
     state_evolution_huber,
     state_evolution_logistic,
 )
@@ -192,10 +194,31 @@ class TestInternalConsistency:
 
     def test_as_dict_round_trip(self):
         d = self.make().as_dict()
-        assert list(d) == ["mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr", "seed"]
+        assert list(d) == [
+            "mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr", "seed",
+            "clamped_eigenvalues",
+        ]
         assert d["seed"] == 11
+        assert d["clamped_eigenvalues"] == 0
         assert len(d["mse"]) == 4
         assert isinstance(d["mse"], list)
+
+
+class TestEigenvalueClamps:
+    def test_paths_count_the_clamped_eigenvalues(self):
+        # eigenvalues of [[1, 1], [1, 1 - 1e-12]]: about -5e-13 and 2
+        singular = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
+        paths, clamped = _gaussian_paths(stream(0, "clamp-test"), singular, 5)
+        assert clamped == 1
+        assert paths.shape == (5, 2)
+        assert _gaussian_paths(stream(0, "clamp-test"), np.eye(2), 5)[1] == 0
+
+    def test_a_solve_reports_its_clamps(self):
+        # a long noiseless logistic run at delta = 9 meets nearly singular
+        # covariance blocks; the count reaches the trace and its dict
+        trace = state_evolution_logistic(8, 0.05, 0.0, 9.0, G1, mc_samples=10_000, seed=0)
+        assert trace.clamped_eigenvalues > 0
+        assert trace.as_dict()["clamped_eigenvalues"] == trace.clamped_eigenvalues
 
 
 class TestLogisticStructure:
