@@ -2,7 +2,7 @@
 
 ``theory`` and ``simulate`` take one flag per ExperimentConfig field, with
 its default (``--L`` is 10 in both); ``theory --kappa K`` is shorthand for
-``--signal gaussian:K``, and ``--jobs`` is capped at the cells and cores.
+``--signal gaussian:K``, not to be given with it; ``--jobs`` is capped.
 Exit codes: 0 on success (per-point solver failures are data, not errors),
 2 on usage/config problems (a closed stdout among them), 3 on internal
 numeric failures.  PROPDP_SEED overrides the master seed everywhere; in
@@ -221,7 +221,9 @@ def cmd_theory(args) -> int:
     if args.kappa is not None:
         if args.kappa <= 0:
             raise ConfigError("--kappa must be > 0")
-        args.signal = args.signal or f"gaussian:{args.kappa}"
+        if args.signal is not None:
+            raise ConfigError("--kappa is shorthand for --signal gaussian:KAPPA: give one of them")
+        args.signal = f"gaussian:{args.kappa}"
     config = _load_config(args)
     results = [_theory_point(config, delta) for delta in args.delta]
     settings = {"command": "theory", "delta": args.delta, **dataclasses.asdict(config)}
@@ -274,10 +276,8 @@ def cmd_simulate(args) -> int:
             if args.summary is not None:
                 summary.extend(harness.summarize([point]))
             if point.theory_error is not None:
-                failures.append(
-                    {"grid_index": point.index, "n": point.n, "d": point.d,
-                     "error": point.theory_error}
-                )
+                failures.append({"grid_index": point.index, "n": point.n, "d": point.d,
+                                 **point.theory_error.fields})
             yield point
 
     with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
@@ -344,7 +344,9 @@ def cmd_figure(args) -> int:
     runs = [{"label": label, **dataclasses.asdict(config)} for label, config in spec.runs]
     settings = {"command": "figure", "figure": spec.name, "runs": runs}
     with _Outputs(settings, spec.runs[0][1].seed, path("manifest.json")) as outputs:
-        rows = (_line([row[key] for key in THEORY_HEADER]) for row in spec.theory_rows())
+        failures: list[dict] = []
+        outputs.head["theory_failures"] = failures
+        rows = (_line([row[key] for key in THEORY_HEADER]) for row in spec.theory_rows(failures))
         outputs.write_csv(path("theory.csv"), THEORY_HEADER, rows)
         if spec.simulate:
             rows = (

@@ -5,6 +5,8 @@ ConfigError maps to CLI exit code 2, NumericError (and subclasses) to 3.
 
 from __future__ import annotations
 
+import math
+
 
 class ConfigError(ValueError):
     """Invalid user-supplied configuration or parameters."""
@@ -24,3 +26,18 @@ class NonConvergenceError(NumericError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
+
+
+class Failure(str):
+    """A failed solve's text, "<error class>: <message>"; ``fields`` is its
+    manifest entry, where a NonConvergenceError adds its last residual, None
+    where that is not finite (strict JSON has no inf)."""
+
+    @classmethod
+    def of(cls, exc: NumericError) -> Failure:
+        failure = cls(f"{type(exc).__name__}: {exc}")
+        failure.fields = {"error": str(failure)}
+        if isinstance(exc, NonConvergenceError):
+            finite = exc.residual is not None and math.isfinite(exc.residual)
+            failure.fields["residual"] = float(exc.residual) if finite else None
+        return failure

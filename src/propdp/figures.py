@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, privacy
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, Failure, NumericError
 from .harness import ExperimentConfig
 from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 from .rng import child_seed
@@ -41,14 +41,17 @@ class FigureSpec:
         """The simulation sweeps: every run's config, or none for a theory-only figure."""
         return tuple(config for _, config in self.runs) if self.simulate else ()
 
-    def theory_rows(self) -> list[dict]:
+    def theory_rows(self, failures: list | None = None) -> list[dict]:
         """The runs' dense curves, computing only the plotted metrics.  Runs
         that pose the same fixed-point system (output perturbation solves at
-        nu = 0 whatever its nu) share each solve, for this call only."""
+        nu = 0 whatever its nu) share each solve, for this call only.  Each
+        point whose solve failed is appended to ``failures``, if given."""
         solved: dict = {}
         rows = []
         for label, config in self.runs:
-            rows += _curve_rows(self.name, label, config, metrics=self.metrics, solved=solved)
+            rows += _curve_rows(
+                self.name, label, config, metrics=self.metrics, solved=solved, failures=failures
+            )
         return rows
 
 
@@ -67,14 +70,15 @@ def _row(name: str, label: str, ratio: float, nu: float, metric: str, value: flo
 def _curve_rows(
     name: str, label: str, config: ExperimentConfig, *,
     metrics: tuple[str, ...] | None = None, solved: dict | None = None,
+    failures: list | None = None,
 ) -> list[dict]:
     """One model's predictions along the dense grid (``metrics`` and
     ``solved`` as in ``ModelSpec.solve``).  To stay on the continuous branch,
     each fixed-point solve starts from the straight-line extrapolation
     2*x_k - x_(k-1) of the two previous solutions (the ratios are evenly
     spaced), or from x_k alone where that leaves the positive orthant or
-    only one is known; a grid point whose solve fails is logged and left
-    out, and the next one starts cold."""
+    only one is known; a grid point whose solve fails is logged, left out
+    and added to ``failures``, and the next one starts cold."""
     spec = models.get(config.model)
     rows = []
     previous = guess = None
@@ -84,13 +88,17 @@ def _curve_rows(
             ahead = tuple(2.0 * x - y for x, y in zip(guess, previous))
             if all(x > 0 for x in ahead):
                 initial = ahead
+        delta = (1.0 - ratio) / ratio
         try:
             theory = spec.solve(
-                config, (1.0 - ratio) / ratio, seed=child_seed(config.seed, index),
+                config, delta, seed=child_seed(config.seed, index),
                 initial=initial, metrics=metrics, solved=solved,
             )
         except NumericError as exc:
             logger.warning("%s %s: ratio %g left out: %s", name, label, ratio, exc)
+            if failures is not None:
+                failures.append({"label": label, "ratio": ratio, "delta": delta,
+                                 **Failure.of(exc).fields})
             previous = guess = None
             continue
         previous, guess = guess, theory.guess

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, Failure, NumericError
 from .laws import ScalarLaw, parse_law
 from .rng import box_muller, child_seed, stream, streams
 from .scalars import logistic_rho_prime
@@ -162,7 +162,7 @@ class GridPoint:
     each replicate's ``(seed, empirical, fit_iterations, grad_norm)``, the
     last two being the fit's certificate (Newton steps and final ||grad F||;
     None for noisy GD).  A point whose theory solve failed has no
-    predictions and the failure in ``theory_error``.  The sweep's ``config``
+    predictions and its ``Failure`` in ``theory_error``.  The sweep's ``config``
     fixes every other setting (``settings_echo`` derives the ones a row
     repeats)."""
 
@@ -249,7 +249,7 @@ def solve_theory(
         theory = spec.solve(config, d / n, seed=child_seed(config.seed, grid_index))
     except NumericError as exc:
         logger.warning("%s at n=%d, d=%d: no theory: %s", config.model, n, d, exc)
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, Failure.of(exc)
     return theory.predictions, None
 
 

@@ -18,7 +18,7 @@ from . import newton
 from .errors import ConfigError
 from .laws import ScalarLaw
 from .newton import MIN_LAMBDA
-from .scalars import clipped_moment_gradients, clipped_second_moment, interval_probability
+from .scalars import clipped_moments
 
 
 def _clipped_residual(sigma: float, tau: float, L: float, noise: ScalarLaw):
@@ -28,10 +28,11 @@ def _clipped_residual(sigma: float, tau: float, L: float, noise: ScalarLaw):
     for w, loc, scale in zip(noise.weights, noise.locs, noise.scales):
         hyp = float(np.hypot(sigma, scale))
         mu, s = loc / (1.0 + tau), hyp / (1.0 + tau)
-        values += w * np.array([clipped_second_moment(mu, s, L), interval_probability(mu, s, L)])
+        moments, moment_grad = clipped_moments(mu, s, L)
+        values += w * np.array(moments)
         # d(mu, s)/d(sigma, tau)
         chain = np.array([[0.0, -mu], [sigma / hyp if hyp > 0 else 0.0, -s]]) / (1.0 + tau)
-        grad += w * clipped_moment_gradients(mu, s, L) @ chain
+        grad += w * moment_grad @ chain
     return values, grad
 
 

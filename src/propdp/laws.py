@@ -60,26 +60,13 @@ class ScalarLaw:
                 ss.append(scale)
         return ScalarLaw(tuple(ws), tuple(ls), tuple(ss))
 
-    def moment(self, k: int) -> float:
-        """Raw moment E[X**k] for k in 0..4."""
-        if not 0 <= k <= 4:
-            raise ValueError("ScalarLaw.moment: k must be in 0..4")
-        total = 0.0
-        for w, mu, s in zip(self.weights, self.locs, self.scales):
-            v = s * s
-            raw = {
-                0: 1.0,
-                1: mu,
-                2: mu * mu + v,
-                3: mu**3 + 3.0 * mu * v,
-                4: mu**4 + 6.0 * mu * mu * v + 3.0 * v * v,
-            }[k]
-            total += w * raw
-        return total
-
     @property
     def second_moment(self) -> float:
-        return self.moment(2)
+        """E[X**2]."""
+        total = 0.0
+        for w, mu, s in zip(self.weights, self.locs, self.scales):
+            total += w * (mu * mu + s * s)
+        return total
 
     @property
     def root_second_moment(self) -> float:

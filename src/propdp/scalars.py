@@ -1,10 +1,11 @@
 """Scalar calculus shared by every other module.
 
-Huber and logistic losses, the clip operator, proximal operators, standard
-Gaussian special functions, and closed-form moments of clipped Gaussians.
-All functions are numpy ufunc-style: they accept scalars or arrays and
-broadcast. Scale parameters equal to zero degenerate to the identity /
-indicator limits.
+The Huber loss and the clip operator, the logistic sigmoid and its
+derivative, the logistic proximal operator, standard Gaussian special
+functions, and closed-form moments of clipped Gaussians.  The functions are
+numpy ufunc-style, accepting scalars or arrays and broadcasting, except
+``clipped_moments``, which takes numbers.  Scale parameters equal to zero
+degenerate to the identity / indicator limits.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ def clip(r, L):
     """Clip to [-L, L]; the derivative of the Huber loss."""
     _check_finite("clip", r, L)
     return np.clip(np.asarray(r, dtype=float), -L, L)
-
-
-def logistic_rho(t):
-    """Softplus log(1 + exp(t)), stable for |t| up to the float range."""
-    t = np.asarray(t, dtype=float)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def logistic_rho_prime(t):
@@ -223,15 +218,6 @@ def gaussian_cdf(x):
     return 0.5 * erfc(-x / _SQRT2)
 
 
-def interval_probability(mu, s, L):
-    """P(|mu + s*Z| < L) for Z ~ N(0,1); s = 0 gives the indicator."""
-    mu = np.asarray(mu, dtype=float)
-    s = np.asarray(s, dtype=float)
-    safe = np.where(s > 0, s, 1.0)
-    gaussian = gaussian_cdf((L - mu) / safe) - gaussian_cdf((-L - mu) / safe)
-    return np.where(s > 0, gaussian, (np.abs(mu) < L).astype(float))
-
-
 def clipped_mean_inside(mu, s: float, L):
     """E[clip(mu + s*Z, L)] and P(|mu + s*Z| < L) for Z ~ N(0,1) and a number s >= 0,
     from one pair of Gaussian CDFs; s = 0 gives clip(mu, L) and 1{|mu| < L}."""
@@ -246,60 +232,30 @@ def clipped_mean_inside(mu, s: float, L):
     return mu * inside - s * (gaussian_pdf(b) - gaussian_pdf(a)) - L * pa + L * (1.0 - pb), inside
 
 
-def clipped_second_moment(mu, s, L):
-    """E[clip(mu + s*Z, L)**2] for Z ~ N(0,1); s = 0 gives clip(mu, L)**2."""
-    mu = np.asarray(mu, dtype=float)
-    s = np.asarray(s, dtype=float)
-    safe = np.where(s > 0, s, 1.0)
-    # cap the standardized bounds: a subnormal s overflows the division to
-    # +/-inf and the a*pdf(a) products below would become inf*0 = nan; the
-    # pdf/cdf factors already saturate by |z| ~ 40, so capping is exact,
-    # and 1e150 keeps x*x inside the pdf finite as well
+def clipped_moments(mu: float, s: float, L: float):
+    """E[clip(mu + s*Z, L)**2] and P(|mu + s*Z| < L) for Z ~ N(0,1) and numbers
+    mu and s, and their gradient in (mu, s): ``(M2, P), [[dM2/dmu, dM2/ds],
+    [dP/dmu, dP/ds]]``, from one pair of Gaussian CDFs and one of densities.
+    s <= 0 gives clip(mu, L)**2, 1{|mu| < L} and the limits [[2*mu*1{|mu| < L}, 0], [0, 0]]."""
+    if s <= 0:
+        inside = float(abs(mu) < L)
+        clipped = min(max(mu, -L), L)
+        return (clipped * clipped, inside), np.array([[2.0 * mu * inside, 0.0], [0.0, 0.0]])
+    # a subnormal s overflows the bounds to +/-inf, and a*pdf(a) would be inf*0 = nan; the
+    # pdf and cdf saturate by |z| ~ 40, so a cap is exact, and 1e150 keeps x*x finite
     with np.errstate(over="ignore"):
-        a = np.clip((-L - mu) / safe, -1e150, 1e150)
-        b = np.clip((L - mu) / safe, -1e150, 1e150)
+        a = np.clip((-L - mu) / s, -1e150, 1e150)
+        b = np.clip((L - mu) / s, -1e150, 1e150)
     pa, pb = gaussian_cdf(a), gaussian_cdf(b)
     fa, fb = gaussian_pdf(a), gaussian_pdf(b)
-    val = (
-        (mu * mu + safe * safe) * (pb - pa)
-        + 2.0 * mu * safe * (fa - fb)
-        + safe * safe * (a * fa - b * fb)
-        + L * L * (pa + 1.0 - pb)
-    )
-    return np.where(s > 0, val, clip(mu, L) ** 2)
-
-
-def clipped_moment_gradients(mu, s, L):
-    """Gradients in (mu, s) of clipped_second_moment and interval_probability
-    at scalar arguments, as [[dM2/dmu, dM2/ds], [dP/dmu, dP/ds]]; s = 0 gives
-    the limits 2*mu*1{|mu|<L}, 0, 0, 0."""
-    if s <= 0:
-        return np.array([[2.0 * mu * float(abs(mu) < L), 0.0], [0.0, 0.0]])
-    with np.errstate(over="ignore"):  # a subnormal s: the pdfs vanish
-        fa, fb = gaussian_pdf((-L - mu) / s), gaussian_pdf((L - mu) / s)
-    inside = interval_probability(mu, s, L)
-    return np.array([
-        [2.0 * (mu * inside + s * (fa - fb)), 2.0 * (s * inside - L * (fa + fb))],
-        [(fa - fb) / s, -(L * (fa + fb) + mu * (fa - fb)) / s / s],
-    ])
-
-
-def expected_huber(mu, s, L):
-    """E[H_L(mu + s*Z)] for Z ~ N(0,1); s = 0 gives H_L(mu).
-
-    Uses H_L(v) = clip(v, L)**2 / 2 + L*(v - L)_+ + L*(-v - L)_+, whose
-    Gaussian expectation is closed-form; each positive part contributes
-    E[(a + s*Z)_+] = s*pdf(a/s) + a*cdf(a/s).
-    """
-    mu = np.asarray(mu, dtype=float)
-    s = np.asarray(s, dtype=float)
-    safe = np.where(s > 0, s, 1.0)
-    up = (mu - L) / safe
-    dn = (-mu - L) / safe
-    tails = (
-        safe * (gaussian_pdf(up) + gaussian_pdf(dn))
-        + (mu - L) * gaussian_cdf(up)
-        + (-mu - L) * gaussian_cdf(dn)
-    )
-    val = 0.5 * clipped_second_moment(mu, safe, L) + L * tails
-    return np.where(s > 0, val, huber(mu, L))
+    inside = pb - pa
+    second = ((mu * mu + s * s) * inside + 2.0 * mu * s * (fa - fb)
+              + s * s * (a * fa - b * fb) + L * L * (pa + 1.0 - pb))
+    # at |mu| ~ L and a subnormal s the P row is ~ pdf(0)/s and beyond the float range;
+    # it overflows to +/-inf, its value in floats
+    with np.errstate(over="ignore"):
+        grad = np.array([
+            [2.0 * (mu * inside + s * (fa - fb)), 2.0 * (s * inside - L * (fa + fb))],
+            [(fa - fb) / s, -(L * (fa + fb) + mu * (fa - fb)) / s / s],
+        ])
+    return (second, inside), grad

@@ -2,13 +2,15 @@
 
 The package solves with closed-form Jacobians only; the helpers here give
 tests an independent view: a central-difference Jacobian, root enumeration
-over a wide start set, the Huber prox and the prox derivative, the closed
+over a wide start set, the raw moments of a law, the Huber prox and the prox derivative, the closed
 form of the centred clipped Gaussian second moment, the plain formulas of
-the Gaussian density, the clipped Gaussian mean and their mixture folds (the
-bit-for-bit references of the fused runtime kernels), the doubled-node
-(Gauss-Legendre panel) residual of the Huber system, quadrature
-expectations and limit-law moments, and first-order gradient descent as the
-reference for the Newton learner.
+the Gaussian density, the clipped Gaussian mean, the clipped second moment,
+the interval probability and their gradients, and their mixture folds (the
+bit-for-bit references of the fused runtime kernels), the loss values that
+no fit evaluates (softplus, the expected Huber loss, and each margin loss's
+``loss_values``), the doubled-node (Gauss-Legendre panel) residual of the
+Huber system, quadrature expectations and limit-law moments, and
+first-order gradient descent as the reference for the Newton learner.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ from propdp.erm import GRADIENT_TOL_SCALE
 from propdp.errors import NonConvergenceError
 from propdp.huber_theory import HuberSolution, _clipped_residual, residual_second_moment
 from propdp.laws import ScalarLaw
-from propdp.losses import HuberLoss
+from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from propdp.newton import damped_newton, multistart_seeds
 from propdp.privacy import GlmSensitivity
 from propdp.rng import box_muller, stream
 from propdp.scalars import (
     clip,
-    clipped_second_moment,
     gaussian_cdf,
     gaussian_pdf,
-    interval_probability,
+    huber,
+    logistic_rho_prime,
     logistic_rho_second,
     prox_logistic,
 )
@@ -119,6 +121,102 @@ def truncated_second_moment(s, L):
     return np.where(s > 0, val, 0.0)
 
 
+def interval_probability(mu, s, L):
+    """P(|mu + s*Z| < L) for Z ~ N(0,1); s = 0 gives the indicator.  With the
+    two functions after it, the bit-for-bit reference of ``scalars.clipped_moments``."""
+    mu = np.asarray(mu, dtype=float)
+    s = np.asarray(s, dtype=float)
+    safe = np.where(s > 0, s, 1.0)
+    with np.errstate(over="ignore"):  # a subnormal s: the CDFs saturate
+        gaussian = gaussian_cdf((L - mu) / safe) - gaussian_cdf((-L - mu) / safe)
+    return np.where(s > 0, gaussian, (np.abs(mu) < L).astype(float))
+
+
+def clipped_second_moment(mu, s, L):
+    """E[clip(mu + s*Z, L)**2] for Z ~ N(0,1); s = 0 gives clip(mu, L)**2."""
+    mu = np.asarray(mu, dtype=float)
+    s = np.asarray(s, dtype=float)
+    safe = np.where(s > 0, s, 1.0)
+    # cap the standardized bounds: a subnormal s overflows the division to
+    # +/-inf and the a*pdf(a) products below would become inf*0 = nan; the
+    # pdf/cdf factors already saturate by |z| ~ 40, so capping is exact,
+    # and 1e150 keeps x*x inside the pdf finite as well
+    with np.errstate(over="ignore"):
+        a = np.clip((-L - mu) / safe, -1e150, 1e150)
+        b = np.clip((L - mu) / safe, -1e150, 1e150)
+    pa, pb = gaussian_cdf(a), gaussian_cdf(b)
+    fa, fb = gaussian_pdf(a), gaussian_pdf(b)
+    val = (
+        (mu * mu + safe * safe) * (pb - pa)
+        + 2.0 * mu * safe * (fa - fb)
+        + safe * safe * (a * fa - b * fb)
+        + L * L * (pa + 1.0 - pb)
+    )
+    return np.where(s > 0, val, clip(mu, L) ** 2)
+
+
+def clipped_moment_gradients(mu, s, L):
+    """Gradients in (mu, s) of clipped_second_moment and interval_probability
+    at scalar arguments, as [[dM2/dmu, dM2/ds], [dP/dmu, dP/ds]]; s = 0 gives
+    the limits 2*mu*1{|mu|<L}, 0, 0, 0."""
+    if s <= 0:
+        return np.array([[2.0 * mu * float(abs(mu) < L), 0.0], [0.0, 0.0]])
+    with np.errstate(over="ignore"):  # a subnormal s: the pdfs vanish
+        fa, fb = gaussian_pdf((-L - mu) / s), gaussian_pdf((L - mu) / s)
+    inside = interval_probability(mu, s, L)
+    with np.errstate(over="ignore"):  # |mu| ~ L and a subnormal s: dP/dmu ~ pdf(0)/s
+        return np.array([
+            [2.0 * (mu * inside + s * (fa - fb)), 2.0 * (s * inside - L * (fa + fb))],
+            [(fa - fb) / s, -(L * (fa + fb) + mu * (fa - fb)) / s / s],
+        ])
+
+
+def logistic_rho(t):
+    """Softplus log(1 + exp(t)), stable for |t| up to the float range."""
+    t = np.asarray(t, dtype=float)
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+def expected_huber(mu, s, L):
+    """E[H_L(mu + s*Z)] for Z ~ N(0,1); s = 0 gives H_L(mu).
+
+    Uses H_L(v) = clip(v, L)**2 / 2 + L*(v - L)_+ + L*(-v - L)_+, whose
+    Gaussian expectation is closed-form; each positive part contributes
+    E[(a + s*Z)_+] = s*pdf(a/s) + a*cdf(a/s).
+    """
+    mu = np.asarray(mu, dtype=float)
+    s = np.asarray(s, dtype=float)
+    safe = np.where(s > 0, s, 1.0)
+    up = (mu - L) / safe
+    dn = (-mu - L) / safe
+    tails = (
+        safe * (gaussian_pdf(up) + gaussian_pdf(dn))
+        + (mu - L) * gaussian_cdf(up)
+        + (-mu - L) * gaussian_cdf(dn)
+    )
+    val = 0.5 * clipped_second_moment(mu, safe, L) + L * tails
+    return np.where(s > 0, val, huber(mu, L))
+
+
+def loss_values(loss, margins, y) -> np.ndarray:
+    """Per-sample values of one of the four margin losses, whose margin
+    derivative is ``loss.gradients``: H_L(y - m); rho(m) - y*m;
+    E_eps[H_L(y + eps - m)]; rho(m) - rho'(y)*m."""
+    if isinstance(loss, HuberLoss):
+        return huber(np.asarray(y) - np.asarray(margins), loss.L)
+    if isinstance(loss, HuberCeLoss):
+        residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
+        total = np.zeros_like(residual)
+        for weight, loc, scale in zip(loss.noise.weights, loss.noise.locs, loss.noise.scales):
+            total += weight * expected_huber(residual + loc, scale, loss.L)
+        return total
+    margins = np.asarray(margins)
+    if isinstance(loss, LogisticLoss):
+        return logistic_rho(margins) - np.asarray(y) * margins
+    assert isinstance(loss, LogisticCeLoss)
+    return logistic_rho(margins) - logistic_rho_prime(np.asarray(y)) * margins
+
+
 def normal(seed: int, tag: str, *indices: int, size) -> np.ndarray:
     """Standard normal draws from the (seed, tag, *indices) stream."""
     return box_muller(stream(seed, tag, *indices), size)
@@ -145,6 +243,24 @@ def law_expect(fn, law: ScalarLaw, n: int = DEFAULT_NODES_1D) -> float:
             total += weight * float(np.asarray(fn(np.asarray([loc])))[0])
         else:
             total += weight * float(np.dot(w, fn(loc + scale * z)))
+    return total
+
+
+def law_moment(law: ScalarLaw, k: int) -> float:
+    """Raw moment E[X**k] of a law for k in 0..4."""
+    if not 0 <= k <= 4:
+        raise ValueError("law_moment: k must be in 0..4")
+    total = 0.0
+    for w, mu, s in zip(law.weights, law.locs, law.scales):
+        v = s * s
+        raw = {
+            0: 1.0,
+            1: mu,
+            2: mu * mu + v,
+            3: mu**3 + 3.0 * mu * v,
+            4: mu**4 + 6.0 * mu * mu * v + 3.0 * v * v,
+        }[k]
+        total += w * raw
     return total
 
 
@@ -328,7 +444,7 @@ def gradient_descent_minimize(data, loss, lam, nu, xi, *, tol_scale=GRADIENT_TOL
     step0 = 2.0 / (lam + glm.smoothness * float(np.linalg.norm(X, 2)) ** 2)
 
     def objective(beta):
-        return float(loss.values(X @ beta, y).sum() + 0.5 * lam * (beta @ beta) + nu * (xi @ beta))
+        return float(loss_values(loss, X @ beta, y).sum() + 0.5 * lam * (beta @ beta) + nu * (xi @ beta))
 
     def gradient(beta):
         return X.T @ loss.gradients(X @ beta, y) + lam * beta + nu * xi

@@ -34,7 +34,9 @@ from propdp.scalars import (
     logistic_rho_second,
     prox_logistic,
 )
-from support import prox_huber, residual_interval_probability, system_residual_quadrature
+from support import (
+    loss_values, prox_huber, residual_interval_probability, system_residual_quadrature,
+)
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -389,7 +391,7 @@ def test_criterion_8_property_suite():
         loss = HuberCeLoss(2.0, law)
         margins = 3.0 * gen.standard_normal(60)
         labels = 3.0 * gen.standard_normal(60)
-        fd = (loss.values(margins - h, labels) - loss.values(margins + h, labels)) / (
+        fd = (loss_values(loss, margins - h, labels) - loss_values(loss, margins + h, labels)) / (
             2.0 * h
         )
         # values decrease in the residual direction; flip to margin direction

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from propdp import cli, figures, harness, models
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
-from propdp.errors import NumericError
+from propdp.errors import NonConvergenceError, NumericError
 from propdp.laws import parse_law
 
 
@@ -153,6 +154,28 @@ class TestWarnings:
                 row[theory_col] = clean_row[theory_col]
             assert row == clean_row
         assert capsys.readouterr().err.count("injected failure") == 1
+
+    def test_manifest_gives_a_nonconvergence_residual(self, monkeypatch, tmp_path):
+        # a finite residual as a number, an infinite or NaN one as null
+        residuals = {0: 0.25, 1: math.inf, 2: math.nan}
+
+        def fail(self, config, delta, **kwargs):
+            index = [0.2, 0.5, 0.8].index(round(1.0 / (1.0 + delta), 6))
+            raise NonConvergenceError("injected stall", residual=residuals[index])
+
+        monkeypatch.setattr(models.ModelSpec, "solve", fail)
+        out = tmp_path / "sim.csv"
+        args = [
+            "simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.2,0.5,0.8",
+            "--replicates", "1", "--jobs", "1", "--out", str(out),
+        ]
+        assert cli.main(args) == 0
+        failures = json.loads((tmp_path / "sim.csv.manifest.json").read_text())["theory_failures"]
+        assert [(f["grid_index"], f["error"], f["residual"]) for f in failures] == [
+            (0, "NonConvergenceError: injected stall", 0.25),
+            (1, "NonConvergenceError: injected stall", None),
+            (2, "NonConvergenceError: injected stall", None),
+        ]
 
     def test_library_use_stays_silent(self, capsys):
         logging.getLogger("propdp.harness").warning("not for stderr")
@@ -545,7 +568,7 @@ class TestFigure:
         assert len(sim_rows) == 9 * 2 * 4  # grid x configs x metrics
         manifest = json.loads((out / "fig1_manifest.json").read_text())
         for path, digest in manifest["output_digests"].items():
-            assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
     def test_fig2_theory_only(self, tmp_path):
         out = tmp_path / "fig2"
@@ -553,6 +576,41 @@ class TestFigure:
         assert proc.returncode == 0, proc.stderr
         assert (out / "fig2_theory.csv").exists()
         assert not (out / "fig2_simulation.csv").exists()
+
+    def test_failed_curve_points_are_in_the_manifest(self, tmp_path, monkeypatch):
+        # one ratio's solves fail: theory.csv loses only that ratio's rows, the
+        # manifest lists each failed point, and the command still exits 0
+        ratio = figures.DENSE_RATIOS[7]
+        assert cli.main(["figure", "--name", "fig2", "--out", str(tmp_path / "clean")]) == 0
+        manifest = json.loads((tmp_path / "clean" / "fig2_manifest.json").read_text())
+        assert manifest["theory_failures"] == []
+        solve = models.ModelSpec.solve
+
+        def fail_at_ratio(self, config, delta, **kwargs):
+            if delta == (1.0 - ratio) / ratio:
+                residual = math.inf if self.loss == "huber" else 0.5
+                raise NonConvergenceError("injected stall", residual=residual)
+            return solve(self, config, delta, **kwargs)
+
+        monkeypatch.setattr(models.ModelSpec, "solve", fail_at_ratio)
+        out = tmp_path / "failed"
+        assert cli.main(["figure", "--name", "fig2", "--out", str(out)]) == 0
+        header, clean = read_csv(tmp_path / "clean" / "fig2_theory.csv")
+        _, rows = read_csv(out / "fig2_theory.csv")
+        kept = [row for row in clean if float(row[header.index("ratio")]) != ratio]
+        assert len(kept) == len(clean) - len(figures.FIG2.runs)
+        # the point after the failure starts cold, so its curve moves by rounding alone
+        value = header.index("value")
+        assert [row[:value] for row in rows] == [row[:value] for row in kept]
+        for row, clean_row in zip(rows, kept):
+            assert float(row[value]) == pytest.approx(float(clean_row[value]), rel=1e-9, abs=0)
+        failures = json.loads((out / "fig2_manifest.json").read_text())["theory_failures"]
+        assert failures == [
+            {"label": label, "ratio": ratio, "delta": (1.0 - ratio) / ratio,
+             "error": "NonConvergenceError: injected stall",
+             "residual": None if label.startswith("huber") else 0.5}
+            for label, _ in figures.FIG2.runs
+        ]
 
     def test_overrides_reach_every_run(self, tmp_path, monkeypatch):
         # the theory curves and the simulation sweeps both see --replicates and PROPDP_SEED
@@ -642,6 +700,14 @@ class TestInputBoundary:
         code, stdout = run_in_process(*args)
         assert code == expected
         assert stdout == ""
+
+    def test_theory_refuses_kappa_with_signal(self):
+        # --kappa is shorthand for --signal gaussian:KAPPA; both at once would drop one
+        args = ("theory", "--model", "huber_objective", "--delta", "1", "--kappa", "3")
+        assert run_in_process(*args, "--signal", "gaussian:1") == (2, "")
+        code, stdout = run_in_process(*args)
+        assert code == 0
+        assert json.loads(stdout)[0]["inputs"]["signal"] == "gaussian:3.0"
 
     def test_huge_privacy_loss_reports(self):
         # rho ~ 1.4e33: the RDP-curve invariant must hold up to rounding

@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from propdp import scalars
 from propdp.errors import ConfigError
 from propdp.huber_theory import (
     MIN_LAMBDA,
     HuberSolution,
+    _clipped_residual,
     huber_predictions,
     residual_second_moment,
     solve_huber_system,
@@ -23,8 +25,11 @@ from propdp.laws import ScalarLaw, parse_law
 from propdp.models import output_perturbation_predictions
 from support import (
     central_difference_jacobian,
+    clipped_moment_gradients,
+    clipped_second_moment,
     effective_noise_scale,
     enumerate_roots,
+    interval_probability,
     limit_triple_moment,
     residual_interval_probability,
     residual_pair_moment,
@@ -128,6 +133,99 @@ class TestResidualFunctions:
             0.7, 0.4, 3.0, ScalarLaw.point_mass(0.3)
         )
         assert residual_second_moment(0.7, 0.4, 3.0, mix) == pytest.approx(direct, rel=1e-13)
+
+
+def _separate_formulas_residual(sigma, tau, L, noise):
+    """``_clipped_residual`` with a call to each of the three separate
+    clipped-moment formulas per component, as the package computed it before
+    ``scalars.clipped_moments`` fused them."""
+    values, grad = np.zeros(2), np.zeros((2, 2))
+    for w, loc, scale in zip(noise.weights, noise.locs, noise.scales):
+        hyp = float(np.hypot(sigma, scale))
+        mu, s = loc / (1.0 + tau), hyp / (1.0 + tau)
+        values += w * np.array([clipped_second_moment(mu, s, L), interval_probability(mu, s, L)])
+        chain = np.array([[0.0, -mu], [sigma / hyp if hyp > 0 else 0.0, -s]]) / (1.0 + tau)
+        grad += w * clipped_moment_gradients(mu, s, L) @ chain
+    return values, grad
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+# (L, noise) of fig1 (the config defaults) and of fig2's Huber curves; the
+# hex strings were recorded from the three separate formulas
+FIG_HUBER_SETTINGS = [(10.0, "gaussian:0.2"), (1.0, "gaussian:0.1")]
+PINNED_RESIDUALS = {
+    (10.0, "gaussian:0.2", 0.5, 0.4): (
+        ["0x1.2f05397829cbcp-3", "0x1.0000000000000p+0"],
+        ["0x1.05397829cbc15p-1", "-0x1.b0e2e46284d9fp-3",
+         "-0x1.8be66277f5699p-483", "0x1.4808087205db1p-484"],
+    ),
+    (10.0, "gaussian:0.2", 1.3, 2.0): (
+        ["0x1.89abcdf012347p-3", "0x1.0000000000000p+0"],
+        ["0x1.27d27d27d27d3p-2", "-0x1.0672894ab6cdap-3",
+         "-0x1.6b8c2673298f2p-372", "0x1.4288275cfadc4p-373"],
+    ),
+    (1.0, "gaussian:0.1", 0.5, 0.4): (
+        ["0x1.0cabf04c8c527p-3", "0x1.fce86206ceb96p-1"],
+        ["0x1.ece3c02a08f4fp-2", "-0x1.6e25876faee1ep-3",
+         "-0x1.8e1730652068ap-4", "0x1.27b974686137cp-5"],
+    ),
+    (1.0, "gaussian:0.1", 1.3, 2.0): (
+        ["0x1.7410d26ecf100p-3", "0x1.f50b60bc77342p-1"],
+        ["0x1.f604fb0c5229cp-3", "-0x1.b5a871d63a804p-4",
+         "-0x1.977688219ebc9p-4", "0x1.633962fc7d41ep-5"],
+    ),
+}
+
+
+class TestClippedResidualKernel:
+    @pytest.mark.parametrize("key", list(PINNED_RESIDUALS))
+    def test_pinned_at_the_figure_settings(self, key):
+        L, noise, sigma, tau = key
+        values, grad = _clipped_residual(sigma, tau, L, parse_law(noise))
+        assert (_bits(values), _bits(grad)) == PINNED_RESIDUALS[key]
+
+    @pytest.mark.parametrize("L, noise", FIG_HUBER_SETTINGS)
+    def test_bits_of_the_separate_formulas_along_fig_curves(self, L, noise):
+        # the solved (sigma*, tau*) of the objective curve at lam = 1, nu = 0.2,
+        # and points around each
+        law = parse_law(noise)
+        for ratio in (0.1, 0.3, 0.5, 0.7, 0.9):
+            sol = solve((1.0 - ratio) / ratio, 1.0, 0.2, L, law)
+            for sigma in (sol.sigma_star, 0.5 * sol.sigma_star, 2.0 * sol.sigma_star):
+                for tau in (sol.tau_star, 0.5 * sol.tau_star, 2.0 * sol.tau_star):
+                    values, grad = _clipped_residual(sigma, tau, L, law)
+                    reference = _separate_formulas_residual(sigma, tau, L, law)
+                    assert (_bits(values), _bits(grad)) == tuple(map(_bits, reference))
+
+    @pytest.mark.parametrize(
+        "noise", ["gaussian:0.2", "mix:0.6*gaussian:0.3,0.4*point:0.2", "point:0", "gaussian:5e-324"]
+    )
+    def test_bits_of_the_separate_formulas_at_degenerate_scales(self, noise):
+        law = parse_law(noise)
+        for sigma in (0.0, 5e-324, 1e-300, 0.7):
+            for tau in map(np.float64, (1e-3, 0.4, 30.0)):  # numpy floats, as Newton passes
+                values, grad = _clipped_residual(sigma, tau, 1.0, law)
+                reference = _separate_formulas_residual(sigma, tau, 1.0, law)
+                assert (_bits(values), _bits(grad)) == tuple(map(_bits, reference))
+
+    @pytest.mark.parametrize(
+        "noise, components", [("gaussian:0.2", 1), ("mix:0.6*gaussian:0.3,0.4*point:0.2", 2)]
+    )
+    def test_two_cdfs_and_two_densities_per_component(self, noise, components, monkeypatch):
+        calls = {"gaussian_cdf": 0, "gaussian_pdf": 0}
+        for name in calls:
+            def counted(x, _original=getattr(scalars, name), _name=name):
+                calls[_name] += 1
+                return _original(x)
+
+            monkeypatch.setattr(scalars, name, counted)
+        system_residual(
+            0.6, 0.4, delta=1.0, lam=1.0, nu=0.2, L=1.0, kappa_sq=1.0, noise=parse_law(noise)
+        )
+        assert calls == {"gaussian_cdf": 2 * components, "gaussian_pdf": 2 * components}
 
 
 class TestJacobian:

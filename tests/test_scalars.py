@@ -17,20 +17,25 @@ from hypothesis import strategies as st
 from propdp.scalars import (
     clip,
     clipped_mean_inside,
-    clipped_second_moment,
+    clipped_moments,
     erfc,
-    expected_huber,
     gaussian_cdf,
     gaussian_pdf,
     huber,
-    interval_probability,
-    logistic_rho,
     logistic_rho_prime,
     logistic_rho_second,
     prox_logistic,
 )
 from support import (
-    gaussian_pdf_formula, prox_huber, prox_logistic_derivative, truncated_second_moment,
+    clipped_moment_gradients,
+    clipped_second_moment,
+    expected_huber,
+    gaussian_pdf_formula,
+    interval_probability,
+    logistic_rho,
+    prox_huber,
+    prox_logistic_derivative,
+    truncated_second_moment,
 )
 
 finite = st.floats(-30.0, 30.0, allow_nan=False)
@@ -393,6 +398,40 @@ class TestClippedMoments:
             x2 = x**2
             se_2 = x2.std(ddof=1) / math.sqrt(z.size)
             assert clipped_second_moment(mu, s, L) == pytest.approx(x2.mean(), abs=4 * se_2)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+class TestClippedMomentsKernel:
+    # one kernel in place of three: each output has the bits of the separate
+    # formula, with its own CDFs and densities, kept in tests/support.py
+    @given(st.floats(-60.0, 60.0), st.floats(0.0, 50.0), st.floats(0.01, 50.0))
+    @example(0.7, 0.0, 1.0)  # s = 0: the clip and indicator limits
+    @example(-3.0, 0.0, 1.0)
+    @example(1.5, 0.8, 1.5)  # |mu| = L
+    @example(-1.5, 0.0, 1.5)
+    @example(-0.4, 5e-324, 1.0)  # a subnormal s: the capped bounds
+    @example(2.0, 5e-324, 1.0)
+    @example(1.0, 5e-324, 1.0)  # |mu| = L and a subnormal s: dP/dmu overflows to -inf
+    @example(40.0, 0.01, 1.0)  # |mu| >> L*s: the CDFs and densities saturate
+    @example(-55.0, 1e-3, 0.02)
+    @settings(max_examples=300)
+    def test_bits_of_the_separate_formulas(self, mu, s, L):
+        (second, inside), grad = clipped_moments(mu, s, L)
+        assert _bits([second, inside]) == _bits(
+            [clipped_second_moment(mu, s, L), interval_probability(mu, s, L)]
+        )
+        assert _bits(grad) == _bits(clipped_moment_gradients(mu, s, L))
+
+    def test_gradient_matches_central_differences(self):
+        h = 1e-6
+        for mu, s, L in [(0.3, 0.7, 1.0), (-1.2, 1.5, 0.8), (2.0, 0.4, 2.5)]:
+            _, grad = clipped_moments(mu, s, L)
+            d_mu = np.subtract(clipped_moments(mu + h, s, L)[0], clipped_moments(mu - h, s, L)[0])
+            d_s = np.subtract(clipped_moments(mu, s + h, L)[0], clipped_moments(mu, s - h, L)[0])
+            np.testing.assert_allclose(grad, np.stack([d_mu, d_s], axis=1) / (2 * h), atol=1e-8)
 
 
 class TestExpectedHuber:
