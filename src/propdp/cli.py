@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, figures, harness, models
 from . import privacy as privacy_mod
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, Failure, NumericError
 from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 
 
@@ -210,7 +210,7 @@ def _theory_point(config: harness.ExperimentConfig, delta: float) -> dict:
     try:
         theory = spec.solve(config, delta, seed=config.seed)
     except NumericError as exc:
-        return {"inputs": inputs, "error": f"{type(exc).__name__}: {exc}"}
+        return {"inputs": inputs, **Failure.of(exc).fields}
     return {"inputs": inputs, "solution": theory.solution, "predictions": theory.predictions}
 
 

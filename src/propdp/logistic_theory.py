@@ -23,18 +23,26 @@ from .scalars import (
 )
 
 
+def _label_weights(kappa: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's weights times the label terms 2*rho'(-kappa*z1) and
+    2*rho''(-kappa*z1), which depend on kappa alone: a solve builds them once."""
+    z1, _, w = quadrature.standard_normal_rule_2d(nodes)
+    return 2.0 * logistic_rho_prime(-kappa * z1) * w, 2.0 * logistic_rho_second(-kappa * z1) * w
+
+
 def _expectations(
-    alpha: float, sigma: float, gamma: float, kappa: float, nodes: int
+    alpha: float, sigma: float, gamma: float, kappa: float, nodes: int,
+    weights: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The three 2-D expectations of the system at (alpha, sigma, gamma), and
     their gradient (rows: expectations; columns: alpha, sigma, gamma).
+    ``weights`` is ``_label_weights(kappa, nodes)``, built here when None.
 
     One prox evaluation serves both: with D = 1/(1 + gamma*rho''(p)),
     dp/darg = D, dp/dgamma = -rho'(p)*D and rho''' = rho''*(1 - 2*rho').
     """
-    z1, z2, w = quadrature.standard_normal_rule_2d(nodes)
-    weight = 2.0 * logistic_rho_prime(-kappa * z1) * w
-    label_weight = 2.0 * logistic_rho_second(-kappa * z1) * w
+    z1, z2, _ = quadrature.standard_normal_rule_2d(nodes)
+    weight, label_weight = weights or _label_weights(kappa, nodes)
     p = prox_logistic(kappa * alpha * z1 + sigma * z2, gamma)
     rp = logistic_rho_prime(p)
     rpp = rp * (1.0 - rp)
@@ -59,10 +67,11 @@ def system_residual(
     nu: float,
     kappa: float,
     nodes: int = quadrature.DEFAULT_NODES_2D,
+    weights: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the three fixed-point equations at (alpha, sigma, gamma),
-    and their Jacobian in (alpha, sigma, gamma)."""
-    (e1, e2, e3), grad = _expectations(alpha, sigma, gamma, kappa, nodes)
+    and their Jacobian in (alpha, sigma, gamma); ``weights`` as in ``_expectations``."""
+    (e1, e2, e3), grad = _expectations(alpha, sigma, gamma, kappa, nodes, weights)
     f1 = sigma**2 - gamma**2 * (e1 / delta + nu**2)
     f2 = alpha + e2 / delta
     f3 = gamma - (delta - 1.0 + e3) / (lam * delta)
@@ -115,8 +124,10 @@ def solve_logistic_system(
     if kappa <= 0:
         raise ConfigError("solve_logistic_system: kappa must be > 0")
 
+    weights = _label_weights(kappa, quadrature.DEFAULT_NODES_2D)
+
     def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return system_residual(x[0], x[1], x[2], delta=delta, lam=lam, nu=nu, kappa=kappa)
+        return system_residual(*x, delta=delta, lam=lam, nu=nu, kappa=kappa, weights=weights)
 
     x0 = np.asarray(initial, dtype=float) if initial is not None else np.array(
         [1.0, kappa, 1.0 / (2.0 * lam + 1.0)]

@@ -2,6 +2,12 @@
 
 Gauss-Hermite rules are transformed so that sum(w * f(z)) approximates
 E[f(Z)] for Z ~ N(0,1): z = sqrt(2) * x_hermite and w = w_hermite / sqrt(pi).
+
+The 2-D product rule keeps the nodes of weight w_i*w_j >= WEIGHT_FLOOR: 2,024
+of 6,400 at 80 nodes, dropping a weight of 4.0e-19 (4,120 of 25,600 and 7.7e-19
+at 160; 6,148 of 57,600 and 1.5e-18 at 240).  An integrand bounded by B moves by
+at most B times the dropped weight; the logistic system's are bounded by
+2*(1 + gamma + (kappa*|alpha| + sigma)*16.8) at 80 nodes: rounding level.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import numpy as np
 
 
 DEFAULT_NODES_2D = 80
+
+WEIGHT_FLOOR = 1e-20  # lighter 2-D product nodes are dropped; see above
 
 NEWTON_STEPS = 2  # the eigenvalues are good to ~1e-14; two steps reach the float limit
 
@@ -55,11 +63,12 @@ def standard_normal_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def standard_normal_rule_2d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened tensor rule for two independent N(0,1) variables."""
+    """Flattened tensor rule for two independent N(0,1) variables, without
+    the nodes whose weight is below WEIGHT_FLOOR."""
     z, w = standard_normal_rule(n)
-    z1 = np.repeat(z, n)
-    z2 = np.tile(z, n)
     ww = np.outer(w, w).ravel()
+    keep = ww >= WEIGHT_FLOOR
+    z1, z2, ww = np.repeat(z, n)[keep], np.tile(z, n)[keep], ww[keep]
     for arr in (z1, z2, ww):
         arr.setflags(write=False)
     return z1, z2, ww

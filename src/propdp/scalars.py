@@ -98,8 +98,9 @@ def prox_logistic(x, gamma):
 
 def gaussian_pdf(x):
     """Standard normal density; an exact 0 without exp's slow underflow where x*x > 1500."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
+    if type(x) is not float:  # a float needs no 0-d array, and gives the same bits
+        x = np.asarray(x, dtype=float)
+    if type(x) is float or x.ndim == 0:
         return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     e = np.multiply(-0.5, x, order="C")
     e *= x
@@ -184,16 +185,7 @@ def erfc(x):
     order, so it gives the same bits as the array path."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        v = float(x)
-        if v >= _ERFC_ZERO_ABOVE:
-            return np.float64(0.0)
-        if v <= _ERFC_TWO_BELOW:
-            return np.float64(2.0)
-        y = abs(v)
-        if y <= _ERF_NEAR:
-            return np.float64(_erfc_near(v))
-        r = _erfc_mid(y) if y <= _ERFC_MID else _erfc_far(y)
-        return np.float64(2.0 - r if v < 0 else r)
+        return np.float64(_erfc_float(float(x)))
     flat = x.ravel()
     out = (flat < 0) * 2.0
     # only the unsaturated elements, NaN among them, are computed
@@ -212,8 +204,23 @@ def erfc(x):
     return out.reshape(x.shape)
 
 
+def _erfc_float(v: float) -> float:
+    """erfc at a float: the array path's formulas, in the same order."""
+    if v >= _ERFC_ZERO_ABOVE:
+        return 0.0
+    if v <= _ERFC_TWO_BELOW:
+        return 2.0
+    y = abs(v)
+    if y <= _ERF_NEAR:
+        return _erfc_near(v)
+    r = _erfc_mid(y) if y <= _ERFC_MID else _erfc_far(y)
+    return 2.0 - r if v < 0 else r
+
+
 def gaussian_cdf(x):
     """Standard normal CDF via the complementary error function."""
+    if type(x) is float:  # the 0-d path without the 0-d array
+        return np.float64(0.5 * _erfc_float(float(-x / _SQRT2)))
     x = np.asarray(x, dtype=float)
     return 0.5 * erfc(-x / _SQRT2)
 
@@ -237,25 +244,25 @@ def clipped_moments(mu: float, s: float, L: float):
     mu and s, and their gradient in (mu, s): ``(M2, P), [[dM2/dmu, dM2/ds],
     [dP/dmu, dP/ds]]``, from one pair of Gaussian CDFs and one of densities.
     s <= 0 gives clip(mu, L)**2, 1{|mu| < L} and the limits [[2*mu*1{|mu| < L}, 0], [0, 0]]."""
+    mu, s, L = float(mu), float(s), float(L)  # float arithmetic: no 0-d numpy overhead
     if s <= 0:
         inside = float(abs(mu) < L)
         clipped = min(max(mu, -L), L)
         return (clipped * clipped, inside), np.array([[2.0 * mu * inside, 0.0], [0.0, 0.0]])
     # a subnormal s overflows the bounds to +/-inf, and a*pdf(a) would be inf*0 = nan; the
-    # pdf and cdf saturate by |z| ~ 40, so a cap is exact, and 1e150 keeps x*x finite
-    with np.errstate(over="ignore"):
-        a = np.clip((-L - mu) / s, -1e150, 1e150)
-        b = np.clip((L - mu) / s, -1e150, 1e150)
-    pa, pb = gaussian_cdf(a), gaussian_cdf(b)
-    fa, fb = gaussian_pdf(a), gaussian_pdf(b)
+    # pdf and cdf saturate by |z| ~ 40, so a cap is exact, and 1e150 keeps x*x finite.
+    # max and min keep a NaN in their first argument, as np.clip does
+    a = min(max((-L - mu) / s, -1e150), 1e150)
+    b = min(max((L - mu) / s, -1e150), 1e150)
+    pa, pb = float(gaussian_cdf(a)), float(gaussian_cdf(b))
+    fa, fb = float(gaussian_pdf(a)), float(gaussian_pdf(b))
     inside = pb - pa
     second = ((mu * mu + s * s) * inside + 2.0 * mu * s * (fa - fb)
               + s * s * (a * fa - b * fb) + L * L * (pa + 1.0 - pb))
     # at |mu| ~ L and a subnormal s the P row is ~ pdf(0)/s and beyond the float range;
-    # it overflows to +/-inf, its value in floats
-    with np.errstate(over="ignore"):
-        grad = np.array([
-            [2.0 * (mu * inside + s * (fa - fb)), 2.0 * (s * inside - L * (fa + fb))],
-            [(fa - fb) / s, -(L * (fa + fb) + mu * (fa - fb)) / s / s],
-        ])
+    # it overflows to +/-inf, its value in floats (which, unlike numpy, do not warn)
+    grad = np.array([
+        [2.0 * (mu * inside + s * (fa - fb)), 2.0 * (s * inside - L * (fa + fb))],
+        [(fa - fb) / s, -(L * (fa + fb) + mu * (fa - fb)) / s / s],
+    ])
     return (second, inside), grad

@@ -9,8 +9,8 @@ the interval probability and their gradients, and their mixture folds (the
 bit-for-bit references of the fused runtime kernels), the loss values that
 no fit evaluates (softplus, the expected Huber loss, and each margin loss's
 ``loss_values``), the doubled-node (Gauss-Legendre panel) residual of the
-Huber system, quadrature expectations and limit-law moments, and
-first-order gradient descent as the reference for the Newton learner.
+Huber system, the unpruned 2-D product rule, quadrature expectations and
+limit-law moments, and first-order gradient descent as the reference for the Newton learner.
 """
 
 from __future__ import annotations
@@ -226,6 +226,13 @@ def expect(fn, n: int = DEFAULT_NODES_1D) -> float:
     """E[fn(Z)] for Z ~ N(0,1)."""
     z, w = quadrature.standard_normal_rule(n)
     return float(np.dot(w, fn(z)))
+
+
+def full_rule_2d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whole n*n product rule, before ``quadrature.standard_normal_rule_2d``
+    drops the nodes lighter than its weight floor."""
+    z, w = quadrature.standard_normal_rule(n)
+    return np.repeat(z, n), np.tile(z, n), np.outer(w, w).ravel()
 
 
 def expect2d(fn, n: int = quadrature.DEFAULT_NODES_2D) -> float:

@@ -183,6 +183,7 @@ def _logistic_mc(alpha, sigma, gamma, kappa, seed, draws=MC_DRAWS, chunk=MC_CHUN
     return means, stderrs
 
 
+@pytest.mark.slow
 def test_criterion_5_fixed_point_integrity():
     # 50 random parameter draws per system: residual <= 1e-8 under the
     # solver's own rule and <= 1e-6 under a doubled-node independent rule;

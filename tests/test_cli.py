@@ -288,6 +288,27 @@ class TestTheory:
         assert "predictions" in points[0] or "error" in points[0]
         assert all(("predictions" in p) != ("error" in p) for p in points)
 
+    def test_failed_point_gives_its_residual(self, monkeypatch, capsys):
+        # as in the manifests: a NonConvergenceError's residual is a number, or
+        # null where it is not finite; any other NumericError has no residual
+        residuals = {0.5: 1e-3, 1.0: math.inf}
+
+        def fail(self, config, delta, **kwargs):
+            if delta in residuals:
+                raise NonConvergenceError("injected stall", residual=residuals[delta])
+            raise NumericError("injected failure")
+
+        monkeypatch.setattr(models.ModelSpec, "solve", fail)
+        args = ["theory", "--model", "huber_objective", "--delta", "0.5,1,2", "--L", "10"]
+        assert cli.main(args) == 0
+        points = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert [p["inputs"]["delta"] for p in points] == [0.5, 1.0, 2.0]
+        assert [{k: v for k, v in p.items() if k != "inputs"} for p in points] == [
+            {"error": "NonConvergenceError: injected stall", "residual": 1e-3},
+            {"error": "NonConvergenceError: injected stall", "residual": None},
+            {"error": "NumericError: injected failure"},
+        ]
+
 
 class TestPrivacy:
     def test_objective_report(self):

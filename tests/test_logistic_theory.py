@@ -6,13 +6,18 @@ with scipy nested quadrature and a brentq-based prox, not the package's
 Newton + Gauss-Hermite path.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from propdp import logistic_theory, quadrature
 from propdp.errors import ConfigError, NumericError
 from propdp.logistic_theory import (
     MIN_LAMBDA,
     LogisticSolution,
+    _expectations,
+    _label_weights,
     logistic_predictions,
     rho_prime_difference,
     solve_logistic_system,
@@ -20,8 +25,8 @@ from propdp.logistic_theory import (
 )
 from propdp.models import output_perturbation_predictions
 from propdp.rng import stream
-from propdp.scalars import logistic_rho_prime, prox_logistic
-from support import central_difference_jacobian
+from propdp.scalars import logistic_rho_prime, logistic_rho_second, prox_logistic
+from support import central_difference_jacobian, full_rule_2d
 
 
 class TestFrozenSolutions:
@@ -96,6 +101,56 @@ class TestResiduals:
             nodes=160,
         )
         assert np.linalg.norm(r) <= 1e-6
+
+
+class TestPrunedRule:
+    # the pruned rule drops nodes whose weights sum to 4e-19, and every
+    # integrand is bounded there: the expectations move at rounding level only
+    def test_expectations_match_the_full_product_rule(self, monkeypatch):
+        grid = itertools.product(
+            (-1.0, 0.3, 2.0), (0.05, 1.0, 20.0), (0.01, 1.5, 50.0), (0.5, 1.5)
+        )
+        for alpha, sigma, gamma, kappa in grid:
+            pruned = _expectations(alpha, sigma, gamma, kappa, 80)
+            with monkeypatch.context() as patch:
+                patch.setattr(quadrature, "standard_normal_rule_2d", full_rule_2d)
+                full = _expectations(alpha, sigma, gamma, kappa, 80)
+            for got, want in zip(pruned, full):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+class TestLabelWeights:
+    def test_bits_of_the_inline_formulas(self):
+        for kappa, nodes in ((0.5, 80), (1.5, 80), (1.0, 160)):
+            z1, _, w = quadrature.standard_normal_rule_2d(nodes)
+            weight, label_weight = _label_weights(kappa, nodes)
+            assert np.array_equal(weight, 2.0 * logistic_rho_prime(-kappa * z1) * w)
+            assert np.array_equal(label_weight, 2.0 * logistic_rho_second(-kappa * z1) * w)
+
+    def test_residual_with_and_without_them(self):
+        params = dict(delta=0.7, lam=0.4, nu=0.2, kappa=1.3)
+        weights = _label_weights(1.3, quadrature.DEFAULT_NODES_2D)
+        alone = system_residual(0.4, 0.9, 1.1, **params)
+        given = system_residual(0.4, 0.9, 1.1, weights=weights, **params)
+        for got, want in zip(given, alone):
+            assert np.array_equal(got, want)
+
+    def test_one_build_per_solve(self, monkeypatch):
+        builds, handed = [], []
+
+        def build(*args):
+            builds.append(args)
+            return _label_weights(*args)
+
+        def residual(*args, **kwargs):
+            handed.append(kwargs["weights"])
+            return system_residual(*args, **kwargs)
+
+        monkeypatch.setattr(logistic_theory, "_label_weights", build)
+        monkeypatch.setattr(logistic_theory, "system_residual", residual)
+        solve_logistic_system(2.0, 1.0, 0.1, 1.2)
+        assert builds == [(1.2, quadrature.DEFAULT_NODES_2D)]
+        assert len(handed) > 1 and all(weights is handed[0] for weights in handed)
 
 
 class TestJacobian:

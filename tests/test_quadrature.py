@@ -9,10 +9,11 @@ from scipy.special import roots_hermite
 from propdp.laws import parse_law
 from propdp.quadrature import (
     DEFAULT_NODES_2D,
+    WEIGHT_FLOOR,
     standard_normal_rule,
     standard_normal_rule_2d,
 )
-from support import DEFAULT_NODES_1D, expect, expect2d, law_expect, law_moment
+from support import DEFAULT_NODES_1D, expect, expect2d, full_rule_2d, law_expect, law_moment
 
 
 class TestRule:
@@ -82,6 +83,24 @@ class TestRule2D:
         # E[exp(a/2 + b/3)] = exp(1/8 + 1/18)
         val = expect2d(lambda a, b: np.exp(a / 2 + b / 3))
         assert val == pytest.approx(math.exp(0.125 + 1 / 18), rel=1e-10)
+
+
+class TestPrunedRule2D:
+    # the 2-D rule keeps the product nodes of weight >= WEIGHT_FLOOR
+    @pytest.mark.parametrize("n, kept", [(80, 2024), (160, 4120), (240, 6148)])
+    def test_kept_nodes_and_dropped_mass(self, n, kept):
+        z1, z2, w = standard_normal_rule_2d(n)
+        full_z1, full_z2, full_w = full_rule_2d(n)
+        keep = full_w >= WEIGHT_FLOOR
+        assert z1.size == z2.size == w.size == kept == keep.sum()
+        for pruned, full in ((z1, full_z1), (z2, full_z2), (w, full_w)):
+            assert np.array_equal(pruned, full[keep])  # the same nodes, in the same order
+        assert full_w[~keep].sum() < 1e-17
+
+    def test_cached_rule_is_readonly(self):
+        for arr in standard_normal_rule_2d(DEFAULT_NODES_2D):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestLawExpect:
