@@ -49,16 +49,16 @@ from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tr
 def _fmt(value) -> str:
     """Round-trip cell formatting: shortest decimal that re-parses bitwise;
     a non-finite number, which strict CSV readers reject, is a NumericError."""
+    if isinstance(value, (float, np.floating)):  # first: most cells are floats
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite number in the output: {value!r}")
+        return repr(float(value))
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise NumericError(f"non-finite number in the output: {value!r}")
-        return repr(float(value))
     return str(value)
 
 
@@ -208,7 +208,7 @@ def _theory_point(config: harness.ExperimentConfig, delta: float) -> dict:
         **spec.trace_inputs(config, delta),
     }
     try:
-        theory = spec.solve(config, delta, seed=config.seed)
+        theory = spec.solve(config, delta, seed=config.seed, check=True)
     except NumericError as exc:
         return {"inputs": inputs, **Failure.of(exc).fields}
     return {"inputs": inputs, "solution": theory.solution, "predictions": theory.predictions}
@@ -247,9 +247,9 @@ SUMMARY_HEADER = (  # the figure column is only in a figure's summary
 )
 
 def _simulate_lines(config: harness.ExperimentConfig, points):
-    """SIMULATE_HEADER lines of a sweep's grid points, as they arrive.  A
-    point's text cells go through ``_line`` once; a line joins them with its
-    replicate's numbers, which need no quotes, in one f-string."""
+    """A sweep's SIMULATE_HEADER lines, a replicate's in one string, as points
+    arrive.  A point's text cells go through ``_line`` once; a line joins them
+    with its replicate's numbers, which need no quotes, in one f-string."""
     echo = harness.settings_echo(config)
     for point in points:
         cells = {**echo, "n": point.n, "d": point.d, "delta": point.d / point.n}
@@ -259,8 +259,8 @@ def _simulate_lines(config: harness.ExperimentConfig, points):
         for replicate, (seed, values, iterations, grad_norm) in enumerate(point.replicates):
             head = f"{prefix},{replicate},{_fmt(seed)},"  # metric, empirical, theory next
             tail = f",{_fmt(iterations)},{_fmt(grad_norm)}\n"
-            for metric, label, theory_cell in metrics:
-                yield f"{head}{label},{_fmt(values[metric])},{theory_cell}{tail}"
+            yield "".join(f"{head}{label},{_fmt(values[metric])},{theory_cell}{tail}"
+                          for metric, label, theory_cell in metrics)
 
 
 def cmd_simulate(args) -> int:

@@ -24,9 +24,9 @@ counter-based streams keyed by (seed, purpose tag), never by the data.
 Noisy GD runs a block of replicates as one stack of designs (a single
 replicate is a stack of one): elementwise work runs once per block, the
 matrix-vector products run as one stacked matmul (one BLAS call per
-replicate, the one it makes alone) and the noise streams of all steps are
-keyed in one pass, while each replicate keeps its own products and streams,
-so its iterates do not depend on the block it runs in.
+replicate, the one it makes alone) and the noise of all steps is keyed in
+one pass and drawn before the loop, while each replicate keeps its own
+products and streams, so its iterates do not depend on the block it runs in.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
 from .losses import MarginLoss
-from .rng import box_muller, stream, streams
+from .rng import box_muller, draw, keys, stream
 
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
@@ -133,7 +133,8 @@ def _minimize(
     while norm > tol:
         if iterations == MAX_NEWTON_STEPS:
             raise NonConvergenceError(
-                "Newton hit the iteration cap", last_iterate=beta, residual=norm
+                "Newton hit the iteration cap", last_iterate=beta, residual=norm,
+                iterations=iterations,
             )
         step = newton_step(margins, grad)
         scale = 1.0
@@ -147,7 +148,8 @@ def _minimize(
             scale *= 0.5
         else:
             raise NonConvergenceError(
-                "Newton line search stalled", last_iterate=beta, residual=norm
+                "Newton line search stalled", last_iterate=beta, residual=norm,
+                iterations=iterations,
             )
         beta, margins, grad, norm = trial, trial_margins, trial_grad, trial_norm
         iterations += 1
@@ -202,9 +204,9 @@ def run_noisy_gd(
     one block and returns (R, T+1, d); one replicate with one seed is a
     stack of one and returns (T+1, d).  The block applies the loss and the
     Box-Muller transform to all R replicates at once, stacks the products
-    X @ beta and X' g in one matmul, and keys all T steps' noise streams
-    before its loop, but keeps each replicate's products and noise streams
-    its own, so a replicate's iterates are the same bits in any block.
+    X @ beta and X' g in one matmul, and takes the loss's label side and all
+    T steps' noise before its loop, but keeps each replicate's products and
+    noise streams its own, so its iterates are the same bits in any block.
     """
     if not loss.is_conditional_expectation:
         raise ConfigError(
@@ -222,16 +224,18 @@ def run_noisy_gd(
     if len(seeds) != X.shape[0]:
         raise ConfigError("run_noisy_gd: want one seed per replicate")
     replicates, _, d = X.shape
-    if nu > 0:
-        noise = streams([(s, "noisy-gd-xi", t) for t in range(steps) for s in seeds])
+    if nu > 0:  # step t's noise is each replicate's (seed, "noisy-gd-xi", t) stream
+        (noise_keys,) = keys(("noisy-gd-xi",), seeds, np.arange(steps)[:, None])
+        noise = nu * box_muller(draw(noise_keys, d + d % 2), d)
+    label_side = loss.label_side(y)
     trajectory = np.zeros((replicates, steps + 1, d))
     beta = np.zeros((replicates, d))
     for t in range(steps):
         margins = np.matmul(X, beta[:, :, None])[:, :, 0]
-        gradients = loss.gradients(margins, y)
+        gradients = loss.gradients(margins, y, label_side=label_side)
         grad = np.matmul(gradients[:, None, :], X)[:, 0]
         if nu > 0:
-            grad = grad + nu * box_muller([next(noise) for _ in seeds], d)
+            grad = grad + noise[t]
         beta = beta - step_size * grad
         trajectory[:, t + 1] = beta
     return trajectory[0] if single else trajectory

@@ -25,7 +25,7 @@ import numpy as np
 from . import models
 from .errors import ConfigError, Failure, NumericError
 from .laws import ScalarLaw, parse_law
-from .rng import box_muller, child_seed, stream, streams
+from .rng import box_muller, child_seed, keys, raw_words, stream, uniforms
 from .scalars import logistic_rho_prime
 
 logger = logging.getLogger(__name__)
@@ -188,28 +188,33 @@ def settings_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def gen_design(n: int, d: int, kind: str, seed: int | list[np.random.Generator]) -> np.ndarray:
+def gen_design(n: int, d: int, kind: str, seed: int | np.ndarray) -> np.ndarray:
     """Feature matrix with independent mean-zero, variance-1/d entries, drawn
-    from the (seed, "design") stream; ``seed`` may also be a list of such streams,
-    keyed, for an (R, n, d) stack whose arithmetic runs once on all their draws."""
-    gens = seed if isinstance(seed, list) else [stream(seed, "design")]
-    X = np.empty((len(gens), n, d))
-    for k, gen in enumerate(gens):
-        if kind == "rademacher":
-            X[k] = gen.integers(0, 2, size=(n, d))
+    from the (seed, "design") stream; ``seed`` may also be an (R, 2) array of
+    such streams' keys (``rng.keys``), for an (R, n, d) stack whose arithmetic
+    runs once on all their draws.  A stream's words go straight into its matrix."""
+    if kind not in DESIGNS:
+        raise ConfigError(f"gen_design: unknown design {kind!r}")
+    block = isinstance(seed, np.ndarray)
+    keyed = seed if block else keys(("design",), [seed])[0]
+    entries = n * d
+    count = {"rademacher": (entries + 1) // 2, "gaussian": entries + entries % 2}.get(kind, entries)
+    X = np.empty((len(keyed), n, d))
+    for row, words in zip(X.reshape(len(keyed), entries), raw_words(keyed, count)):
+        if kind == "rademacher":  # Generator.integers(0, 2): the top bit of each 32-bit half
+            halves = words.astype("<u8", copy=False).view("<u4")[:entries]
+            np.right_shift(halves, 31, out=row, casting="unsafe")
         elif kind == "gaussian":
-            X[k] = box_muller(gen, n * d).reshape(n, d)
-        elif kind == "bounded_uniform":
-            X[k] = gen.random((n, d))
+            row[:] = box_muller(words, entries)
         else:
-            raise ConfigError(f"gen_design: unknown design {kind!r}")
+            row[:] = uniforms(words)
     if kind != "gaussian":  # 2u - 1, times sqrt(3) for the uniform
         X *= 2.0
         X -= 1.0
         if kind == "bounded_uniform":
             X *= math.sqrt(3.0)
     X /= math.sqrt(d)
-    return X if isinstance(seed, list) else X[0]
+    return X if block else X[0]
 
 
 def design_radius(X: np.ndarray, kind: str) -> float:
@@ -222,10 +227,10 @@ def design_radius(X: np.ndarray, kind: str) -> float:
     return float(np.linalg.norm(X, axis=-1).max()) + 1e-9
 
 
-def gen_signal(d: int, law: ScalarLaw, seed: int | list[np.random.Generator]) -> np.ndarray:
+def gen_signal(d: int, law: ScalarLaw, seed: int | np.ndarray) -> np.ndarray:
     """Signal coordinates from the (seed, "signal") stream; ``seed`` may also
-    be a list of such streams, keyed, which gives one row each."""
-    return law.sample(seed if isinstance(seed, list) else stream(seed, "signal"), d)
+    be an (R, 2) array of such streams' keys, which gives one row each."""
+    return law.sample(seed if isinstance(seed, np.ndarray) else stream(seed, "signal"), d)
 
 
 def gen_linear_labels(
@@ -258,9 +263,9 @@ def _run_cell(args) -> list[tuple]:
     each replicate's seed, metrics and fit certificate."""
     config, grid_index, n, d, start, stop = args
     seeds = [child_seed(config.seed, grid_index, replicate) for replicate in range(start, stop)]
-    keyed = streams([(seed, "design") for seed in seeds] + [(seed, "signal") for seed in seeds])
-    X = gen_design(n, d, config.design, [next(keyed) for _ in seeds])
-    beta_star = gen_signal(d, config.signal_law, list(keyed))
+    design, signal = keys(("design", "signal"), seeds)  # one hashing pass
+    X = gen_design(n, d, config.design, design)
+    beta_star = gen_signal(d, config.signal_law, signal)
     fits = models.get(config.model).replicate(
         config, X, beta_star, design_radius(X, config.design), seeds
     )

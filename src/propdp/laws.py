@@ -77,28 +77,24 @@ class ScalarLaw:
             terms += [math.sqrt(w) * loc, math.sqrt(w) * scale]
         return math.hypot(*terms)
 
-    def sample(self, gen: np.random.Generator | list[np.random.Generator], size) -> np.ndarray:
-        """Draws, with component choice and Box-Muller normals from ``gen``.
-
-        ``gen`` may also be a sequence of generators: row k of the result is
-        then ``sample(gen[k], size)``, with every row drawn in one pass."""
-        single = isinstance(gen, np.random.Generator)
-        gens = [gen] if single else list(gen)
+    def sample(self, source, size) -> np.ndarray:
+        """Draws, with component choice and Box-Muller normals, from ``source``:
+        a Generator, or keys (*lead, 2) of streams (``rng.keys``), which give
+        one (*lead, *size) row each.  A mixture's stream holds n component
+        uniforms first, then the normals' words."""
         shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
-        locs = np.asarray(self.locs)
-        scales = np.asarray(self.scales)
-        if len(self.weights) == 1:
-            idx = np.zeros((len(gens), n), dtype=int)
-        else:
+        n = math.prod(shape)
+        picks = n if len(self.weights) > 1 else 0
+        words = rng.draw(source, picks + n + n % 2)
+        z = rng.box_muller(words[..., picks:], n)
+        if picks:
             edges = np.cumsum(np.asarray(self.weights))
-            idx = np.searchsorted(edges, np.array([g.random(n) for g in gens]), side="right")
+            idx = np.searchsorted(edges, rng.uniforms(words[..., :picks]), side="right")
             idx = np.minimum(idx, len(self.weights) - 1)
-        z = rng.box_muller(gens, n)
-        draws = locs[idx] + scales[idx] * z
-        if single:
-            return draws[0].reshape(shape)
-        return draws.reshape((len(gens), *shape))
+            draws = np.asarray(self.locs)[idx] + np.asarray(self.scales)[idx] * z
+        else:
+            draws = self.locs[0] + self.scales[0] * z
+        return draws.reshape((*words.shape[:-1], *shape))
 
 
 # --- clipped moments of m + eps, eps ~ law (exact component sums) ---------

@@ -40,6 +40,11 @@ class MarginLoss:
         the smoothed losses, used only by noisy GD, do not define it."""
         raise NotImplementedError
 
+    def label_side(self, y: np.ndarray):
+        """What ``gradients`` and ``gradient_terms`` compute from fixed labels
+        alone, for a caller to pass back as ``label_side``; None: nothing."""
+        return None
+
 
 @dataclass(frozen=True)
 class HuberLoss(MarginLoss):
@@ -91,12 +96,12 @@ class HuberCeLoss(MarginLoss):
         if self.L <= 0:
             raise ConfigError("HuberCeLoss: L must be > 0")
 
-    def gradients(self, margins, y):
+    def gradients(self, margins, y, label_side=None):
         residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
         out = np.empty((2, *residual.shape))
         return -law_clipped_mean_inside(residual, self.noise, self.L, out)[0]
 
-    def gradient_terms(self, margins, y, out):
+    def gradient_terms(self, margins, y, out, label_side=None):
         """``gradients`` and its margin and label derivatives, in one pass, into
         the rows of ``out``: -E[clip(y + eps - m, L)], P(|y + eps - m| < L), -P."""
         residual = np.asarray(y, dtype=float) - np.asarray(margins, dtype=float)
@@ -113,17 +118,20 @@ class LogisticCeLoss(MarginLoss):
 
     is_conditional_expectation: ClassVar[bool] = True
 
-    def gradients(self, margins, y):
-        return logistic_rho_prime(np.asarray(margins)) - logistic_rho_prime(
-            np.asarray(y)
-        )
-
-    def gradient_terms(self, margins, y, out):
-        """``gradients`` and its margin and label derivatives, from one sigmoid
-        of each argument, into the rows of ``out``: rho'(m) - rho'(y), rho''(m), -rho''(y)."""
-        p_margin = logistic_rho_prime(np.asarray(margins))
+    def label_side(self, y):
+        """rho'(y) and -rho''(y)."""
         p_label = logistic_rho_prime(np.asarray(y))
+        return p_label, np.negative(np.multiply(p_label, 1.0 - p_label))
+
+    def gradients(self, margins, y, label_side=None):
+        p_label = logistic_rho_prime(np.asarray(y)) if label_side is None else label_side[0]
+        return logistic_rho_prime(np.asarray(margins)) - p_label
+
+    def gradient_terms(self, margins, y, out, label_side=None):
+        """``gradients`` and its margin and label derivatives, from one sigmoid
+        of the margins, into the rows of ``out``: rho'(m) - rho'(y), rho''(m), -rho''(y)."""
+        p_label, out[2] = self.label_side(y) if label_side is None else label_side
+        p_margin = logistic_rho_prime(np.asarray(margins))
         np.subtract(p_margin, p_label, out=out[0])
         np.multiply(p_margin, 1.0 - p_margin, out=out[1])
-        np.negative(np.multiply(p_label, 1.0 - p_label, out=out[2]), out=out[2])
         return out

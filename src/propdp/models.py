@@ -133,7 +133,7 @@ class ModelSpec:
 
     def solve(
         self, config, delta: float, *, seed: int, initial: tuple | None = None,
-        metrics: tuple[str, ...] | None = None, solved: dict | None = None,
+        metrics: tuple[str, ...] | None = None, solved: dict | None = None, check: bool = False,
     ) -> Theory:
         """Solve the model's limit at one delta under ``config``'s settings.
 
@@ -142,13 +142,16 @@ class ModelSpec:
         ``metrics`` names the predictions to compute and return (None: all).
         ``solved`` maps a fixed-point solver's inputs, warm start included,
         to its solution: a solve found there is reused, a new one is added.
+        ``check`` runs noisy GD's theta-path Monte Carlo, whose moments only
+        the solution echoes: the ``theory`` command turns it on, and sweeps
+        and figures, which read the predictions alone, leave it off.
         Overflow, an invalid or divide-by-zero floating-point operation or a
         singular Newton system at extreme inputs, and non-finite predictions,
         raise NumericError.
         """
         with _float_errors(f"{self.name} at delta={delta!r}"):
             if self.mechanism == "dpsgd":
-                theory = self._trace(config, delta, seed)
+                theory = self._trace(config, delta, seed, check)
             else:
                 theory = self._fixed_point(
                     config, delta, initial, metrics, {} if solved is None else solved
@@ -160,17 +163,17 @@ class ModelSpec:
             raise NumericError(f"{self.name} at delta={delta!r}: non-finite prediction")
         return theory
 
-    def _trace(self, config, delta, seed) -> Theory:
+    def _trace(self, config, delta, seed, check) -> Theory:
         step = step_size_at(delta, config.step_size)
         if self.loss == "huber":
             trace = state_evolution.state_evolution_huber(
                 config.steps, step, config.nu, delta, config.signal_law, config.noise_law,
-                config.L, mc_samples=config.mc_samples, seed=seed,
+                config.L, mc_samples=config.mc_samples, seed=seed, check=check,
             )
         else:
             trace = state_evolution.state_evolution_logistic(
                 config.steps, step, config.nu, delta, config.signal_law,
-                mc_samples=config.mc_samples, seed=seed,
+                mc_samples=config.mc_samples, seed=seed, check=check,
             )
         return Theory(trace.as_dict(), _per_step(trace.mse, trace.bias), None)
 

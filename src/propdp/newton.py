@@ -48,14 +48,15 @@ def damped_newton(f, x0, *, tol: float = 1e-11) -> NewtonResult:
     fx, J, norm = _evaluate(f, x)
     if not np.isfinite(norm):
         raise NonConvergenceError(
-            "newton: non-finite residual or Jacobian", last_iterate=x, residual=norm
+            "newton: non-finite residual or Jacobian", last_iterate=x, residual=norm,
+            iterations=0,
         )
     iterations = 0
     while norm > tol:
         if iterations == _MAX_ITERATIONS:
             raise NonConvergenceError(
                 f"newton: residual {norm:.3e} after {_MAX_ITERATIONS} iterations",
-                last_iterate=x, residual=norm,
+                last_iterate=x, residual=norm, iterations=iterations,
             )
         try:
             step = np.linalg.solve(J, -fx)
@@ -74,7 +75,8 @@ def damped_newton(f, x0, *, tol: float = 1e-11) -> NewtonResult:
             scale *= 0.5
         else:
             raise NonConvergenceError(
-                f"newton: stalled at residual {norm:.3e}", last_iterate=x, residual=norm
+                f"newton: stalled at residual {norm:.3e}", last_iterate=x, residual=norm,
+                iterations=iterations,
             )
         iterations += 1
     return NewtonResult(x, norm, iterations, float(np.linalg.cond(J)))

@@ -4,16 +4,22 @@ Every random draw in the package flows through a Philox counter generator
 keyed by (seed, purpose tag, indices), so results are reproducible bit for
 bit regardless of execution order or worker count.  A stream's key is
 numpy's ``SeedSequence(entropy).generate_state(2, uint64)`` of those
-integers.  ``streams`` keys many cells in one vectorized pass that
-reproduces that hash bit for bit (a test pins it to ``stream`` draw for
-draw), so a block of replicates hashes all its keys at once instead of
-building one numpy ``SeedSequence`` per stream.  Normal variates are
-produced by an explicit Box-Muller transform of the stream's uniforms.
+integers, and ``stream`` builds one cell's generator that way.
+
+A block of replicates draws many short streams.  ``keys`` hashes all its
+cells' keys in one vectorized pass that reproduces that hash bit for bit;
+``raw_words`` and ``draw`` read each stream's first raw 64-bit words from
+one Philox, re-keyed per stream to the state a fresh ``stream`` starts in
+(counter 0, the key, buffer position 4, no spare 32-bit half), so a stream's
+whole need is drawn before the next is keyed.  Raw words w give numpy's
+draws exactly: ``Generator.random`` is (w >> 11) * 2**-53 (``uniforms``),
+and ``Generator.integers(0, 2, size)`` is bit 31, then bit 63, of each word
+(numpy's Lemire path on a word's two 32-bit halves, low first).  Normal
+variates are an explicit Box-Muller transform of a stream's uniforms.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from collections.abc import Iterator
@@ -37,33 +43,11 @@ def _tag_int(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
 
 
-def _entropy(seed: int, tag_int: int, indices) -> list[int]:
-    """The integers a cell's key hashes: seed, tag and indices, each mod 2**64."""
-    return [int(seed) & _MASK64, tag_int] + [int(i) & _MASK64 for i in indices]
-
-
 def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
-    """Independent generator for the (seed, tag, *indices) cell."""
-    entropy = _entropy(seed, _tag_int(tag), indices)
+    """Independent generator for the (seed, tag, *indices) cell; its key
+    hashes the seed, the tag and the indices, each mod 2**64."""
+    entropy = [int(seed) & _MASK64, _tag_int(tag)] + [int(i) & _MASK64 for i in indices]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-@functools.cache
-def _fixed_key():
-    """A SeedSequence stand-in that hands Philox a key computed elsewhere.
-    Built on first use: subclassing numpy's ISeedSequence imports
-    numpy.random, which ``import propdp`` does not."""
-
-    class FixedKey(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key  # Philox asks for (2, uint64): the key itself
-
-    return FixedKey
 
 
 def _hash_keys(words: np.ndarray) -> np.ndarray:
@@ -104,51 +88,74 @@ def _hash_keys(words: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def streams(cells) -> Iterator[np.random.Generator]:
-    """The generators ``stream(*cell)`` of ``cells``, each cell a ``(seed,
-    tag, *indices)`` tuple, in order.  The keys of all cells are hashed up
-    front in one vectorized pass; numpy splits each integer into 32-bit
-    words (one word below 2**32, two above), so cells are hashed in groups
-    of equal word count.  Each generator is built only when it is drawn, so
-    a caller holds no more of them at once than it uses together."""
-    cells = list(cells)
-    groups: dict[int, list] = {}
-    tags: dict[str, int] = {}
-    for position, (seed, tag, *indices) in enumerate(cells):
-        if tag not in tags:
-            tags[tag] = _tag_int(tag)
-        words = []
-        for value in _entropy(seed, tags[tag], indices):
-            words += [value & _MASK32, value >> 32] if value >> 32 else [value]
-        groups.setdefault(len(words), []).append((position, words))
-    keys = np.empty((len(cells), 2), dtype=np.uint64)
-    for rows in groups.values():
-        positions = [position for position, _ in rows]
-        keys[positions] = _hash_keys(np.array([words for _, words in rows], dtype=np.uint32).T)
-    fixed_key = _fixed_key()
-    return (np.random.Generator(np.random.Philox(fixed_key(key))) for key in keys)
+def keys(tags, seeds, *indices) -> np.ndarray:
+    """The keys ``stream`` gives the cells (seed, tag, *indices), shape
+    (len(tags), *shape, 2) uint64: one per tag in ``tags`` and per entry of
+    ``seeds`` and ``indices`` broadcast together to ``shape``.  numpy splits
+    each integer into 32-bit words (one below 2**32, two above), so the
+    cells are hashed in groups of equal word count."""
+    wrapped = [np.asarray(v, dtype=object) & _MASK64 for v in (seeds, *indices)]  # any sign
+    seeds, *indices = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in wrapped))
+    shape = (len(tags), *seeds.shape)
+    tag_ints = np.array([_tag_int(tag) for tag in tags], np.uint64).reshape(-1, *[1] * seeds.ndim)
+    columns = [np.broadcast_to(v, shape) for v in (seeds, tag_ints, *indices)]
+    entropy = np.stack(columns, axis=-1).reshape(-1, len(columns))
+    halves = np.stack([entropy & _MASK32, entropy >> 32], axis=-1)  # low, high word
+    halves = halves.reshape(len(entropy), 2 * len(columns))
+    used = halves != 0  # a high word is used when nonzero, a low word always
+    used[:, ::2] = True
+    counts = used.sum(axis=1)
+    out = np.empty((len(entropy), 2), dtype=np.uint64)
+    for count in set(counts.tolist()):  # not np.unique, which imports numpy.ma
+        rows = counts == count
+        out[rows] = _hash_keys(halves[rows][used[rows]].reshape(-1, count).T.astype(np.uint32))
+    return out.reshape(*shape, 2)
 
 
-def box_muller(gen: np.random.Generator | list[np.random.Generator], size) -> np.ndarray:
-    """Standard normal draws via Box-Muller on the generator's uniforms.
+def raw_words(keys, count: int) -> Iterator[np.ndarray]:
+    """The first ``count`` raw words of each keyed stream, in key order, from
+    one Philox re-keyed per stream; a word array is drawn only when asked for."""
+    bit_generator = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in np.reshape(keys, (-1, 2)).tolist():
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield bit_generator.random_raw(count)
 
-    ``gen`` may also be a sequence of generators: row k of the result is then
-    ``box_muller(gen[k], size)``, with every row transformed in one pass."""
-    single = isinstance(gen, np.random.Generator)
-    gens = [gen] if single else list(gen)
+
+def draw(source, count: int) -> np.ndarray:
+    """The next ``count`` raw words of a Generator, shape (count,); or, for
+    keys of shape (*lead, 2), each keyed stream's first ``count``: (*lead, count)."""
+    if isinstance(source, np.random.Generator):
+        return source.bit_generator.random_raw(count)
+    words = np.array(list(raw_words(source, count)), dtype=np.uint64)
+    return words.reshape(*source.shape[:-1], count)
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles of raw words: (w >> 11) * 2**-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def box_muller(source, size) -> np.ndarray:
+    """Standard normal draws via Box-Muller on a stream's uniforms.
+
+    ``source`` is a Generator, whose next words it reads; or raw words whose
+    last axis holds each stream's n + n % 2 words for n = prod(size)
+    normals, giving (*lead, *size).  u1 are a stream's first half of the
+    words and u2 the second, as a Generator's two ``random`` calls read them."""
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = math.prod(shape)
     half = (n + 1) // 2
-    u1, u2 = np.empty((len(gens), half)), np.empty((len(gens), half))
-    for row, g in enumerate(gens):
-        g.random(out=u1[row])
-        g.random(out=u2[row])
-    radius = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1 - u in (0, 1]: keeps log finite
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :n]
-    if single:
-        return z[0].reshape(shape)
-    return z.reshape((len(gens), *shape))
+    if isinstance(source, np.random.Generator):
+        source = source.bit_generator.random_raw(2 * half)
+    lead = source.shape[:-1]
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms(source[..., :half])))  # 1 - u in (0, 1]
+    angle = 2.0 * np.pi * uniforms(source[..., half : 2 * half])
+    del source
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
+    return z.reshape((*lead, *shape))
 
 
 def child_seed(master: int, *indices: int) -> int:

@@ -27,8 +27,9 @@ Carlo (``_round``: fresh omega paths, per-path eta and derivative recursions,
 kernel averages) with exact propagation of C_theta: theta_1^t is a fixed linear
 combination of (beta*_0, xi draws, u draws), so its second moments follow from
 the kernel matrices without sampling error and are positive semidefinite by
-construction.  A final theta-path Monte Carlo reports the same moments with
-standard errors.
+construction.  A final theta-path Monte Carlo (``check``, on by default;
+the ``theory`` command echoes it, sweeps and figures turn it off) reports
+the same moments with standard errors.
 
 theta's second coordinate is beta* itself and never moves, and B has a zero
 second row, so only what the recursion reads is stored: the top rows of Gamma
@@ -84,7 +85,8 @@ class StateEvolutionTrace:
     and r_g hold the top rows of Gamma and R_g; r_theta, c_g and c_theta hold
     the top-left entries of their blocks, with r_theta[t, t] = 1.
     `mse` and `bias` are exact given the kernels; the `_mc` variants re-estimate
-    them from sampled coordinate paths and carry the standard errors.
+    them from sampled coordinate paths and carry the standard errors, or are
+    None when the solve ran without that check.
     """
 
     seed: int
@@ -95,16 +97,16 @@ class StateEvolutionTrace:
     c_theta: np.ndarray  # (T+1, T+1)
     mse: np.ndarray  # (T+1,)
     bias: np.ndarray  # (T+1,)
-    mse_mc: np.ndarray
-    bias_mc: np.ndarray
-    mse_stderr: np.ndarray
-    bias_stderr: np.ndarray
     clamped_eigenvalues: int  # small negative covariance eigenvalues set to 0
+    mse_mc: np.ndarray | None = None
+    bias_mc: np.ndarray | None = None
+    mse_stderr: np.ndarray | None = None
+    bias_stderr: np.ndarray | None = None
 
     def as_dict(self) -> dict:
         """The moments, the seed and the clamp count, as `theory` echoes them."""
         moments = ("mse", "bias", "mse_mc", "bias_mc", "mse_stderr", "bias_stderr")
-        out = {key: getattr(self, key).tolist() for key in moments}
+        out = {key: v.tolist() for key in moments if (v := getattr(self, key)) is not None}
         return {**out, "seed": self.seed, "clamped_eigenvalues": self.clamped_eigenvalues}
 
 
@@ -117,12 +119,13 @@ def _round(loss, t, paths, r_theta, step_size, scale):
     eta1 = np.empty((t + 1, m))
     terms = np.empty((3, t + 1, m))  # c(eta^k) and B(eta^k)'s top row, one loss pass per k
     c_vals, b11, b12 = terms
+    label_side = loss.label_side(hstar)  # what the loss takes from the true margins, once
     for k in range(t + 1):
         memory = np.zeros(m)
         for j in range(k):
             memory += r_theta[k, j] * c_vals[j]
         eta1[k] = omega1[:, k] - step_size * memory
-        loss.gradient_terms(eta1[k], hstar, out=terms[:, k])
+        loss.gradient_terms(eta1[k], hstar, out=terms[:, k], label_side=label_side)
     rows = np.empty((t + 1, 2))
     rows[t] = scale * np.array([b11[t].mean(), b12[t].mean()])
     # chain[j] holds the top row of B(eta^j) @ d eta^j / d omega^s; each s
@@ -145,7 +148,7 @@ def _round(loss, t, paths, r_theta, step_size, scale):
     return rows, (c_vals @ c_vals.T) / m
 
 
-def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed) -> StateEvolutionTrace:
+def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed, check):
     if not 1 <= steps <= MAX_STEPS:
         raise ConfigError(f"state evolution: steps must be in [1, {MAX_STEPS}]")
     if not MIN_MC_SAMPLES <= mc_samples <= MAX_MC_SAMPLES:
@@ -203,22 +206,29 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed) -> State
     bias = coeff[:, 0] * kappa_sq
     mse = c_theta.diagonal() - 2.0 * bias + kappa_sq
 
-    # the final coordinate-path Monte Carlo
-    gen = stream(seed, "state-evolution-theta")
-    beta_star = signal.sample(gen, m)
-    xi = box_muller(gen, m * T).reshape(m, T)
-    u, count = _gaussian_paths(gen, c_g, m)
-    theta1 = np.zeros((T + 1, m))
-    for t in range(T):
-        gamma = r_g[t, t]
-        nxt = (1.0 + gamma[0]) * theta1[t] + gamma[1] * beta_star
-        for k in range(t):
-            nxt += r_g[t, k, 0] * theta1[k] + r_g[t, k, 1] * beta_star
-        nxt += -step_size * nu * xi[:, t] + u[:, t]
-        theta1[t + 1] = nxt
-    sq_err = (theta1 - beta_star) ** 2
-    prod = theta1 * beta_star
-    root_m = np.sqrt(m)
+    checked = {}
+    if check:  # the final coordinate-path Monte Carlo
+        gen = stream(seed, "state-evolution-theta")
+        beta_star = signal.sample(gen, m)
+        xi = box_muller(gen, m * T).reshape(m, T)
+        u, count = _gaussian_paths(gen, c_g, m)
+        clamped += count
+        theta1 = np.zeros((T + 1, m))
+        for t in range(T):
+            gamma = r_g[t, t]
+            nxt = (1.0 + gamma[0]) * theta1[t] + gamma[1] * beta_star
+            for k in range(t):
+                nxt += r_g[t, k, 0] * theta1[k] + r_g[t, k, 1] * beta_star
+            nxt += -step_size * nu * xi[:, t] + u[:, t]
+            theta1[t + 1] = nxt
+        sq_err = (theta1 - beta_star) ** 2
+        prod = theta1 * beta_star
+        root_m = np.sqrt(m)
+        checked = {
+            "mse_mc": sq_err.mean(axis=1), "bias_mc": prod.mean(axis=1),
+            "mse_stderr": sq_err.std(axis=1, ddof=1) / root_m,
+            "bias_stderr": prod.std(axis=1, ddof=1) / root_m,
+        }
     return StateEvolutionTrace(
         seed=seed,
         gamma=r_g[range(T), range(T)],  # Gamma^t = R_g(t, t)
@@ -228,25 +238,23 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed) -> State
         c_theta=c_theta,
         mse=mse,
         bias=bias,
-        mse_mc=sq_err.mean(axis=1),
-        bias_mc=prod.mean(axis=1),
-        mse_stderr=sq_err.std(axis=1, ddof=1) / root_m,
-        bias_stderr=prod.std(axis=1, ddof=1) / root_m,
-        clamped_eigenvalues=clamped + count,
+        clamped_eigenvalues=clamped,
+        **checked,
     )
 
 
 def state_evolution_huber(
     steps: int, step_size: float, nu: float, delta: float, signal: ScalarLaw, noise: ScalarLaw,
-    L: float, *, mc_samples: int = 100_000, seed: int = 0,
+    L: float, *, mc_samples: int = 100_000, seed: int = 0, check: bool = True,
 ) -> StateEvolutionTrace:
     """Error trace of noisy GD on the conditional-expectation Huber loss."""
-    return _solve(HuberCeLoss(L, noise), steps, step_size, nu, delta, signal, mc_samples, seed)
+    loss = HuberCeLoss(L, noise)
+    return _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed, check)
 
 
 def state_evolution_logistic(
     steps: int, step_size: float, nu: float, delta: float, signal: ScalarLaw,
-    *, mc_samples: int = 100_000, seed: int = 0,
+    *, mc_samples: int = 100_000, seed: int = 0, check: bool = True,
 ) -> StateEvolutionTrace:
     """Error trace of noisy GD on the conditional-expectation logistic loss."""
-    return _solve(LogisticCeLoss(), steps, step_size, nu, delta, signal, mc_samples, seed)
+    return _solve(LogisticCeLoss(), steps, step_size, nu, delta, signal, mc_samples, seed, check)

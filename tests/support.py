@@ -222,6 +222,15 @@ def normal(seed: int, tag: str, *indices: int, size) -> np.ndarray:
     return box_muller(stream(seed, tag, *indices), size)
 
 
+def reference_normals(gen, size):
+    """Box-Muller as it reads a Generator: two ``random`` calls of ceil(n/2)."""
+    n = int(np.prod(size))
+    half = (n + 1) // 2
+    u1, u2 = gen.random(half), gen.random(half)
+    radius, angle = np.sqrt(-2.0 * np.log(1.0 - u1)), 2.0 * np.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(size)
+
+
 def expect(fn, n: int = DEFAULT_NODES_1D) -> float:
     """E[fn(Z)] for Z ~ N(0,1)."""
     z, w = quadrature.standard_normal_rule(n)

@@ -246,6 +246,25 @@ class TestTheory:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)[0]["solution"]["clamped_eigenvalues"] > 0
 
+    @pytest.mark.parametrize(
+        "argv, clamps, digest",
+        [
+            (("--model", "huber_dpsgd_ce", "--delta", "0.5,20", "--L", "1"), [0, 2],
+             "7f53d9db9d24581c1b3a873d8a33d08e4ddb616d8c1b733d1d40b7e4eddb49bb"),
+            (("--model", "logistic_dpsgd_ce", "--delta", "0.5,9"), [0, 6],
+             "ee22cca6fd1ff4f0a1bf690eedfc2c6e291a8b8041f2479f6d15884f54af82a9"),
+        ],
+    )
+    def test_dpsgd_theory_json_is_pinned(self, capsys, argv, clamps, digest):
+        # theory still runs the theta-path check: its JSON keeps the bytes it
+        # had before sweeps and figures stopped running the check, and the
+        # clamp count includes the check's own (logistic at 9: 5 in the rounds, 1 in it)
+        args = ["theory", *argv, "--nu", "0", "--steps", "8", "--mc-samples", "10000", "--seed", "0"]
+        assert cli.main(args) == 0
+        out = capsys.readouterr().out
+        assert [point["solution"]["clamped_eigenvalues"] for point in json.loads(out)] == clamps
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_env_seed_override(self):
         proc = run_cli(
             "theory", "--model", "huber_dpsgd_ce", "--delta", "0.5",
@@ -308,6 +327,17 @@ class TestTheory:
             {"error": "NonConvergenceError: injected stall", "residual": None},
             {"error": "NumericError: injected failure"},
         ]
+
+    def test_failed_point_gives_its_iterations(self, monkeypatch, capsys):
+        def fail(self, config, delta, **kwargs):
+            raise NonConvergenceError("injected stall", residual=0.5, iterations=7)
+
+        monkeypatch.setattr(models.ModelSpec, "solve", fail)
+        assert cli.main(["theory", "--model", "huber_objective", "--delta", "0.5"]) == 0
+        (point,) = json.loads(capsys.readouterr().out)
+        assert {k: v for k, v in point.items() if k != "inputs"} == {
+            "error": "NonConvergenceError: injected stall", "residual": 0.5, "iterations": 7,
+        }
 
 
 class TestPrivacy:

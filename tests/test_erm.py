@@ -272,6 +272,19 @@ class TestNewton:
         assert info.value.residual > GRADIENT_TOL_SCALE * data.n
         assert info.value.last_iterate.shape == (data.d,)
 
+    @pytest.mark.parametrize(
+        "limit, value, iterations",
+        [("MAX_NEWTON_STEPS", 2, 2), ("MAX_HALVINGS", 0, 0)],
+    )
+    def test_exhausted_budget_gives_its_iterations(self, monkeypatch, limit, value, iterations):
+        import propdp.erm as erm
+
+        monkeypatch.setattr(erm, limit, value)
+        data, _ = make_classification()
+        with pytest.raises(NonConvergenceError) as info:
+            _minimize(data, LogisticLoss(), 0.5, 0.2, np.ones(data.d))
+        assert info.value.iterations == iterations
+
 
 class TestNoisyGd:
     loss = HuberCeLoss(L=10.0, noise=ScalarLaw.gaussian(0.2))

@@ -29,10 +29,11 @@ from propdp.harness import (
     solve_theory,
     summarize,
 )
-from propdp.laws import ScalarLaw
+from propdp.laws import ScalarLaw, parse_law
 from propdp.models import SPECS, ModelSpec, step_size_at
-from propdp.rng import box_muller, stream
+from propdp.rng import box_muller, child_seed, keys, stream
 from propdp.scalars import logistic_rho_prime
+from support import reference_normals
 
 
 def seeds_and_metrics(points):
@@ -180,7 +181,7 @@ class TestDesigns:
         # the stack's arithmetic runs once, on every replicate's draws; each
         # matrix keeps the bits of its seed's own, single-replicate design
         seeds = [3, 0, 2**40, 7]
-        stack = gen_design(6, 5, kind, [stream(seed, "design") for seed in seeds])
+        stack = gen_design(6, 5, kind, keys(("design",), seeds)[0])
         assert stack.shape == (4, 6, 5)
         for X, seed in zip(stack, seeds):
             assert X.tobytes() == gen_design(6, 5, kind, seed).tobytes()
@@ -193,6 +194,58 @@ class TestDesigns:
             "bounded_uniform": lambda: (2.0 * gen.random((6, 5)) - 1.0) * math.sqrt(3.0) / root_d,
         }[kind]()
         assert stack[0].tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("n, d", [(33, 30), (100, 10), (10, 100), (9, 111), (7, 1)])
+    def test_rademacher_signs_are_numpys_integers(self, n, d):
+        # bit 31, then bit 63, of each raw word: Generator.integers(0, 2), at
+        # even and odd n*d and at d = 1
+        seeds = [0, 2**40, 5]
+        stack = gen_design(n, d, "rademacher", keys(("design",), seeds)[0])
+        for X, seed in zip(stack, seeds):
+            signs = stream(seed, "design").integers(0, 2, size=(n, d))
+            assert X.tobytes() == ((2.0 * signs - 1.0) / math.sqrt(d)).tobytes()
+
+    def test_mixture_signal_rows_are_numpys_draws(self):
+        # a mixture's stream: d component uniforms, then Box-Muller's words
+        law = parse_law("mix:0.3*point:-2,0.7*gaussian:1.5")
+        seeds = list(range(64))
+        rows = gen_signal(9, law, keys(("signal",), seeds)[0])
+        assert rows.shape == (64, 9)
+        for row, seed in zip(rows, seeds):
+            gen = stream(seed, "signal")
+            pick = (gen.random(9) >= 0.3).astype(int)
+            z = reference_normals(gen, 9)
+            want = np.array([-2.0, 0.0])[pick] + np.array([0.0, 1.5])[pick] * z
+            assert row.tobytes() == want.tobytes()
+            assert row.tobytes() == gen_signal(9, law, seed).tobytes()
+
+
+class TestNoisyGdTheory:
+    @pytest.mark.parametrize("model", ["huber_dpsgd_ce", "logistic_dpsgd_ce"])
+    def test_sweep_and_figure_solves_skip_the_theta_check(self, model, monkeypatch):
+        # a sweep's and a figure's predictions are the default solve's, and
+        # neither draws the theta-path check's stream
+        from propdp import figures, state_evolution
+
+        config = ExperimentConfig(
+            model=model, total=200, ratios=(0.5,), nu=0.1, steps=2, mc_samples=10_000
+        )
+        (n, d), = config.grid_points()
+        full = SPECS[model].solve(config, d / n, seed=child_seed(config.seed, 0), check=True)
+        assert "mse_mc" in full.solution
+        tags = []
+
+        def recording_stream(seed, tag, *indices):
+            tags.append(tag)
+            return stream(seed, tag, *indices)
+
+        monkeypatch.setattr(state_evolution, "stream", recording_stream)
+        assert solve_theory(config, n, d, 0) == (full.predictions, None)
+        monkeypatch.setattr(figures, "DENSE_RATIOS", (0.5,))
+        rows = figures._curve_rows("fig", "curve", config)
+        assert {row["metric"]: row["value"] for row in rows} == full.predictions
+        assert tags and "state-evolution-theta" not in tags
 
 
 class TestLabels:

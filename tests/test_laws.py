@@ -7,7 +7,7 @@ import pytest
 
 from propdp.errors import ConfigError
 from propdp.laws import ScalarLaw, law_clipped_mean_inside, parse_law
-from propdp.rng import stream
+from propdp.rng import keys, stream
 from support import law_clipped_second_moment, law_moment
 
 
@@ -145,7 +145,7 @@ class TestSampling:
     @pytest.mark.parametrize("text", ["gaussian:1", "mix:0.5*gaussian:1,0.5*point:-2"])
     def test_rows_are_their_own_streams(self, text):
         law = parse_law(text)
-        rows = law.sample([stream(s, "rows") for s in range(3)], (4, 5))
+        rows = law.sample(keys(("rows",), range(3))[0], (4, 5))
         assert rows.shape == (3, 4, 5)
         for s, row in enumerate(rows):
             np.testing.assert_array_equal(row, law.sample(stream(s, "rows"), (4, 5)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from propdp.errors import NonConvergenceError
+from propdp.errors import Failure, NonConvergenceError
 from propdp.newton import (
     damped_newton,
     multistart_seeds,
@@ -49,6 +49,38 @@ class TestDampedNewton:
             damped_newton(no_real_root, np.array([1.0]))
         assert exc_info.value.last_iterate is not None
         assert exc_info.value.residual is not None and exc_info.value.residual > 0
+
+    def test_stall_reports_its_iterations(self):
+        # the residual falls 1, 1/2, 1/3, 1/4 and then stays: three Newton
+        # steps are taken before the line search stalls
+        evaluations = []
+
+        def f(x):
+            evaluations.append(x)
+            return np.array([max(1.0 / len(evaluations), 0.25)]), np.eye(1)
+
+        with pytest.raises(NonConvergenceError, match="stalled") as exc_info:
+            damped_newton(f, np.array([10.0]))
+        assert exc_info.value.iterations == 3
+        assert Failure.of(exc_info.value).fields == {
+            "error": "NonConvergenceError: newton: stalled at residual 2.500e-01",
+            "residual": 0.25,
+            "iterations": 3,
+        }
+
+    def test_iteration_cap_and_bad_start_report_their_iterations(self):
+        evaluations = []
+
+        def f(x):  # falls at every step, but stays above 1
+            evaluations.append(x)
+            return np.array([1.0 + 1.0 / len(evaluations)]), np.eye(1)
+
+        with pytest.raises(NonConvergenceError, match="after 200 iterations") as exc_info:
+            damped_newton(f, np.array([1e6]))
+        assert exc_info.value.iterations == 200
+        with pytest.raises(NonConvergenceError, match="non-finite") as exc_info:
+            damped_newton(lambda x: (np.array([np.nan]), np.eye(1)), np.array([1.0]))
+        assert exc_info.value.iterations == 0
 
     def test_converged_start_reports_a_finite_condition_number(self):
         res = damped_newton(quad_root_at_2, np.array([2.0]))

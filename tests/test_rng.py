@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from propdp.rng import box_muller, child_seed, stream, streams
-from support import normal
+from propdp.rng import box_muller, child_seed, draw, keys, raw_words, stream, uniforms
+from support import normal, reference_normals
 
 
 class TestStream:
@@ -30,39 +30,78 @@ class TestStream:
 
 
 class TestStreams:
-    """``streams`` hashes many cells' keys in one pass; each generator must be
-    the one ``stream`` builds for its cell, draw for draw."""
+    """A block's streams: ``keys`` hashes many cells' keys in one pass and
+    ``draw`` reads each keyed stream from one re-keyed Philox; each stream
+    must be the one ``stream`` builds for its cell, word for word."""
 
     SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -1)
     TAGS = ("design", "signal", "noisy-gd-xi", "")
     INDICES = ((), (0,), (2**40,), (0, 2**40), (7, 0, 2**40, 3))
 
     @staticmethod
-    def assert_same_draws(cells):
-        gens = list(streams(cells))
-        assert len(gens) == len(cells)
-        for cell, gen in zip(cells, gens):
-            reference = stream(*cell)
-            np.testing.assert_array_equal(gen.random(9), reference.random(9), err_msg=str(cell))
-            np.testing.assert_array_equal(
-                gen.integers(0, 2**62, size=5), reference.integers(0, 2**62, size=5)
-            )
+    def assert_same_draws(tags, seeds, *indices):
+        block = draw(keys(tags, seeds, *indices), 14)
+        columns = [np.asarray(v, dtype=object) for v in (seeds, *indices)]
+        shape = np.broadcast_shapes(*(column.shape for column in columns))
+        assert block.shape == (len(tags), *shape, 14)
+        for tag, words in zip(tags, block):
+            for position in np.ndindex(shape):
+                seed, *index = (np.broadcast_to(c, shape)[position] for c in columns)
+                cell = (seed, tag, *index)
+                reference = stream(*cell)
+                np.testing.assert_array_equal(
+                    uniforms(words[position][:9]), reference.random(9), err_msg=str(cell)
+                )
+                np.testing.assert_array_equal(
+                    words[position][9:], reference.bit_generator.random_raw(5), err_msg=str(cell)
+                )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_stream(self, seed):
-        self.assert_same_draws([(seed, tag, *ix) for tag in self.TAGS for ix in self.INDICES])
+        for ix in self.INDICES:
+            self.assert_same_draws(self.TAGS, [seed], *ix)
 
     def test_mixed_word_widths_in_one_pass(self):
-        # seeds below 2**32 are one 32-bit word, above it two: one call
-        # hashes rows of three to eleven words, interleaved
-        cells = [
-            (seed, tag, *ix)
-            for ix in self.INDICES for seed in self.SEEDS for tag in self.TAGS[:2]
-        ]
-        self.assert_same_draws(cells)
+        # seeds and indices below 2**32 are one 32-bit word, above it two: one
+        # call hashes rows of five to ten words, interleaved
+        values = np.array([0, 7, 2**32 - 1, 2**32, 2**40], dtype=object)
+        self.assert_same_draws(
+            self.TAGS[:2], np.array(self.SEEDS, dtype=object)[:, None, None, None],
+            values[:, None, None], values[None, :, None], values[::-1],
+        )
 
     def test_empty(self):
-        assert list(streams([])) == []
+        assert keys(("design",), []).shape == (1, 0, 2)
+        assert draw(keys(("design",), []), 3).shape == (1, 0, 3)
+        assert list(raw_words(np.empty((0, 2), dtype=np.uint64), 3)) == []
+
+
+class TestRawWords:
+    """A block's draws from raw words, against numpy's own draws from the
+    stream of each cell, bit for bit."""
+
+    def test_uniforms_are_generator_random(self):
+        block = draw(keys(("u",), range(5), 2), 33)
+        for seed, words in enumerate(block[0]):
+            np.testing.assert_array_equal(uniforms(words), stream(seed, "u", 2).random(33))
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("size", [1, 7, (6, 5)])
+    def test_normals_are_box_muller_of_generator_random(self, rows, size):
+        n = int(np.prod(size))
+        normals = box_muller(draw(keys(("n",), range(rows))[0], n + n % 2), size)
+        assert normals.shape == (rows, *np.atleast_1d(size))
+        for seed, row in enumerate(normals):
+            assert row.tobytes() == reference_normals(stream(seed, "n"), size).tobytes()
+            assert row.tobytes() == box_muller(stream(seed, "n"), size).tobytes()
+
+    def test_one_philox_serves_every_stream(self):
+        # each stream is keyed afresh: its words do not depend on the streams
+        # drawn before it, or on how many words those took
+        cells = keys(("a",), [5, 6, 7])[0]
+        for count in (1, 4, 5, 9):
+            for words, seed in zip(raw_words(cells, count), (5, 6, 7)):
+                np.testing.assert_array_equal(words, stream(seed, "a").bit_generator.random_raw(count))
 
 
 class TestBoxMuller:
@@ -86,8 +125,8 @@ class TestBoxMuller:
         assert (z**4).mean() == pytest.approx(3.0, abs=4 * math.sqrt(96 / n))
 
     def test_rows_are_their_own_streams(self):
-        # one generator per row: each row is that generator's own draws, bit for bit
-        rows = box_muller([stream(s, "rows", 3) for s in range(4)], (7, 3))
+        # one stream per row: each row is that stream's own draws, bit for bit
+        rows = box_muller(draw(keys(("rows",), range(4), 3)[0], 22), (7, 3))
         assert rows.shape == (4, 7, 3)
         for s, row in enumerate(rows):
             np.testing.assert_array_equal(row, box_muller(stream(s, "rows", 3), (7, 3)))

@@ -349,3 +349,22 @@ def test_trace_bits_are_pinned(loss, steps):
         tr = state_evolution_logistic(steps, 0.4, 0.1, 0.5, G1, mc_samples=10_000, seed=2024)
     for field, expected in PINNED[loss, steps].items():
         assert [float(x).hex() for x in getattr(tr, field)] == expected, field
+
+
+@pytest.mark.parametrize("loss", ["huber", "logistic"])
+def test_unchecked_solve_is_the_default_less_the_theta_check(loss):
+    # sweeps and figures solve with check=False: the kernels and the exact
+    # moments keep the library default's bits; only the theta-path check goes
+    def solve(**kwargs):
+        if loss == "huber":
+            return state_evolution_huber(
+                3, 0.4, 0.1, 0.5, G1, NOISE_02, 1.0, mc_samples=10_000, seed=2024, **kwargs
+            )
+        return state_evolution_logistic(3, 0.4, 0.1, 0.5, G1, mc_samples=10_000, seed=2024, **kwargs)
+
+    full, unchecked = solve(), solve(check=False)
+    for field in ("mse", "bias", "r_g", "c_theta", "gamma", "r_theta", "c_g"):
+        assert np.array_equal(getattr(unchecked, field), getattr(full, field)), field
+    checked = {"mse_mc", "bias_mc", "mse_stderr", "bias_stderr"}
+    assert all(getattr(unchecked, field) is None for field in checked)
+    assert set(full.as_dict()) - set(unchecked.as_dict()) == checked
