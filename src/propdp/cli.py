@@ -261,6 +261,21 @@ def _simulate_lines(config: harness.ExperimentConfig, points):
             tail = f",{_fmt(iterations)},{_fmt(grad_norm)}\n"
             yield "".join(f"{head}{label},{_fmt(values[metric])},{theory_cell}{tail}"
                           for metric, label, theory_cell in metrics)
+        del point  # before the next point is made
+
+
+def _points(config: harness.ExperimentConfig, jobs: int, failures: list, summary=None, **tag):
+    """A sweep's points as they arrive, none kept.  Each failed theory solve
+    goes into ``failures``, with ``tag``'s keys, and each point's summary rows
+    into ``summary`` when it is a list."""
+    for point in harness.run_experiment(config, jobs=jobs):
+        if summary is not None:
+            summary.extend(harness.summarize([point]))  # per point: a timer sees the reduction
+        if point.theory_error is not None:
+            failures.append({**tag, "grid_index": point.index, "n": point.n, "d": point.d,
+                             **point.theory_error.fields})
+        yield point
+        del point  # before the next point is made
 
 
 def cmd_simulate(args) -> int:
@@ -268,22 +283,12 @@ def cmd_simulate(args) -> int:
     grid point's rows as it arrives; only the points' summary rows are kept.
     The manifest lists the grid points whose theory solve failed."""
     config = _load_config(args)
-    summary: list[dict] = []
-    failures: list[dict] = []
-
-    def points():
-        for point in harness.run_experiment(config, jobs=args.jobs):
-            if args.summary is not None:
-                summary.extend(harness.summarize([point]))
-            if point.theory_error is not None:
-                failures.append({"grid_index": point.index, "n": point.n, "d": point.d,
-                                 **point.theory_error.fields})
-            yield point
-
+    summary = [] if args.summary is not None else None
     with _Outputs({"command": "simulate", **dataclasses.asdict(config)}, config.seed) as outputs:
-        outputs.head["theory_failures"] = failures  # filled as the points arrive
-        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_lines(config, points()))
-        if args.summary is not None:
+        outputs.head["theory_failures"] = failures = []  # filled as the points arrive
+        points = _points(config, args.jobs, failures, summary)
+        outputs.write_csv(args.out, SIMULATE_HEADER, _simulate_lines(config, points))
+        if summary is not None:
             header = SUMMARY_HEADER[1:]
             summary.sort(key=lambda row: (row["n"], row["d"]))  # summarize's order, over the sweep
             rows = (_line([row[key] for key in header]) for row in summary)
@@ -344,16 +349,14 @@ def cmd_figure(args) -> int:
     runs = [{"label": label, **dataclasses.asdict(config)} for label, config in spec.runs]
     settings = {"command": "figure", "figure": spec.name, "runs": runs}
     with _Outputs(settings, spec.runs[0][1].seed, path("manifest.json")) as outputs:
-        failures: list[dict] = []
-        outputs.head["theory_failures"] = failures
+        outputs.head["theory_failures"] = failures = []
         rows = (_line([row[key] for key in THEORY_HEADER]) for row in spec.theory_rows(failures))
         outputs.write_csv(path("theory.csv"), THEORY_HEADER, rows)
-        if spec.simulate:
+        if spec.simulate:  # the sweeps' failed points follow the curves'
             rows = (
                 _line([spec.name, *(row[key] for key in SUMMARY_HEADER[1:])])
-                for config in spec.configs
-                # the sweep runs first, so a timer on summarize sees only the reduction
-                for row in harness.summarize(list(harness.run_experiment(config, jobs=args.jobs)))
+                for label, config in spec.runs
+                for row in harness.summarize(_points(config, args.jobs, failures, label=label))
             )
             outputs.write_csv(path("simulation.csv"), SUMMARY_HEADER, rows)
     return 0

@@ -55,18 +55,6 @@ class FigureSpec:
         return rows
 
 
-def _row(name: str, label: str, ratio: float, nu: float, metric: str, value: float) -> dict:
-    return {
-        "figure": name,
-        "label": label,
-        "ratio": float(ratio),
-        "delta": (1.0 - ratio) / ratio,
-        "nu": float(nu),
-        "metric": metric,
-        "value": float(value),
-    }
-
-
 def _curve_rows(
     name: str, label: str, config: ExperimentConfig, *,
     metrics: tuple[str, ...] | None = None, solved: dict | None = None,
@@ -102,9 +90,9 @@ def _curve_rows(
             previous = guess = None
             continue
         previous, guess = guess, theory.guess
-        rows.extend(
-            _row(name, label, ratio, config.nu, k, v) for k, v in theory.predictions.items()
-        )
+        point = {"figure": name, "label": label, "ratio": ratio, "delta": delta,
+                 "nu": float(config.nu)}
+        rows += ({**point, "metric": k, "value": float(v)} for k, v in theory.predictions.items())
     return rows
 
 

@@ -11,6 +11,7 @@ bit-identical.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import math
 import numbers
@@ -172,7 +173,7 @@ class GridPoint:
     d: int
     theory: dict | None
     replicates: list[tuple]
-    theory_error: str | None = None
+    theory_error: Failure | None = None
 
 
 def settings_echo(config: ExperimentConfig) -> dict:
@@ -246,7 +247,7 @@ def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int) -> np.n
 
 def solve_theory(
     config: ExperimentConfig, n: int, d: int, grid_index: int
-) -> tuple[dict | None, str | None]:
+) -> tuple[dict | None, Failure | None]:
     """Predictions for one grid point and None; or None and the failure,
     when the solve fails numerically."""
     spec = models.get(config.model)
@@ -315,23 +316,27 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> Iterator[GridP
             yield GridPoint(config, index, n, d, theory, replicates, error)
 
 
+def _point_rows(point: GridPoint) -> Iterator[dict]:
+    """One grid point's summary rows, a metric each, in metric order."""
+    echo = settings_echo(point.config)
+    empiricals = [replicate[1] for replicate in point.replicates]
+    for metric in sorted(empiricals[0]):
+        values = np.array([empirical[metric] for empirical in empiricals], dtype=float)
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+        theory = (point.theory or {}).get(metric)
+        z_score = (mean - theory) / stderr if theory is not None and stderr > 0.0 else None
+        yield {
+            **echo, "n": point.n, "d": point.d, "delta": point.d / point.n, "metric": metric,
+            "replicates": len(values), "empirical_mean": mean, "empirical_stderr": stderr,
+            "theory": theory, "z_score": z_score,
+        }
+
+
 def summarize(points: Iterable[GridPoint]) -> list[dict]:
     """Per-grid-point means, standard errors, theory values, and z-scores of
-    one sweep's points, with the sweep's settings; sorted by (n, d), and a
-    repeated point keeps its grid order."""
-    rows = []
-    for point in sorted(points, key=lambda point: (point.n, point.d)):
-        echo = settings_echo(point.config)
-        empiricals = [replicate[1] for replicate in point.replicates]
-        for metric in sorted(empiricals[0]):
-            values = np.array([empirical[metric] for empirical in empiricals], dtype=float)
-            mean = float(values.mean())
-            stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-            theory = (point.theory or {}).get(metric)
-            z_score = (mean - theory) / stderr if theory is not None and stderr > 0.0 else None
-            rows.append({
-                **echo, "n": point.n, "d": point.d, "delta": point.d / point.n, "metric": metric,
-                "replicates": len(values), "empirical_mean": mean, "empirical_stderr": stderr,
-                "theory": theory, "z_score": z_score,
-            })
-    return rows
+    one sweep's points, with the sweep's settings.  It reads ``points`` once
+    and keeps only rows, so each point can go before the next is read; the
+    rows are sorted by (n, d), stably, so a repeated point keeps its grid order."""
+    rows = itertools.chain.from_iterable(map(_point_rows, points))
+    return sorted(rows, key=lambda row: (row["n"], row["d"]))

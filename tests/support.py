@@ -10,11 +10,13 @@ bit-for-bit references of the fused runtime kernels), the loss values that
 no fit evaluates (softplus, the expected Huber loss, and each margin loss's
 ``loss_values``), the doubled-node (Gauss-Legendre panel) residual of the
 Huber system, the unpruned 2-D product rule, quadrature expectations and
-limit-law moments, and first-order gradient descent as the reference for the Newton learner.
+limit-law moments, and first-order gradient descent as the reference for the Newton learner;
+and ``one_at_a_time``, which checks that a sweep's reader keeps no grid point.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -481,3 +483,14 @@ def gradient_descent_minimize(data, loss, lam, nu, xi, *, tol_scale=GRADIENT_TOL
                 break
             step *= 0.5
     raise NonConvergenceError("gradient descent hit the iteration cap", last_iterate=beta, residual=norm)
+
+
+def one_at_a_time(points):
+    """``points`` passed through, checking as each one arrives that the
+    reader has freed every point yielded before it; yields nothing else."""
+    previous = None
+    for point in points:
+        assert previous is None or previous() is None, "a read grid point is still held"
+        previous = weakref.ref(point)
+        yield point
+        del point  # the reader's reference is the only one left

@@ -25,6 +25,7 @@ from propdp import cli, figures, harness, models
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
 from propdp.errors import NonConvergenceError, NumericError
 from propdp.laws import parse_law
+from support import one_at_a_time
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -603,7 +604,107 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture(scope="class")
+def smoke_figures(tmp_path_factory):
+    """The directory of fig1's and fig5's files at --replicates 2 --jobs 1."""
+    out = tmp_path_factory.mktemp("figures")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("PROPDP_SEED", raising=False)
+        for name in ("fig1", "fig5"):
+            args = ["figure", "--name", name, "--replicates", "2", "--jobs", "1", "--out", str(out)]
+            assert cli.main(args) == 0
+    return out
+
+
 class TestFigure:
+    SMOKE_DIGESTS = {  # sha256 of theory.csv and simulation.csv at --replicates 2 --jobs 1
+        "fig1": ("693a8824a29c63aa13c5aa107ae472bda89a8c2cf68fda86444dac598bc71368",
+                 "5201f9ec3dcb9d189dff9d5a691b26eb92ee25cc0eacbcbb1597471c8422ed05"),
+        "fig5": ("e9bb74b9cc3979beb941cfc0907a1a8af4031111191964f362a410a360aceee7",
+                 "93f3a49923b08f909cd52086627be50fec596923b8806e9e192e51f9544a4fe6"),
+    }
+
+    @pytest.mark.parametrize("name", SMOKE_DIGESTS)
+    def test_smoke_outputs_are_pinned(self, smoke_figures, name):
+        # no benchmark workload runs a figure's sweep, so its bytes are pinned here
+        for suffix, digest in zip(("theory", "simulation"), self.SMOKE_DIGESTS[name]):
+            path = smoke_figures / f"{name}_{suffix}.csv"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
+    def test_simulation_rows_are_the_runs_summaries(self, smoke_figures, tmp_path, monkeypatch):
+        # each run's `simulate --summary` rows, in run order, with the figure column in front
+        monkeypatch.delenv("PROPDP_SEED", raising=False)
+        expected = ""
+        for index, (_, config) in enumerate(figures.FIG1.runs):
+            path, summary = tmp_path / f"run{index}.json", tmp_path / f"summary{index}.csv"
+            path.write_text(json.dumps(dataclasses.asdict(dataclasses.replace(config, replicates=2))))
+            args = ["simulate", "--config", str(path), "--jobs", "1",
+                    "--out", str(tmp_path / f"sim{index}.csv"), "--summary", str(summary)]
+            assert cli.main(args) == 0
+            _, *lines = summary.read_text().splitlines(keepends=True)
+            expected += "".join(f"fig1,{line}" for line in lines)
+        header, rows = (smoke_figures / "fig1_simulation.csv").read_text().split("\n", 1)
+        assert tuple(header.split(",")) == SUMMARY_HEADER
+        assert rows == expected
+
+    def test_failed_sweep_points_are_in_the_manifest(self, smoke_figures, tmp_path, monkeypatch):
+        # the sweeps' solves at n = d = 32 fail too: they follow the curves' entries,
+        # only that point's theory cells go, and the command still exits 0
+        solve = models.ModelSpec.solve
+
+        def fail_at_one(self, config, delta, **kwargs):
+            if delta == 1.0:
+                raise NumericError("injected failure")
+            return solve(self, config, delta, **kwargs)
+
+        monkeypatch.setattr(models.ModelSpec, "solve", fail_at_one)
+        monkeypatch.delenv("PROPDP_SEED", raising=False)
+        out = tmp_path / "failed"
+        args = ["figure", "--name", "fig1", "--replicates", "2", "--jobs", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        failures = json.loads((out / "fig1_manifest.json").read_text())["theory_failures"]
+        error = {"error": "NumericError: injected failure"}
+        labels = [label for label, _ in figures.FIG1.runs]
+        assert failures == [
+            *({"label": label, "ratio": 0.5, "delta": 1.0, **error} for label in labels),
+            *({"label": label, "grid_index": 4, "n": 32, "d": 32, **error} for label in labels),
+        ]
+        header, clean = read_csv(smoke_figures / "fig1_simulation.csv")
+        _, rows = read_csv(out / "fig1_simulation.csv")
+        n_col, d_col = header.index("n"), header.index("d")
+        lost = [header.index("theory"), header.index("z_score")]
+        assert len(rows) == len(clean)
+        for row, clean_row in zip(rows, clean):
+            if (row[n_col], row[d_col]) == ("32", "32"):
+                assert [row[col] for col in lost] == ["", ""]
+                assert all(clean_row[col] != "" for col in lost)
+                for col in lost:
+                    row[col] = clean_row[col]
+            assert row == clean_row
+
+    @pytest.mark.parametrize("args, sweeps, summary, rows", [
+        (("figure", "--name", "fig1", "--replicates", "2", "--out", "."),
+         2, "fig1_simulation.csv", 9 * 2 * 4),
+        (("simulate", "--model", "huber_objective", "--total", "16", "--ratios", "0.2,0.5,0.8",
+          "--replicates", "2", "--out", "sim.csv", "--summary", "summary.csv"),
+         1, "summary.csv", 3 * 4),
+    ])
+    def test_no_sweep_is_held_whole(self, tmp_path, monkeypatch, args, sweeps, summary, rows):
+        # each grid point is freed before the sweep makes the next one
+        run_experiment = harness.run_experiment
+        seen = []
+
+        def one_point_held(config, *, jobs):
+            seen.append(config)
+            return one_at_a_time(run_experiment(config, jobs=jobs))
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(figures, "_curve_rows", lambda name, label, config, **kwargs: [])
+        monkeypatch.setattr(harness, "run_experiment", one_point_held)
+        assert cli.main([*args, "--jobs", "1"]) == 0
+        assert len(seen) == sweeps
+        assert len(read_csv(tmp_path / summary)[1]) == rows
+
     def test_fig1_smoke(self, tmp_path):
         out = tmp_path / "fig1"
         proc = run_cli(

@@ -33,7 +33,7 @@ from propdp.laws import ScalarLaw, parse_law
 from propdp.models import SPECS, ModelSpec, step_size_at
 from propdp.rng import box_muller, child_seed, keys, stream
 from propdp.scalars import logistic_rho_prime
-from support import reference_normals
+from support import one_at_a_time, reference_normals
 
 
 def seeds_and_metrics(points):
@@ -589,6 +589,13 @@ class TestSummarize:
         rows = summarize(run_experiment(cfg))
         assert all(r["empirical_stderr"] == 0.0 for r in rows)
         assert all(r["z_score"] is None for r in rows)
+
+    def test_reads_each_point_once_and_keeps_none(self):
+        # a generator is read once, and each point is freed before the next is made
+        config = dataclasses.replace(self.config(), grid=((30, 15), (15, 30), (30, 15)))
+        rows = summarize(one_at_a_time(run_experiment(config)))
+        assert rows == summarize(list(run_experiment(config)))
+        assert [(r["n"], r["d"]) for r in rows] == [(15, 30)] * 4 + [(30, 15)] * 8
 
     def test_rows_sorted_and_complete(self):
         rows = summarize(run_experiment(self.config()))
