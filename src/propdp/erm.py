@@ -21,12 +21,13 @@ scale of X'y, keeps the bound above the rounding of X'g for large labels;
 at ordinary scales max(1, n) governs.  Perturbation vectors come from
 counter-based streams keyed by (seed, purpose tag), never by the data.
 
-Noisy GD runs a block of replicates as one stack of designs (a single
-replicate is a stack of one): elementwise work runs once per block, the
-matrix-vector products run as one stacked matmul (one BLAS call per
-replicate, the one it makes alone) and the noise of all steps is keyed in
-one pass and drawn before the loop, while each replicate keeps its own
-products and streams, so its iterates do not depend on the block it runs in.
+Both the perturbation fits and noisy GD run a block of replicates as one
+stack of designs (a single replicate is a stack of one): elementwise work
+runs once per block, the products run as stacked matmuls and solves (one
+BLAS or LAPACK call per replicate, the one it makes alone) and the
+perturbation or the noise of all steps is keyed in one pass, while each
+replicate keeps its own products, streams, Newton steps, halvings and
+certificate, so its result does not depend on the block it runs in.
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
 from .losses import MarginLoss
-from .rng import box_muller, draw, keys, stream
+from .rng import box_muller, draw, keys
+from .rng import stream  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 
 ARMIJO_SLOPE = 1e-4
 MAX_HALVINGS = 40
 MAX_NEWTON_STEPS = 50
 GRADIENT_TOL_SCALE = 1e-9
+# a stack's Newton systems are built and solved for a chunk of replicates at
+# a time, with at most this many design entries, so that the chunk's designs,
+# their weighted copies and its Hessians (3 x 512 KB) stay in a core's cache
+NEWTON_CHUNK_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class Dataset:
             raise ConfigError("Dataset: non-finite entries")
         if self.feature_radius <= 0:
             raise ConfigError("Dataset: feature_radius must be > 0")
-        row_norms = np.linalg.norm(X, axis=-1)
+        row_norms = np.sqrt(np.einsum("...ij,...ij->...i", X, X))  # no temporary copy of X
         worst = float(row_norms.max())
         if worst > self.feature_radius + 1e-9:
             raise ConfigError(
@@ -91,100 +97,172 @@ class FitResult:
 
     For output perturbation, `beta_tilde` is the unperturbed minimizer and
     `grad_norm` certifies that inner solve; for objective perturbation,
-    `beta_tilde` equals `beta_hat`.
+    `beta_tilde` equals `beta_hat`.  A stack of R fits holds (R, d) vectors
+    and (R,) certificates, a row per replicate.
     """
 
     beta_hat: np.ndarray
     beta_tilde: np.ndarray
     xi: np.ndarray
-    grad_norm: float
-    iterations: int
+    grad_norm: float | np.ndarray
+    iterations: int | np.ndarray
+
+
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis, broadcast over the others, as one (1, d) @
+    (d, 1) product each: the bits of ``a @ b`` for two vectors, a BLAS dot
+    (np.linalg.norm squares a vector the same way)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X @ beta for a matrix and a vector, or for each pair of a stack of
+    them, as one BLAS matrix-vector product each."""
+    return np.matmul(X, beta[..., None])[..., 0]
 
 
 def _minimize(
     data: Dataset, loss: MarginLoss, lam: float, nu: float, xi: np.ndarray
 ) -> tuple[np.ndarray, float, int]:
     """Damped Newton on the perturbed objective, stepping by sufficient
-    decrease of ||grad F||; returns (beta, ||grad F||, Newton steps)."""
-    X, y = data.X, data.y
-    n, d = X.shape
+    decrease of ||grad F||; returns (beta, ||grad F||, Newton steps).
 
-    def gradient(margins: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return X.T @ loss.gradients(margins, y) + lam * beta + nu * xi
+    A stack of R replicates (``data.X`` of shape (R, n, d), xi (R, d))
+    returns (R, d) coefficients and (R,) norms and steps; one replicate is a
+    stack of one.  Each replicate takes its own Newton steps and halvings and
+    stops on its own certificate, and the stacked products run the BLAS call
+    it makes alone, so its result is the same bits in any stack.  A stack
+    raises the NonConvergenceError of its lowest-index failing replicate, the
+    one that fitting one replicate at a time would raise.
+    """
+    single = data.X.ndim == 2
+    X, y, xi = (data.X[None], data.y[None], xi[None]) if single else (data.X, data.y, xi)
+    replicates, n, d = X.shape
 
-    def newton_step(margins: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def gradient(X, y, xi, margins, beta):
+        grad = np.matmul(loss.gradients(margins, y)[:, None, :], X)[:, 0]
+        return grad + lam * beta + nu * xi
+
+    def newton_step(X, y, margins, grad):
         """Solve (X'WX + lam*I) p = -grad; by Woodbury on Xs = sqrt(W) X when
         d > n, which needs no inverse of W and so allows zero weights."""
         weights = loss.curvatures(margins, y)
         if d <= n:
-            hessian = (X.T * weights) @ X
-            hessian.flat[:: d + 1] += lam
-            return -np.linalg.solve(hessian, grad)
-        scaled = np.sqrt(weights)[:, None] * X
-        kernel = scaled @ scaled.T
-        kernel.flat[:: n + 1] += lam
-        return (scaled.T @ np.linalg.solve(kernel, scaled @ grad) - grad) / lam
+            hessian = np.matmul(X.swapaxes(1, 2) * weights[:, None, :], X)
+            hessian.reshape(len(X), -1)[:, :: d + 1] += lam
+            return -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        scaled = np.sqrt(weights)[:, :, None] * X
+        kernel = np.matmul(scaled, scaled.swapaxes(1, 2))  # one syrk, as S @ S.T
+        kernel.reshape(len(X), -1)[:, :: n + 1] += lam
+        inner = np.linalg.solve(kernel, np.matmul(scaled, grad[:, :, None]))
+        return (np.matmul(inner.swapaxes(1, 2), scaled)[:, 0] - grad) / lam
 
-    beta, margins = np.zeros(d), np.zeros(n)
-    grad = gradient(margins, beta)
-    norm = float(np.linalg.norm(grad))
-    tol = GRADIENT_TOL_SCALE * max(1.0, n, norm)
+    beta, margins = np.zeros((replicates, d)), np.zeros((replicates, n))
+    grad = gradient(X, y, xi, margins, beta)
+    norm = np.sqrt(dots(grad, grad))
+    tol = GRADIENT_TOL_SCALE * np.maximum(max(1.0, n), norm)
+    rows = np.arange(replicates)  # the replicates still running
+    failed = np.zeros(replicates, dtype=bool)
+    out_beta, out_norm = np.empty((replicates, d)), np.empty(replicates)
+    out_steps = np.empty(replicates, dtype=int)
+    failures = {}
+
+    def fail(position, message):
+        failed[position] = True
+        failures[int(rows[position])] = NonConvergenceError(
+            message, last_iterate=beta[position].copy(), residual=float(norm[position]),
+            iterations=iterations,
+        )
+
     iterations = 0
-    while norm > tol:
+    while True:
         if iterations == MAX_NEWTON_STEPS:
-            raise NonConvergenceError(
-                "Newton hit the iteration cap", last_iterate=beta, residual=norm,
-                iterations=iterations,
+            for position in np.flatnonzero((norm > tol) & ~failed):
+                fail(position, "Newton hit the iteration cap")
+        done = (norm <= tol) & ~failed
+        if (done | failed).any():  # re-index the running rows only when some stop
+            finished = rows[done]
+            out_beta[finished], out_norm[finished], out_steps[finished] = (
+                beta[done], norm[done], iterations
             )
-        step = newton_step(margins, grad)
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            trial = beta + scale * step
-            trial_margins = X @ trial
-            trial_grad = gradient(trial_margins, trial)
-            trial_norm = float(np.linalg.norm(trial_grad))
-            if trial_norm <= (1.0 - ARMIJO_SLOPE * scale) * norm:
+            keep = ~(done | failed)
+            rows, X, y, xi = rows[keep], X[keep], y[keep], xi[keep]
+            beta, margins, grad, norm, tol = (a[keep] for a in (beta, margins, grad, norm, tol))
+            failed = failed[keep]
+            if not len(rows):
                 break
-            scale *= 0.5
-        else:
-            raise NonConvergenceError(
-                "Newton line search stalled", last_iterate=beta, residual=norm,
-                iterations=iterations,
+        size = max(1, NEWTON_CHUNK_ENTRIES // (n * d))
+        chunks = [slice(start, start + size) for start in range(0, len(rows), size)]
+        step = np.concatenate([newton_step(X[c], y[c], margins[c], grad[c]) for c in chunks])
+        scale = np.ones(len(rows))
+        pending = np.arange(len(rows))  # the rows whose step is not yet taken
+        for _ in range(MAX_HALVINGS):
+            # while every row is pending, the stack itself: no copy of X
+            part = slice(None) if len(pending) == len(rows) else pending
+            trial = beta[part] + scale[part, None] * step[part]
+            trial_margins = matvec(X[part], trial)
+            trial_grad = gradient(X[part], y[part], xi[part], trial_margins, trial)
+            trial_norm = np.sqrt(dots(trial_grad, trial_grad))
+            accept = trial_norm <= (1.0 - ARMIJO_SLOPE * scale[part]) * norm[part]
+            took = pending[accept]
+            beta[took], margins[took], grad[took], norm[took] = (
+                trial[accept], trial_margins[accept], trial_grad[accept], trial_norm[accept]
             )
-        beta, margins, grad, norm = trial, trial_margins, trial_grad, trial_norm
+            pending = pending[~accept]
+            if not len(pending):
+                break
+            scale[pending] *= 0.5
+        for position in pending:
+            fail(position, "Newton line search stalled")
         iterations += 1
-    return beta, norm, iterations
+    if failures:
+        raise failures[min(failures)]
+    if single:
+        return out_beta[0], float(out_norm[0]), int(out_steps[0])
+    return out_beta, out_norm, out_steps
 
 
 def _fit(
-    mechanism: str, data: Dataset, loss: MarginLoss, lam: float, nu: float, seed: int
+    mechanism: str, data: Dataset, loss: MarginLoss, lam: float, nu: float,
+    seed: int | list[int] | np.ndarray,
 ) -> FitResult:
     """The objective- or output-perturbation fit: the tilt nu*<xi, beta> goes
-    into the objective, or nu*xi is added to the unperturbed minimizer."""
+    into the objective, or nu*xi is added to the unperturbed minimizer.  A
+    stack of R replicates takes one seed each, or the (R, 2) keys of their
+    perturbation streams (``rng.keys``), and gives a stack of R fits."""
     where = f"fit_{mechanism}_perturbation"
     if lam <= 0:
         raise ConfigError(f"{where}: lam must be > 0")
     if nu < 0:
         raise ConfigError(f"{where}: nu must be >= 0")
-    xi = box_muller(stream(seed, f"{mechanism}-perturbation-xi"), data.d)
+    single, d = data.X.ndim == 2, data.d
+    if not isinstance(seed, np.ndarray):  # xi is each replicate's (seed, tag) stream
+        (seed,) = keys((f"{mechanism}-perturbation-xi",), [seed] if np.ndim(seed) == 0 else seed)
+    if seed.shape != (1 if single else len(data.X), 2):
+        raise ConfigError(f"{where}: want one seed per replicate")
+    xi = box_muller(draw(seed, d + d % 2), d)
+    if single:
+        xi = xi[0]
     if mechanism == "objective":
         beta, norm, iterations = _minimize(data, loss, lam, nu, xi)
         return FitResult(beta, beta, xi, norm, iterations)
-    beta, norm, iterations = _minimize(data, loss, lam, 0.0, np.zeros(data.d))
+    beta, norm, iterations = _minimize(data, loss, lam, 0.0, np.zeros_like(xi))
     return FitResult(beta + nu * xi, beta, xi, norm, iterations)
 
 
 def fit_objective_perturbation(
-    data: Dataset, loss: MarginLoss, lam: float, nu: float, seed: int
+    data: Dataset, loss: MarginLoss, lam: float, nu: float, seed: int | list[int] | np.ndarray
 ) -> FitResult:
-    """Minimize the regularized objective with a random linear tilt nu*<xi, beta>."""
+    """Minimize the regularized objective with a random linear tilt nu*<xi, beta>;
+    for a stack of replicates, each with its own seed or xi key (``_fit``)."""
     return _fit("objective", data, loss, lam, nu, seed)
 
 
 def fit_output_perturbation(
-    data: Dataset, loss: MarginLoss, lam: float, nu: float, seed: int
+    data: Dataset, loss: MarginLoss, lam: float, nu: float, seed: int | list[int] | np.ndarray
 ) -> FitResult:
-    """Minimize the unperturbed regularized objective, then add nu*xi."""
+    """Minimize the unperturbed regularized objective, then add nu*xi; for a
+    stack of replicates, each with its own seed or xi key (``_fit``)."""
     return _fit("output", data, loss, lam, nu, seed)
 
 
@@ -231,7 +309,7 @@ def run_noisy_gd(
     trajectory = np.zeros((replicates, steps + 1, d))
     beta = np.zeros((replicates, d))
     for t in range(steps):
-        margins = np.matmul(X, beta[:, :, None])[:, :, 0]
+        margins = matvec(X, beta)
         gradients = loss.gradients(margins, y, label_side=label_side)
         grad = np.matmul(gradients[:, None, :], X)[:, 0]
         if nu > 0:

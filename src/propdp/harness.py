@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .erm import matvec
 from .errors import ConfigError, Failure, NumericError
 from .laws import ScalarLaw, parse_law
-from .rng import box_muller, child_seed, keys, raw_words, stream, uniforms
+from .rng import box_muller, child_seed, draw, keys, raw_words, stream, uniforms
 from .scalars import logistic_rho_prime
 
 logger = logging.getLogger(__name__)
@@ -235,14 +236,21 @@ def gen_signal(d: int, law: ScalarLaw, seed: int | np.ndarray) -> np.ndarray:
 
 
 def gen_linear_labels(
-    X: np.ndarray, beta_star: np.ndarray, noise: ScalarLaw, seed: int
+    X: np.ndarray, beta_star: np.ndarray, noise: ScalarLaw, seed: int | np.ndarray
 ) -> np.ndarray:
-    return X @ beta_star + noise.sample(stream(seed, "noise"), X.shape[0])
+    """X beta* plus noise from the (seed, "noise") stream; ``seed`` may also be
+    an (R, 2) array of such streams' keys, for an (R, n, d) stack of designs
+    and (R, d) signals, which gives one row each."""
+    source = seed if isinstance(seed, np.ndarray) else stream(seed, "noise")
+    return matvec(X, beta_star) + noise.sample(source, X.shape[-2])
 
 
-def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int) -> np.ndarray:
-    probs = logistic_rho_prime(X @ beta_star)
-    return (stream(seed, "labels").random(X.shape[0]) < probs).astype(float)
+def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int | np.ndarray) -> np.ndarray:
+    """Bernoulli(rho'(X beta*)) labels from the (seed, "labels") stream's
+    uniforms; ``seed`` may also be an (R, 2) array of keys, as above."""
+    probs = logistic_rho_prime(matvec(X, beta_star))
+    source = seed if isinstance(seed, np.ndarray) else stream(seed, "labels")
+    return (uniforms(draw(source, X.shape[-2])) < probs).astype(float)
 
 
 def solve_theory(
@@ -263,18 +271,16 @@ def _run_cell(args) -> list[tuple]:
     """One block of a grid point's replicates, ``start <= replicate < stop``:
     each replicate's seed, metrics and fit certificate."""
     config, grid_index, n, d, start, stop = args
+    spec = models.get(config.model)
     seeds = [child_seed(config.seed, grid_index, replicate) for replicate in range(start, stop)]
-    design, signal = keys(("design", "signal"), seeds)  # one hashing pass
+    # one hashing pass for the design, signal and model streams of the block
+    design, signal, *stream_keys = keys(("design", "signal", *spec.stream_tags), seeds)
     X = gen_design(n, d, config.design, design)
     beta_star = gen_signal(d, config.signal_law, signal)
-    fits = models.get(config.model).replicate(
-        config, X, beta_star, design_radius(X, config.design), seeds
+    scored = spec.replicate(
+        config, X, beta_star, design_radius(X, config.design), seeds, stream_keys
     )
-    return [
-        (seed, empirical, None, None) if fit is None
-        else (seed, empirical, fit.iterations, fit.grad_norm)
-        for seed, (empirical, fit) in zip(seeds, fits)
-    ]
+    return [(seed, *replicate) for seed, replicate in zip(seeds, scored)]
 
 
 def _blocks(config: ExperimentConfig) -> list[tuple]:
@@ -314,6 +320,7 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> Iterator[GridP
             while len(replicates) < config.replicates:
                 replicates += next(results)
             yield GridPoint(config, index, n, d, theory, replicates, error)
+            del replicates  # so the point can go before the next theory solve
 
 
 def _point_rows(point: GridPoint) -> Iterator[dict]:

@@ -197,16 +197,26 @@ class ModelSpec:
             return Theory(sol.as_dict(), output_perturbation_predictions(sol, config.nu), guess)
         return Theory(sol.as_dict(), _predictions(sol, metrics), guess)
 
+    @property
+    def stream_tags(self) -> tuple[str, ...]:
+        """The tags of the streams a replicate draws besides its design and
+        signal, which the harness keys with those: the perturbation's and the
+        labels'; noisy GD keys its per-step noise itself."""
+        if self.mechanism == "dpsgd":
+            return ()
+        return (f"{self.mechanism}-perturbation-xi", "noise" if self.loss == "huber" else "labels")
+
     def replicate(
-        self, config, X, beta_star, radius: float, seeds
-    ) -> list[tuple[dict, erm.FitResult | None]]:
+        self, config, X, beta_star, radius: float, seeds, stream_keys
+    ) -> list[tuple[dict, int | None, float | None]]:
         """Label, fit and score a block of replicates of ``config`` (an
         ExperimentConfig): X is a stack of R designs (R, n, d), beta_star
-        (R, d) their signals, with one seed each.  Returns each replicate's
-        metrics and fit (None for noisy GD, which has no optimality
-        certificate).  Noisy GD runs the block as one stack; the perturbation
-        fits run one replicate at a time.  Floating-point failures raise
-        NumericError, as in ``solve``."""
+        (R, d) their signals, with one seed each, and ``stream_keys`` the (R, 2)
+        keys of each stream in ``self.stream_tags``.  Returns each replicate's
+        metrics and fit certificate, its Newton steps and final ||grad F||
+        (None for noisy GD, which has none).  Both noisy GD and the
+        perturbation fits run the block as one stack.  Floating-point failures
+        raise NumericError, as in ``solve``."""
         with _float_errors(f"{self.name} replicate"):
             d = beta_star.shape[-1]
             if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
@@ -215,46 +225,47 @@ class ModelSpec:
                 else:
                     loss = losses.LogisticCeLoss()
                 step = step_size_at(d / X.shape[1], config.step_size)
-                margins = np.matmul(X, beta_star[:, :, None])[:, :, 0]
+                margins = erm.matvec(X, beta_star)
                 trajectories = erm.run_noisy_gd(
                     erm.Dataset(X, margins, radius), loss, step, config.nu, config.steps, seeds
                 )
-                # one (1, d) @ (d, 1) product per iterate: a dot, as e @ e is
                 errors = trajectories - beta_star[:, None, :]
-                mse = np.matmul(errors[:, :, None, :], errors[:, :, :, None])[..., 0, 0] / d
-                bias = np.matmul(trajectories[:, :, None, :], beta_star[:, None, :, None])
-                bias = bias[..., 0, 0] / d
-                return [(_per_step(m, b), None) for m, b in zip(mse, bias)]
-            scored = []
-            for Xk, bk, seed in zip(X, beta_star, seeds):
-                if self.loss == "huber":
-                    y = harness.gen_linear_labels(Xk, bk, config.noise_law, seed)
-                    loss = losses.HuberLoss(config.L)
-                else:
-                    y = harness.gen_logistic_labels(Xk, bk, seed)
-                    loss = losses.LogisticLoss()
-                data = erm.Dataset(Xk, y, radius)
-                if self.mechanism == "objective":
-                    fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, seed)
-                else:
-                    fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, seed)
-                scored.append((self.score(fit, Xk, y, bk, L=config.L), fit))
-            return scored
+                mse = erm.dots(errors, errors) / d
+                bias = erm.dots(trajectories, beta_star[:, None, :]) / d
+                return [(_per_step(m, b), None, None) for m, b in zip(mse, bias)]
+            xi_keys, label_keys = stream_keys
+            if self.loss == "huber":
+                y = harness.gen_linear_labels(X, beta_star, config.noise_law, label_keys)
+                loss = losses.HuberLoss(config.L)
+            else:
+                y = harness.gen_logistic_labels(X, beta_star, label_keys)
+                loss = losses.LogisticLoss()
+            data = erm.Dataset(X, y, radius)
+            if self.mechanism == "objective":
+                fit = erm.fit_objective_perturbation(data, loss, config.lam, config.nu, xi_keys)
+            else:
+                fit = erm.fit_output_perturbation(data, loss, config.lam, config.nu, xi_keys)
+            scores = self.score(fit, X, y, beta_star, L=config.L)
+            columns = [values.tolist() for values in scores.values()]
+            metrics = (dict(zip(scores, row)) for row in zip(*columns))
+            return list(zip(metrics, fit.iterations.tolist(), fit.grad_norm.tolist()))
 
     def score(self, fit: erm.FitResult, X, y, beta_star, *, L: float) -> dict:
-        """Per-replicate summary statistics of one perturbation fit."""
-        d = beta_star.shape[0]
+        """Summary statistics of a perturbation fit, metric -> value; of a
+        stack of fits (X of shape (R, n, d)), metric -> (R,) values."""
+        d, n = X.shape[-1], X.shape[-2]
         error = fit.beta_hat - beta_star
-        metrics = {"estimation_error": float(error @ error) / d}
-        metrics["bias"] = float(fit.beta_hat @ beta_star) / d
+        metrics = {"estimation_error": erm.dots(error, error) / d}
+        metrics["bias"] = erm.dots(fit.beta_hat, beta_star) / d
         shift = fit.beta_hat - fit.beta_tilde if self.mechanism == "output" else error
-        metrics["xi_correlation"] = float(shift @ fit.xi) / d
+        metrics["xi_correlation"] = erm.dots(shift, fit.xi) / d
         if self.loss == "huber":
-            residual = clip(y - X @ fit.beta_hat, L)
-            metrics["truncated_residual"] = float(residual @ residual) / X.shape[0]
+            residual = clip(y - erm.matvec(X, fit.beta_hat), L)
+            metrics["truncated_residual"] = erm.dots(residual, residual) / n
         else:
-            diff = logistic_rho_prime(X @ beta_star) - logistic_rho_prime(X @ fit.beta_hat)
-            metrics["rho_diff"] = float(diff @ diff) / X.shape[0]
+            diff = logistic_rho_prime(erm.matvec(X, beta_star))
+            diff = diff - logistic_rho_prime(erm.matvec(X, fit.beta_hat))
+            metrics["rho_diff"] = erm.dots(diff, diff) / n
         return metrics
 
 

@@ -15,7 +15,7 @@ from propdp.erm import (
 from propdp.errors import ConfigError, NonConvergenceError
 from propdp.laws import ScalarLaw
 from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
-from propdp.rng import box_muller, stream
+from propdp.rng import box_muller, keys, stream
 from support import gradient_descent_minimize
 
 
@@ -284,6 +284,114 @@ class TestNewton:
         with pytest.raises(NonConvergenceError) as info:
             _minimize(data, LogisticLoss(), 0.5, 0.2, np.ones(data.d))
         assert info.value.iterations == iterations
+
+
+def make_stack(family, n, d, seeds):
+    """One replicate per seed, both as a dataset alone and as a row of a stack."""
+    if family == "huber":
+        parts = [make_regression(seed, n, d, noise=2.0)[0] for seed in seeds]
+    else:  # features x 3: margins large enough that replicates differ in steps
+        parts = [make_classification(seed, n, d)[0] for seed in seeds]
+        parts = [Dataset(3.0 * part.X, part.y, 3.0 * part.feature_radius) for part in parts]
+    radius = max(part.feature_radius for part in parts)
+    parts = [Dataset(part.X, part.y, radius) for part in parts]
+    stack = Dataset(np.stack([p.X for p in parts]), np.stack([p.y for p in parts]), radius)
+    return stack, parts
+
+
+class CountingHuber(HuberLoss):
+    """A Huber loss that counts its gradient calls: a fit makes one at the
+    start and one per trial step, so the rest beyond its steps are halvings."""
+
+    calls = [0]
+
+    def gradients(self, margins, y):
+        self.calls[0] += 1
+        return super().gradients(margins, y)
+
+
+class TestStack:
+    """A stack of replicates fits as one block; each row is the bits of that
+    replicate's fit alone, whatever steps and halvings the others take."""
+
+    SHAPES = {"d<n": (40, 10), "d>n": (12, 60)}
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("mechanism", ["objective", "output"])
+    @pytest.mark.parametrize("family", ["huber", "logistic"])
+    def test_each_row_is_its_replicates_fit(self, family, mechanism, shape):
+        stack, parts = make_stack(family, *self.SHAPES[shape], self.SEEDS)
+        # at these settings the replicates of every stack differ in step counts
+        loss, lam = (HuberLoss(0.3), 0.5) if family == "huber" else (LogisticLoss(), 0.1)
+        fit_fn = fit_objective_perturbation if mechanism == "objective" else fit_output_perturbation
+        seeds = [100 + seed for seed in self.SEEDS]
+        block = fit_fn(stack, loss, lam=lam, nu=0.3, seed=seeds)
+        assert block.grad_norm.shape == block.iterations.shape == (len(seeds),)
+        singles = [fit_fn(part, loss, lam=lam, nu=0.3, seed=s) for part, s in zip(parts, seeds)]
+        assert len({single.iterations for single in singles}) > 1
+        for row, single in enumerate(singles):
+            for field in ("beta_hat", "beta_tilde", "xi"):
+                assert getattr(block, field)[row].tobytes() == getattr(single, field).tobytes()
+            assert block.grad_norm[row].hex() == single.grad_norm.hex()
+            assert block.iterations[row] == single.iterations
+        # the (R, 2) keys of the perturbation streams stand for the seeds
+        (xi_keys,) = keys((f"{mechanism}-perturbation-xi",), seeds)
+        keyed = fit_fn(stack, loss, lam=lam, nu=0.3, seed=xi_keys)
+        assert keyed.beta_hat.tobytes() == block.beta_hat.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_differ_in_steps_and_halvings(self, shape):
+        # the Huber stacks above mix replicates of different step and halving counts
+        _, parts = make_stack("huber", *self.SHAPES[shape], self.SEEDS)
+        counts = set()
+        for seed, part in zip(self.SEEDS, parts):
+            CountingHuber.calls[0] = 0
+            fit = fit_objective_perturbation(part, CountingHuber(0.3), lam=0.5, nu=0.3, seed=seed)
+            counts.add((fit.iterations, CountingHuber.calls[0] - 1 - fit.iterations))
+        assert len({steps for steps, _ in counts}) > 1
+        assert len({halvings for _, halvings in counts}) > 1
+
+    def test_one_seed_per_replicate(self):
+        stack, _ = make_stack("huber", 40, 10, self.SEEDS)
+        for seed in ([1, 2], 3, keys(("objective-perturbation-xi",), [1, 2])[0]):
+            with pytest.raises(ConfigError, match="one seed per replicate"):
+                fit_objective_perturbation(stack, HuberLoss(0.3), lam=0.5, nu=0.3, seed=seed)
+
+    @pytest.mark.parametrize(
+        "shape, limits, seeds",
+        [
+            # row 1 stalls at its 5th step; row 2 stalls earlier, at its 1st
+            ("d<n", {"MAX_HALVINGS": 1}, [1, 0, 6]),
+            # rows 1 and 2 both hit the cap, with their own residuals
+            ("d<n", {"MAX_NEWTON_STEPS": 4}, [2, 3, 0]),
+            # row 1 hits the cap at 4 steps; row 2 stalls at its 2nd step
+            ("d>n", {"MAX_HALVINGS": 1, "MAX_NEWTON_STEPS": 4}, [0, 4, 3]),
+        ],
+    )
+    def test_raises_the_lowest_failing_replicates_error(self, monkeypatch, shape, limits, seeds):
+        import propdp.erm as erm
+
+        for limit, value in limits.items():
+            monkeypatch.setattr(erm, limit, value)
+        stack, parts = make_stack("huber", *self.SHAPES[shape], seeds)
+        errors = []
+        for part, seed in zip(parts, seeds):
+            try:
+                fit_objective_perturbation(part, HuberLoss(0.3), lam=0.5, nu=0.3, seed=seed)
+            except NonConvergenceError as exc:
+                errors.append(exc)
+            else:
+                errors.append(None)
+        assert errors[0] is None and errors[1] is not None and errors[2] is not None
+        assert errors[1].residual != errors[2].residual
+        with pytest.raises(NonConvergenceError) as info:
+            fit_objective_perturbation(stack, HuberLoss(0.3), lam=0.5, nu=0.3, seed=seeds)
+        raised, expected = info.value, errors[1]
+        assert str(raised) == str(expected)
+        assert raised.residual == expected.residual
+        assert raised.iterations == expected.iterations
+        assert raised.last_iterate.tobytes() == expected.last_iterate.tobytes()
 
 
 class TestNoisyGd:

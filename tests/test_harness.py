@@ -5,6 +5,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -509,6 +510,143 @@ class TestBlocks:
         },
     }
 
+    # float.hex of the perturbation models' values and fit certificates from
+    # before their blocks ran as one stack.  Grid point 0 (12 x 6) runs blocks
+    # of 64; grid point 1 (40 x 200, so d > n and fits go through Woodbury) is
+    # capped by BLOCK_ENTRIES at 31, so replicate 40 is in a full capped block
+    # and 66 in a partial one.  At L = 0.5 the Huber fits of a block take 1 to
+    # 4 Newton steps.
+    PINNED_FITS = {
+        ("huber_objective", 0, 63): {
+            "estimation_error": "0x1.4d8377d4927bbp-3",
+            "bias": "0x1.50e51290b19d7p-2",
+            "xi_correlation": "-0x1.70e8f385f5b7fp-4",
+            "truncated_residual": "0x1.730130de79bffp-4",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.39f2f450a2eadp-52",
+        },
+        ("huber_objective", 0, 66): {
+            "estimation_error": "0x1.cf7aa5eb60a21p-3",
+            "bias": "0x1.4bc0d29a7dce0p-2",
+            "xi_correlation": "0x1.f000f02678490p-5",
+            "truncated_residual": "0x1.bb91c2c093797p-5",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.4f9e6bbc4ecb3p-53",
+        },
+        ("huber_objective", 1, 40): {
+            "estimation_error": "0x1.de0b8c3ea2d64p-1",
+            "bias": "0x1.616b9bf873b6ap-4",
+            "xi_correlation": "-0x1.e4055baced5c0p-3",
+            "truncated_residual": "0x1.2227661525d9ap-3",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.f41c3ca48690ap-51",
+        },
+        ("huber_objective", 1, 66): {
+            "estimation_error": "0x1.fdba928b63d13p-1",
+            "bias": "0x1.3d616422136eep-5",
+            "xi_correlation": "-0x1.6c612008db574p-2",
+            "truncated_residual": "0x1.ffd99175fa688p-4",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.370fd180521d8p-50",
+        },
+        ("huber_output", 0, 63): {
+            "estimation_error": "0x1.00d70a04c0dc0p-3",
+            "bias": "0x1.49980deeb6811p-2",
+            "xi_correlation": "0x1.8680debf9f84dp-3",
+            "truncated_residual": "0x1.fd085c3efb634p-4",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.9147284a41448p-52",
+        },
+        ("huber_output", 0, 66): {
+            "estimation_error": "0x1.71be40a647a79p-2",
+            "bias": "0x1.225bfefd6f164p-2",
+            "xi_correlation": "0x1.7a149968402edp-3",
+            "truncated_residual": "0x1.ae62ef450b071p-4",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.f0c60a033a7b3p-53",
+        },
+        ("huber_output", 1, 40): {
+            "estimation_error": "0x1.f5c664ea997afp-1",
+            "bias": "0x1.1198483952fffp-4",
+            "xi_correlation": "0x1.6769207904ee5p-2",
+            "truncated_residual": "0x1.59932ad6764eep-3",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.6c8e3465eaf99p-51",
+        },
+        ("huber_output", 1, 66): {
+            "estimation_error": "0x1.fc4bb7937ff37p-1",
+            "bias": "0x1.f07ca73ac9e9dp-6",
+            "xi_correlation": "0x1.ec8142fed21adp-3",
+            "truncated_residual": "0x1.2df9aa007fd4ap-3",
+            "fit_iterations": 2,
+            "grad_norm": "0x1.2fa9d8d848231p-50",
+        },
+        ("logistic_objective", 0, 63): {
+            "estimation_error": "0x1.20a6e6fe19ed8p-1",
+            "bias": "0x1.1ba4a7c000cc7p-2",
+            "xi_correlation": "-0x1.2a7e1d95d886cp-2",
+            "rho_diff": "0x1.63a68dc8fd9ebp-6",
+            "fit_iterations": 4,
+            "grad_norm": "0x1.e155ec9dcf2b6p-52",
+        },
+        ("logistic_objective", 0, 66): {
+            "estimation_error": "0x1.389951a88c5d1p-1",
+            "bias": "0x1.69f164eec7227p-3",
+            "xi_correlation": "-0x1.1f88bf1181819p-3",
+            "rho_diff": "0x1.ecdc833b81f15p-6",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.c1c2a63720148p-36",
+        },
+        ("logistic_objective", 1, 40): {
+            "estimation_error": "0x1.fb77561b2662ap-1",
+            "bias": "0x1.04b08817f1666p-4",
+            "xi_correlation": "-0x1.08153f12cba5cp-2",
+            "rho_diff": "0x1.242fc28032007p-5",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.7f8fd94bf3bb3p-35",
+        },
+        ("logistic_objective", 1, 66): {
+            "estimation_error": "0x1.1129875283b17p+0",
+            "bias": "0x1.6d7226674b5eap-7",
+            "xi_correlation": "-0x1.82a08629d5eb2p-2",
+            "rho_diff": "0x1.1a81f782e80f9p-5",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.82ec82ddac3bep-40",
+        },
+        ("logistic_output", 0, 63): {
+            "estimation_error": "0x1.dca993ae0733cp-2",
+            "bias": "0x1.f6bd6b9fa88dfp-3",
+            "xi_correlation": "0x1.8680debf9f84dp-3",
+            "rho_diff": "0x1.418f2b63ceee8p-6",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.00c90dbfc2e25p-27",
+        },
+        ("logistic_output", 0, 66): {
+            "estimation_error": "0x1.144385436fb97p-1",
+            "bias": "0x1.c0031650a4400p-4",
+            "xi_correlation": "0x1.7a149968402efp-3",
+            "rho_diff": "0x1.0c3cc0a19b5dfp-6",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.d135aec3fc920p-40",
+        },
+        ("logistic_output", 1, 40): {
+            "estimation_error": "0x1.07a4a7bfdfe94p+0",
+            "bias": "0x1.67ace44bac3ddp-5",
+            "xi_correlation": "0x1.6769207904ee5p-2",
+            "rho_diff": "0x1.5b02a52e4a502p-5",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.baed91ce6e422p-44",
+        },
+        ("logistic_output", 1, 66): {
+            "estimation_error": "0x1.0ee0a052f7895p+0",
+            "bias": "-0x1.045a7ce7f91c7p-11",
+            "xi_correlation": "0x1.ec8142fed21adp-3",
+            "rho_diff": "0x1.55c8af0bcb02ap-5",
+            "fit_iterations": 3,
+            "grad_norm": "0x1.ac4d01aa7775ap-46",
+        },
+    }
+
     def test_blocks_are_capped_by_replicates_and_entries(self):
         config = ExperimentConfig(
             model="huber_dpsgd_ce", grid=((12, 6), (400, 300), (5000, 2000)), replicates=67
@@ -534,6 +672,25 @@ class TestBlocks:
         assert len(pinned) == 3
         for key, values in pinned.items():
             assert {name: value.hex() for name, value in empirical[key].items()} == values
+
+    @pytest.mark.parametrize(
+        "model", ["huber_objective", "huber_output", "logistic_objective", "logistic_output"]
+    )
+    def test_perturbation_values_are_pinned(self, model):
+        config = ExperimentConfig(
+            model=model, grid=((12, 6), (40, 200)), replicates=67, nu=0.3, L=0.5, seed=41
+        )
+        sizes = [stop - start for *_, start, stop in harness._blocks(config)]
+        assert sizes == [64, 3, 31, 31, 5]
+        serial = list(run_experiment(config))
+        assert list(run_experiment(config, jobs=2)) == serial
+        pinned = {key[1:]: values for key, values in self.PINNED_FITS.items() if key[0] == model}
+        assert len(pinned) == 4
+        for (index, replicate), values in pinned.items():
+            _, empirical, iterations, grad_norm = serial[index].replicates[replicate]
+            got = {name: value.hex() for name, value in empirical.items()}
+            got.update(fit_iterations=iterations, grad_norm=grad_norm.hex())
+            assert got == values
 
 
 class TestSummarize:
@@ -596,6 +753,31 @@ class TestSummarize:
         rows = summarize(one_at_a_time(run_experiment(config)))
         assert rows == summarize(list(run_experiment(config)))
         assert [(r["n"], r["d"]) for r in rows] == [(15, 30)] * 4 + [(30, 15)] * 8
+
+    def test_no_replicate_outlives_its_point_into_the_next_theory_solve(self, monkeypatch):
+        # at each theory solve, no replicate of an earlier grid point is alive:
+        # the sweep drops a point's replicates once the reader has the point
+        run_cell, solve_theory = harness._run_cell, harness.solve_theory
+        made, alive = [], []
+
+        class Metrics(dict):  # a dict that can be weakly referenced
+            pass
+
+        def tracked_cell(args):
+            block = [(seed, Metrics(empirical), *rest) for seed, empirical, *rest in run_cell(args)]
+            made.extend(weakref.ref(replicate[1]) for replicate in block)
+            return block
+
+        def counting_solve(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            return solve_theory(*args)
+
+        monkeypatch.setattr(harness, "_run_cell", tracked_cell)
+        monkeypatch.setattr(harness, "solve_theory", counting_solve)
+        config = dataclasses.replace(self.config(), grid=((30, 15), (15, 30), (30, 15)))
+        rows = summarize(one_at_a_time(run_experiment(config)))
+        assert len(rows) == 3 * 4 and len(made) == 3 * 4
+        assert alive == [0, 0, 0]
 
     def test_rows_sorted_and_complete(self):
         rows = summarize(run_experiment(self.config()))
