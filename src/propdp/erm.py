@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, NonConvergenceError
 from .losses import MarginLoss
-from .rng import box_muller, draw, keys
+from .rng import box_muller, draw, keyed, keys
 from .rng import stream  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 
 ARMIJO_SLOPE = 1e-4
@@ -228,21 +228,17 @@ def _fit(
 ) -> FitResult:
     """The objective- or output-perturbation fit: the tilt nu*<xi, beta> goes
     into the objective, or nu*xi is added to the unperturbed minimizer.  A
-    stack of R replicates takes one seed each, or the (R, 2) keys of their
-    perturbation streams (``rng.keys``), and gives a stack of R fits."""
+    stack of R replicates takes R seeds, or the (R, 2) keys of their
+    perturbation streams (``rng.keyed``), and gives a stack of R fits."""
     where = f"fit_{mechanism}_perturbation"
     if lam <= 0:
         raise ConfigError(f"{where}: lam must be > 0")
     if nu < 0:
         raise ConfigError(f"{where}: nu must be >= 0")
-    single, d = data.X.ndim == 2, data.d
-    if not isinstance(seed, np.ndarray):  # xi is each replicate's (seed, tag) stream
-        (seed,) = keys((f"{mechanism}-perturbation-xi",), [seed] if np.ndim(seed) == 0 else seed)
-    if seed.shape != (1 if single else len(data.X), 2):
+    xi_keys = keyed(f"{mechanism}-perturbation-xi", seed)  # xi is each replicate's stream
+    if xi_keys.shape != (*data.X.shape[:-2], 2):
         raise ConfigError(f"{where}: want one seed per replicate")
-    xi = box_muller(draw(seed, d + d % 2), d)
-    if single:
-        xi = xi[0]
+    xi = box_muller(draw(xi_keys, data.d + data.d % 2), data.d)
     if mechanism == "objective":
         beta, norm, iterations = _minimize(data, loss, lam, nu, xi)
         return FitResult(beta, beta, xi, norm, iterations)

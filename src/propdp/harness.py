@@ -27,7 +27,8 @@ from . import models
 from .erm import matvec
 from .errors import ConfigError, Failure, NumericError
 from .laws import ScalarLaw, parse_law
-from .rng import box_muller, child_seed, draw, keys, raw_words, stream, uniforms
+from .rng import box_muller, child_seed, draw, keyed, keys, raw_words, uniforms
+from .rng import stream  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 from .scalars import logistic_rho_prime
 
 logger = logging.getLogger(__name__)
@@ -192,17 +193,16 @@ def settings_echo(config: ExperimentConfig) -> dict:
 
 def gen_design(n: int, d: int, kind: str, seed: int | np.ndarray) -> np.ndarray:
     """Feature matrix with independent mean-zero, variance-1/d entries, drawn
-    from the (seed, "design") stream; ``seed`` may also be an (R, 2) array of
-    such streams' keys (``rng.keys``), for an (R, n, d) stack whose arithmetic
-    runs once on all their draws.  A stream's words go straight into its matrix."""
+    from the (seed, "design") stream; R seeds or keys (``rng.keyed``) give an
+    (R, n, d) stack whose arithmetic runs once on all their draws.  A
+    stream's words go straight into its matrix."""
     if kind not in DESIGNS:
         raise ConfigError(f"gen_design: unknown design {kind!r}")
-    block = isinstance(seed, np.ndarray)
-    keyed = seed if block else keys(("design",), [seed])[0]
+    design_keys = keyed("design", seed)
     entries = n * d
     count = {"rademacher": (entries + 1) // 2, "gaussian": entries + entries % 2}.get(kind, entries)
-    X = np.empty((len(keyed), n, d))
-    for row, words in zip(X.reshape(len(keyed), entries), raw_words(keyed, count)):
+    X = np.empty((*design_keys.shape[:-1], n, d))
+    for row, words in zip(X.reshape(-1, entries), raw_words(design_keys, count)):
         if kind == "rademacher":  # Generator.integers(0, 2): the top bit of each 32-bit half
             halves = words.astype("<u8", copy=False).view("<u4")[:entries]
             np.right_shift(halves, 31, out=row, casting="unsafe")
@@ -216,7 +216,7 @@ def gen_design(n: int, d: int, kind: str, seed: int | np.ndarray) -> np.ndarray:
         if kind == "bounded_uniform":
             X *= math.sqrt(3.0)
     X /= math.sqrt(d)
-    return X if block else X[0]
+    return X
 
 
 def design_radius(X: np.ndarray, kind: str) -> float:
@@ -230,27 +230,24 @@ def design_radius(X: np.ndarray, kind: str) -> float:
 
 
 def gen_signal(d: int, law: ScalarLaw, seed: int | np.ndarray) -> np.ndarray:
-    """Signal coordinates from the (seed, "signal") stream; ``seed`` may also
-    be an (R, 2) array of such streams' keys, which gives one row each."""
-    return law.sample(seed if isinstance(seed, np.ndarray) else stream(seed, "signal"), d)
+    """Signal coordinates from the (seed, "signal") stream; R seeds or keys
+    give one row each."""
+    return law.sample(keyed("signal", seed), d)
 
 
 def gen_linear_labels(
     X: np.ndarray, beta_star: np.ndarray, noise: ScalarLaw, seed: int | np.ndarray
 ) -> np.ndarray:
-    """X beta* plus noise from the (seed, "noise") stream; ``seed`` may also be
-    an (R, 2) array of such streams' keys, for an (R, n, d) stack of designs
-    and (R, d) signals, which gives one row each."""
-    source = seed if isinstance(seed, np.ndarray) else stream(seed, "noise")
-    return matvec(X, beta_star) + noise.sample(source, X.shape[-2])
+    """X beta* plus noise from the (seed, "noise") stream; for an (R, n, d)
+    stack of designs and (R, d) signals, R seeds or keys give one row each."""
+    return matvec(X, beta_star) + noise.sample(keyed("noise", seed), X.shape[-2])
 
 
 def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int | np.ndarray) -> np.ndarray:
     """Bernoulli(rho'(X beta*)) labels from the (seed, "labels") stream's
-    uniforms; ``seed`` may also be an (R, 2) array of keys, as above."""
+    uniforms; R seeds or keys give one row each, as above."""
     probs = logistic_rho_prime(matvec(X, beta_star))
-    source = seed if isinstance(seed, np.ndarray) else stream(seed, "labels")
-    return (uniforms(draw(source, X.shape[-2])) < probs).astype(float)
+    return (uniforms(draw(keyed("labels", seed), X.shape[-2])) < probs).astype(float)
 
 
 def solve_theory(

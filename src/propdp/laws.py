@@ -78,9 +78,9 @@ class ScalarLaw:
         return math.hypot(*terms)
 
     def sample(self, source, size) -> np.ndarray:
-        """Draws, with component choice and Box-Muller normals, from ``source``:
-        a Generator, or keys (*lead, 2) of streams (``rng.keys``), which give
-        one (*lead, *size) row each.  A mixture's stream holds n component
+        """Draws, with component choice and Box-Muller normals, from
+        ``source``, as ``rng.draw`` reads it: keys (*lead, 2) give one
+        (*lead, *size) row each.  A mixture's stream holds n component
         uniforms first, then the normals' words."""
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = math.prod(shape)

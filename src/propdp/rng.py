@@ -2,24 +2,22 @@
 
 Every random draw in the package flows through a Philox counter generator
 keyed by (seed, purpose tag, indices), so results are reproducible bit for
-bit regardless of execution order or worker count.  A stream's key is
-numpy's ``SeedSequence(entropy).generate_state(2, uint64)`` of those
-integers, and ``stream`` builds one cell's generator that way.
-
-A block of replicates draws many short streams.  ``keys`` hashes all its
-cells' keys in one vectorized pass that reproduces that hash bit for bit;
-``raw_words`` and ``draw`` read each stream's first raw 64-bit words from
-one Philox, re-keyed per stream to the state a fresh ``stream`` starts in
-(counter 0, the key, buffer position 4, no spare 32-bit half), so a stream's
-whole need is drawn before the next is keyed.  Raw words w give numpy's
-draws exactly: ``Generator.random`` is (w >> 11) * 2**-53 (``uniforms``),
-and ``Generator.integers(0, 2, size)`` is bit 31, then bit 63, of each word
+bit regardless of execution order or worker count.  ``keys`` derives every
+key, numpy's ``SeedSequence(entropy).generate_state(2, uint64)`` of those
+integers, for many cells in one vectorized pass.  ``draw`` reads each keyed
+stream's first raw 64-bit words from one Philox, re-keyed per stream to the
+state a fresh Generator starts in (counter 0, the key, buffer position 4, no
+spare 32-bit half); it also reads a ``stream``, one stream as a Generator
+read in turn.  Raw words w give numpy's draws exactly:
+``Generator.random`` is (w >> 11) * 2**-53 (``uniforms``), and
+``Generator.integers(0, 2, size)`` is bit 31, then bit 63, of each word
 (numpy's Lemire path on a word's two 32-bit halves, low first).  Normal
 variates are an explicit Box-Muller transform of a stream's uniforms.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Iterator
@@ -34,7 +32,7 @@ _MASK64 = (1 << 64) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = 16
 
 
@@ -43,58 +41,47 @@ def _tag_int(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
 
 
-def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
-    """Independent generator for the (seed, tag, *indices) cell; its key
-    hashes the seed, the tag and the indices, each mod 2**64."""
-    entropy = [int(seed) & _MASK64, _tag_int(tag)] + [int(i) & _MASK64 for i in indices]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+@functools.cache
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """A hash's constant before each of its calls and after the last, as a column."""
+    consts = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(calls + 1)]
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray, k: int, calls: int) -> np.ndarray:
+    """The hash's calls k .. k + calls - 1, one per row of the result."""
+    out = values ^ consts[k : k + calls]
+    out *= consts[k + 1 : k + 1 + calls]
+    out ^= out >> _XSHIFT
+    return out
 
 
 def _hash_keys(words: np.ndarray) -> np.ndarray:
     """numpy's SeedSequence hash of each column of ``words`` (W, rows), the
-    cells' entropy as uint32 words, to that cell's Philox key: (rows, 2) uint64."""
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> _XSHIFT
-        return value
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        result ^= result >> _XSHIFT
-        return result
-
-    zeros = np.zeros(words.shape[1], dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(words)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(words[src]))
-    state = np.empty((words.shape[1], 4), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i in range(4):  # generate_state(2, uint64): four words, little-endian pairs
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> _XSHIFT
-        state[:, i] = value
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    cells' entropy as uint32 words, to that cell's Philox key: (rows, 2)
+    uint64.  A mixing round hashes all its destination words as one array."""
+    hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(words), _POOL_SIZE))
+    pool = np.zeros((_POOL_SIZE, words.shape[1]), dtype=np.uint32)
+    pool[: len(words)] = words[:_POOL_SIZE]
+    pool, k = _hash(pool, hash_a, 0, _POOL_SIZE), _POOL_SIZE
+    for src in range(max(len(words), _POOL_SIZE)):  # a pool word into the others, a word into all
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed = _hash(pool[src] if src < _POOL_SIZE else words[src], hash_a, k, len(dst))
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst], k = mixed ^ (mixed >> _XSHIFT), k + len(dst)
+    # generate_state(2, uint64): four words, little-endian pairs
+    state = _hash(pool, _hash_constants(_INIT_B, _MULT_B, 4), 0, 4)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 def keys(tags, seeds, *indices) -> np.ndarray:
-    """The keys ``stream`` gives the cells (seed, tag, *indices), shape
+    """The Philox keys of the cells (seed, tag, *indices), shape
     (len(tags), *shape, 2) uint64: one per tag in ``tags`` and per entry of
-    ``seeds`` and ``indices`` broadcast together to ``shape``.  numpy splits
-    each integer into 32-bit words (one below 2**32, two above), so the
-    cells are hashed in groups of equal word count."""
-    wrapped = [np.asarray(v, dtype=object) & _MASK64 for v in (seeds, *indices)]  # any sign
+    ``seeds`` and ``indices`` (any sign, each taken mod 2**64) broadcast
+    together to ``shape``.  numpy splits each integer into 32-bit words (one
+    below 2**32, two above), so the cells are hashed in groups of equal word
+    count."""
+    wrapped = [np.asarray(v, dtype=object) & _MASK64 for v in (seeds, *indices)]
     seeds, *indices = np.broadcast_arrays(*(np.asarray(v, dtype=np.uint64) for v in wrapped))
     shape = (len(tags), *seeds.shape)
     tag_ints = np.array([_tag_int(tag) for tag in tags], np.uint64).reshape(-1, *[1] * seeds.ndim)
@@ -110,6 +97,18 @@ def keys(tags, seeds, *indices) -> np.ndarray:
         rows = counts == count
         out[rows] = _hash_keys(halves[rows][used[rows]].reshape(-1, count).T.astype(np.uint32))
     return out.reshape(*shape, 2)
+
+
+def keyed(tag: str, seed) -> np.ndarray:
+    """``tag``'s stream keys for ``seed``: an int gives one key (2,), a list
+    or int array of R seeds (R, 2); keys (``keys``' uint64) pass through."""
+    is_keys = isinstance(seed, np.ndarray) and seed.dtype == np.uint64
+    return seed if is_keys else keys((tag,), seed)[0]
+
+
+def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:
+    """The (seed, tag, *indices) cell's stream as a Generator, read in turn."""
+    return np.random.Generator(np.random.Philox(key=keys((tag,), seed, *indices)[0]))
 
 
 def raw_words(keys, count: int) -> Iterator[np.ndarray]:
@@ -129,6 +128,8 @@ def draw(source, count: int) -> np.ndarray:
     keys of shape (*lead, 2), each keyed stream's first ``count``: (*lead, count)."""
     if isinstance(source, np.random.Generator):
         return source.bit_generator.random_raw(count)
+    if source.ndim == 1:  # one key: its stream's words, uncopied
+        return next(raw_words(source, count))
     words = np.array(list(raw_words(source, count)), dtype=np.uint64)
     return words.reshape(*source.shape[:-1], count)
 
@@ -138,22 +139,18 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def box_muller(source, size) -> np.ndarray:
-    """Standard normal draws via Box-Muller on a stream's uniforms.
-
-    ``source`` is a Generator, whose next words it reads; or raw words whose
-    last axis holds each stream's n + n % 2 words for n = prod(size)
-    normals, giving (*lead, *size).  u1 are a stream's first half of the
-    words and u2 the second, as a Generator's two ``random`` calls read them."""
+def box_muller(words: np.ndarray, size) -> np.ndarray:
+    """Standard normal draws via Box-Muller on raw words (``draw``), whose
+    last axis holds each stream's n + n % 2 words for n = prod(size) normals,
+    giving (*lead, *size).  u1 are a stream's first half of the words and u2
+    the second, as a Generator's two ``random`` calls read them."""
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = math.prod(shape)
     half = (n + 1) // 2
-    if isinstance(source, np.random.Generator):
-        source = source.bit_generator.random_raw(2 * half)
-    lead = source.shape[:-1]
-    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms(source[..., :half])))  # 1 - u in (0, 1]
-    angle = 2.0 * np.pi * uniforms(source[..., half : 2 * half])
-    del source
+    lead = words.shape[:-1]
+    radius = np.sqrt(-2.0 * np.log(1.0 - uniforms(words[..., :half])))  # 1 - u in (0, 1]
+    angle = 2.0 * np.pi * uniforms(words[..., half : 2 * half])
+    del words
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., :n]
     return z.reshape((*lead, *shape))
 

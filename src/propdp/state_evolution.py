@@ -46,7 +46,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .laws import ScalarLaw
 from .losses import HuberCeLoss, LogisticCeLoss
-from .rng import box_muller, stream
+from .rng import box_muller, draw, keys, stream
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +57,9 @@ MAX_MC_SAMPLES = 1_000_000
 EIGENVALUE_FLOOR = -1e-8
 
 
-def _gaussian_paths(gen, cov: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """Draw `count` rows from N(0, cov) via eigendecomposition; also the clamp count.
+def _gaussian_paths(source, cov: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Draw `count` rows from N(0, cov) via eigendecomposition from ``source``,
+    a stream's key or a Generator (``rng.draw``); also the clamp count.
 
     Eigenvalues in [-1e-8, 0) are clamped to zero (rank-deficient blocks are
     expected); anything lower is a genuine inconsistency and raises.
@@ -72,7 +73,8 @@ def _gaussian_paths(gen, cov: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     if clamped:
         logger.debug("clamping %d negative eigenvalue(s) to zero", clamped)
         values = np.where(values < 0.0, 0.0, values)
-    z = box_muller(gen, count * cov.shape[0]).reshape(count, cov.shape[0])
+    n = count * cov.shape[0]
+    z = box_muller(draw(source, n + n % 2), (count, cov.shape[0]))
     return z @ (vectors * np.sqrt(values)).T, clamped
 
 
@@ -171,14 +173,13 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed, check):
     basis_cov[1 : 1 + T, 1 : 1 + T] = np.eye(T)
     c_g = basis_cov[1 + T :, 1 + T :]
     clamped = 0
+    omega_keys = keys(("state-evolution-omega",), seed, np.arange(T))[0]  # round t's stream
 
     for t in range(T):
         # joint covariance of (omega^0_1..omega^t_1, true margin); the true
         # margin is beta*'s own, the basis' first slot
         rows = np.vstack([coeff[: t + 1], np.eye(1, 1 + 2 * T)])
-        paths, count = _gaussian_paths(
-            stream(seed, "state-evolution-omega", t), rows @ basis_cov @ rows.T, m
-        )
+        paths, count = _gaussian_paths(omega_keys[t], rows @ basis_cov @ rows.T, m)
         clamped += count
         r_g[t, : t + 1], gram = _round(loss, t, paths, r_theta, step_size, scale)
         del paths
@@ -207,10 +208,10 @@ def _solve(loss, steps, step_size, nu, delta, signal, mc_samples, seed, check):
     mse = c_theta.diagonal() - 2.0 * bias + kappa_sq
 
     checked = {}
-    if check:  # the final coordinate-path Monte Carlo
+    if check:  # the final coordinate-path Monte Carlo, reading one stream in turn
         gen = stream(seed, "state-evolution-theta")
         beta_star = signal.sample(gen, m)
-        xi = box_muller(gen, m * T).reshape(m, T)
+        xi = box_muller(draw(gen, m * T + m * T % 2), (m, T))
         u, count = _gaussian_paths(gen, c_g, m)
         clamped += count
         theta1 = np.zeros((T + 1, m))

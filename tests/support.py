@@ -30,7 +30,7 @@ from propdp.laws import ScalarLaw
 from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from propdp.newton import damped_newton, multistart_seeds
 from propdp.privacy import GlmSensitivity
-from propdp.rng import box_muller, stream
+from propdp.rng import box_muller, draw, stream
 from propdp.scalars import (
     clip,
     gaussian_cdf,
@@ -219,9 +219,15 @@ def loss_values(loss, margins, y) -> np.ndarray:
     return logistic_rho(margins) - logistic_rho_prime(np.asarray(y)) * margins
 
 
+def next_normals(gen, size) -> np.ndarray:
+    """Box-Muller normals of a Generator's next n + n % 2 raw words."""
+    n = int(np.prod(size))
+    return box_muller(draw(gen, n + n % 2), size)
+
+
 def normal(seed: int, tag: str, *indices: int, size) -> np.ndarray:
     """Standard normal draws from the (seed, tag, *indices) stream."""
-    return box_muller(stream(seed, tag, *indices), size)
+    return next_normals(stream(seed, tag, *indices), size)
 
 
 def reference_normals(gen, size):

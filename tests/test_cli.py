@@ -21,10 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from propdp import cli, figures, harness, models
+from propdp import cli, erm, figures, harness, models, rng, state_evolution
 from propdp.cli import SIMULATE_HEADER, SUMMARY_HEADER, THEORY_HEADER
 from propdp.errors import NonConvergenceError, NumericError
 from propdp.laws import parse_law
+from propdp.rng import stream
 from support import one_at_a_time
 
 
@@ -339,6 +340,59 @@ class TestTheory:
         assert {k: v for k, v in point.items() if k != "inputs"} == {
             "error": "NonConvergenceError: injected stall", "residual": 0.5, "iterations": 7,
         }
+
+
+class TestOneKeyer:
+    """Every draw of a sweep and a figure is keyed by ``rng.keys`` and read
+    by ``rng.draw``: with ``stream`` refused, each model's sweep and fig2's
+    theory keep their bytes.  Only the theta-path check of ``theory`` reads
+    a stream in turn, once per solve."""
+
+    DIGESTS = {  # sha256 of simulate --total 100 --replicates 2 --steps 2 --mc-samples 10000
+        "huber_objective": "182c4c809d764147fa1b562b506f3c13ddddd79455c5a71238e5eab3e5023a0c",
+        "huber_output": "27b3c2b72b00b3b0d64f8907c04bf4bf970727ffd070353e85ccf6b8060aaf72",
+        "logistic_objective": "bba8526e327a72c4757cc1c543cf24d6ac38571422d402488704d07856f53a27",
+        "logistic_output": "d2ef045ff97d4d56be95e99e08f328408007830915bea50200a694092886b23b",
+        "huber_dpsgd_ce": "ae08ee756ce5e3d1bd627b4312a70ab88892c4df155a59c34cac4bf0a6d32089",
+        "logistic_dpsgd_ce": "e9a1e9b4e08aa16e1a3208c5fb447b4d4044241b56afd576bea59dbbe0c48cf7",
+    }
+    FIG2_DIGEST = "8c6ec2e091e73d0224d8d956a6ffd17d7a304452ac8d28a11a6845e0a9dd3c78"
+
+    @pytest.fixture
+    def no_stream(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"stream{args} read in turn")
+
+        monkeypatch.delenv("PROPDP_SEED", raising=False)
+        for module in (rng, harness, erm, state_evolution):
+            monkeypatch.setattr(module, "stream", refuse)
+
+    @pytest.mark.parametrize("model", DIGESTS)
+    def test_sweeps_read_no_stream_in_turn(self, no_stream, model, tmp_path):
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--model", model, "--total", "100", "--replicates", "2",
+                "--steps", "2", "--mc-samples", "10000", "--jobs", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[model]
+
+    def test_fig2_theory_reads_no_stream_in_turn(self, no_stream, monkeypatch):
+        monkeypatch.setattr(figures, "DENSE_RATIOS", (0.3, 0.7))
+        rows = figures.get_figure("fig2").theory_rows()
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == self.FIG2_DIGEST
+
+    def test_theory_reads_one_stream_per_check(self, no_stream, monkeypatch, capsys):
+        tags = []
+
+        def recording_stream(seed, tag, *indices):
+            tags.append(tag)
+            return stream(seed, tag, *indices)  # the module's own, imported before the refusal
+
+        monkeypatch.setattr(state_evolution, "stream", recording_stream)
+        args = ["theory", "--model", "huber_dpsgd_ce", "--delta", "0.5,20", "--L", "1",
+                "--nu", "0", "--steps", "8", "--mc-samples", "10000", "--seed", "0"]
+        assert cli.main(args) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 2
+        assert tags == ["state-evolution-theta"] * 2
 
 
 class TestPrivacy:

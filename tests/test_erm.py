@@ -15,24 +15,24 @@ from propdp.erm import (
 from propdp.errors import ConfigError, NonConvergenceError
 from propdp.laws import ScalarLaw
 from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
-from propdp.rng import box_muller, keys, stream
-from support import gradient_descent_minimize
+from propdp.rng import keys, stream
+from support import gradient_descent_minimize, next_normals
 
 
 def make_regression(seed=0, n=60, d=20, noise=0.2):
     gen = stream(seed, "erm-test-data")
-    X = box_muller(gen, (n, d)) / np.sqrt(d)
+    X = next_normals(gen, (n, d)) / np.sqrt(d)
     radius = float(np.linalg.norm(X, axis=1).max()) + 1e-9
-    beta_star = box_muller(gen, d)
-    y = X @ beta_star + noise * box_muller(gen, n)
+    beta_star = next_normals(gen, d)
+    y = X @ beta_star + noise * next_normals(gen, n)
     return Dataset(X, y, radius), beta_star
 
 
 def make_classification(seed=0, n=60, d=20):
     gen = stream(seed, "erm-test-clf")
-    X = box_muller(gen, (n, d)) / np.sqrt(d)
+    X = next_normals(gen, (n, d)) / np.sqrt(d)
     radius = float(np.linalg.norm(X, axis=1).max()) + 1e-9
-    beta_star = box_muller(gen, d)
+    beta_star = next_normals(gen, d)
     p = 1.0 / (1.0 + np.exp(-(X @ beta_star)))
     y = (gen.random(n) < p).astype(float)
     return Dataset(X, y, radius), beta_star
@@ -209,7 +209,7 @@ class TestNewton:
         data, _ = make_regression(seed=6, n=n, d=d)
         loss = HuberLoss(1e-12)
         lam, nu = 0.5, 0.2
-        xi = box_muller(stream(1, "tiny-L"), d)
+        xi = next_normals(stream(1, "tiny-L"), d)
         beta, norm, iterations = _minimize(data, loss, lam, nu, xi)
         assert not loss.curvatures(data.X @ beta, data.y).any()
         assert norm <= GRADIENT_TOL_SCALE * n
@@ -247,7 +247,7 @@ class TestNewton:
         # at label scale 1e10 the rounding of X'g exceeds 1e-9*n; the
         # certificate is relative to the gradient at the zero start
         data, _ = make_regression(seed=5, n=40, d=20)
-        y = 1e10 * box_muller(stream(5, "large-labels"), data.n)
+        y = 1e10 * next_normals(stream(5, "large-labels"), data.n)
         large = Dataset(data.X, y, data.feature_radius)
         loss, lam = HuberLoss(1e11), 0.5
         start = np.linalg.norm(large.X.T @ loss.gradients(np.zeros(large.n), y))
@@ -399,9 +399,9 @@ class TestNoisyGd:
 
     def make_margin_data(self, seed=0, n=50, d=25):
         gen = stream(seed, "erm-test-gd")
-        X = box_muller(gen, (n, d)) / np.sqrt(d)
+        X = next_normals(gen, (n, d)) / np.sqrt(d)
         radius = float(np.linalg.norm(X, axis=1).max()) + 1e-9
-        beta_star = box_muller(gen, d)
+        beta_star = next_normals(gen, d)
         return Dataset(X, X @ beta_star, radius), beta_star
 
     def test_trajectory_shape_and_start(self):
@@ -479,7 +479,7 @@ class TestNoisyGd:
             beta = np.zeros(part.d)
             for t in range(3):
                 grad = part.X.T @ loss.gradients(part.X @ beta, part.y)
-                grad = grad + 0.2 * box_muller(stream(seed, "noisy-gd-xi", t), part.d)
+                grad = grad + 0.2 * next_normals(stream(seed, "noisy-gd-xi", t), part.d)
                 beta = beta - 0.3 * grad
                 np.testing.assert_array_equal(path[t + 1], beta)
 

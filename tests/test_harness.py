@@ -32,9 +32,9 @@ from propdp.harness import (
 )
 from propdp.laws import ScalarLaw, parse_law
 from propdp.models import SPECS, ModelSpec, step_size_at
-from propdp.rng import box_muller, child_seed, keys, stream
+from propdp.rng import child_seed, keys, stream
 from propdp.scalars import logistic_rho_prime
-from support import one_at_a_time, reference_normals
+from support import next_normals, one_at_a_time, reference_normals
 
 
 def seeds_and_metrics(points):
@@ -191,11 +191,18 @@ class TestDesigns:
         root_d = math.sqrt(5)
         want = {
             "rademacher": lambda: (2.0 * gen.integers(0, 2, size=(6, 5)) - 1.0) / root_d,
-            "gaussian": lambda: box_muller(gen, 30).reshape(6, 5) / root_d,
+            "gaussian": lambda: next_normals(gen, 30).reshape(6, 5) / root_d,
             "bounded_uniform": lambda: (2.0 * gen.random((6, 5)) - 1.0) * math.sqrt(3.0) / root_d,
         }[kind]()
         assert stack[0].tobytes() == want.tobytes()
 
+    def test_an_int_array_holds_seeds_and_only_keys_pass_through(self):
+        seeds = [3, 0, 2**40]
+        law = ScalarLaw.gaussian(1.0)
+        want = gen_signal(4, law, seeds)
+        assert want.shape == (3, 4)
+        for given in (np.array(seeds), keys(("signal",), seeds)[0]):
+            assert gen_signal(4, law, given).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n, d", [(33, 30), (100, 10), (10, 100), (9, 111), (7, 1)])
     def test_rademacher_signs_are_numpys_integers(self, n, d):
@@ -241,7 +248,12 @@ class TestNoisyGdTheory:
             tags.append(tag)
             return stream(seed, tag, *indices)
 
+        def recording_keys(key_tags, seeds, *indices):
+            tags.extend(key_tags)
+            return keys(key_tags, seeds, *indices)
+
         monkeypatch.setattr(state_evolution, "stream", recording_stream)
+        monkeypatch.setattr(state_evolution, "keys", recording_keys)
         assert solve_theory(config, n, d, 0) == (full.predictions, None)
         monkeypatch.setattr(figures, "DENSE_RATIOS", (0.5,))
         rows = figures._curve_rows("fig", "curve", config)

@@ -1,12 +1,13 @@
 """Counter-based RNG stream tests: determinism, independence, distribution."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from propdp.rng import box_muller, child_seed, draw, keys, raw_words, stream, uniforms
-from support import normal, reference_normals
+from support import next_normals, normal, reference_normals
 
 
 class TestStream:
@@ -31,30 +32,47 @@ class TestStream:
 
 class TestStreams:
     """A block's streams: ``keys`` hashes many cells' keys in one pass and
-    ``draw`` reads each keyed stream from one re-keyed Philox; each stream
-    must be the one ``stream`` builds for its cell, word for word."""
+    ``draw`` reads each keyed stream from one re-keyed Philox.  Each key must
+    be numpy's own SeedSequence state of the cell's entropy, and each stream,
+    read in a block or by ``stream``, numpy's own Philox of that
+    SeedSequence, word for word."""
 
     SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, -1)
     TAGS = ("design", "signal", "noisy-gd-xi", "")
     INDICES = ((), (0,), (2**40,), (0, 2**40), (7, 0, 2**40, 3))
 
     @staticmethod
-    def assert_same_draws(tags, seeds, *indices):
-        block = draw(keys(tags, seeds, *indices), 14)
+    def seed_sequence(seed, tag, *indices):
+        """numpy's SeedSequence of the cell: the seed, the tag's first eight
+        sha256 bytes and the indices, each as an integer mod 2**64."""
+        tag_int = int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
+        wrap = [int(v) % 2**64 for v in (seed, *indices)]
+        return np.random.SeedSequence([wrap[0], tag_int, *wrap[1:]])
+
+    @classmethod
+    def assert_same_draws(cls, tags, seeds, *indices):
+        cell_keys = keys(tags, seeds, *indices)
+        block = draw(cell_keys, 14)
         columns = [np.asarray(v, dtype=object) for v in (seeds, *indices)]
         shape = np.broadcast_shapes(*(column.shape for column in columns))
         assert block.shape == (len(tags), *shape, 14)
-        for tag, words in zip(tags, block):
+        for tag, tag_keys, words in zip(tags, cell_keys, block):
             for position in np.ndindex(shape):
                 seed, *index = (np.broadcast_to(c, shape)[position] for c in columns)
                 cell = (seed, tag, *index)
-                reference = stream(*cell)
+                sequence = cls.seed_sequence(*cell)
                 np.testing.assert_array_equal(
-                    uniforms(words[position][:9]), reference.random(9), err_msg=str(cell)
+                    tag_keys[position], sequence.generate_state(2, np.uint64), err_msg=str(cell)
                 )
-                np.testing.assert_array_equal(
-                    words[position][9:], reference.bit_generator.random_raw(5), err_msg=str(cell)
-                )
+                gen = stream(*cell)  # read in turn
+                for head, tail in [np.split(words[position], [9]), (draw(gen, 9), draw(gen, 5))]:
+                    reference = np.random.Generator(np.random.Philox(sequence))
+                    np.testing.assert_array_equal(
+                        uniforms(head), reference.random(9), err_msg=str(cell)
+                    )
+                    np.testing.assert_array_equal(
+                        tail, reference.bit_generator.random_raw(5), err_msg=str(cell)
+                    )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_stream(self, seed):
@@ -93,7 +111,7 @@ class TestRawWords:
         assert normals.shape == (rows, *np.atleast_1d(size))
         for seed, row in enumerate(normals):
             assert row.tobytes() == reference_normals(stream(seed, "n"), size).tobytes()
-            assert row.tobytes() == box_muller(stream(seed, "n"), size).tobytes()
+            assert row.tobytes() == next_normals(stream(seed, "n"), size).tobytes()
 
     def test_one_philox_serves_every_stream(self):
         # each stream is keyed afresh: its words do not depend on the streams
@@ -107,17 +125,17 @@ class TestRawWords:
 class TestBoxMuller:
     def test_shapes(self):
         gen = stream(1, "shape")
-        assert box_muller(gen, 5).shape == (5,)
+        assert next_normals(gen, 5).shape == (5,)
         gen = stream(1, "shape")
-        assert box_muller(gen, (3, 4)).shape == (3, 4)
+        assert next_normals(gen, (3, 4)).shape == (3, 4)
 
     def test_odd_size(self):
-        z = box_muller(stream(1, "odd"), 7)
+        z = next_normals(stream(1, "odd"), 7)
         assert z.shape == (7,)
         assert np.all(np.isfinite(z))
 
     def test_moments(self):
-        z = box_muller(stream(5, "moments"), 2_000_000)
+        z = next_normals(stream(5, "moments"), 2_000_000)
         n = z.size
         assert z.mean() == pytest.approx(0.0, abs=4 / math.sqrt(n))
         assert (z**2).mean() == pytest.approx(1.0, abs=4 * math.sqrt(2 / n))
@@ -129,12 +147,12 @@ class TestBoxMuller:
         rows = box_muller(draw(keys(("rows",), range(4), 3)[0], 22), (7, 3))
         assert rows.shape == (4, 7, 3)
         for s, row in enumerate(rows):
-            np.testing.assert_array_equal(row, box_muller(stream(s, "rows", 3), (7, 3)))
+            np.testing.assert_array_equal(row, next_normals(stream(s, "rows", 3), (7, 3)))
 
     def test_normal_helper_matches(self):
         np.testing.assert_array_equal(
             normal(9, "helper", 2, size=64),
-            box_muller(stream(9, "helper", 2), 64),
+            next_normals(stream(9, "helper", 2), 64),
         )
 
 
