@@ -27,7 +27,9 @@ runs once per block, the products run as stacked matmuls and solves (one
 BLAS or LAPACK call per replicate, the one it makes alone) and the
 perturbation or the noise of all steps is keyed in one pass, while each
 replicate keeps its own products, streams, Newton steps, halvings and
-certificate, so its result does not depend on the block it runs in.
+certificate, so its result does not depend on the block it runs in.  A
+block's state is one array per quantity with a row per replicate; a fit
+steps the rows of the replicates still running.
 """
 
 from __future__ import annotations
@@ -128,12 +130,14 @@ def _minimize(
     decrease of ||grad F||; returns (beta, ||grad F||, Newton steps).
 
     A stack of R replicates (``data.X`` of shape (R, n, d), xi (R, d))
-    returns (R, d) coefficients and (R,) norms and steps; one replicate is a
-    stack of one.  Each replicate takes its own Newton steps and halvings and
-    stops on its own certificate, and the stacked products run the BLAS call
-    it makes alone, so its result is the same bits in any stack.  A stack
-    raises the NonConvergenceError of its lowest-index failing replicate, the
-    one that fitting one replicate at a time would raise.
+    returns its (R, d) coefficients and (R,) norms and steps: the state
+    arrays whose ``running`` rows it steps.  One replicate is a stack of one.
+    Each replicate takes its own Newton steps and halvings and stops on its
+    own certificate, and the stacked products run the BLAS call it makes
+    alone, so its result is the same bits in any stack; the running rows of
+    X, y and xi are taken anew only when one stops.  A stack raises the
+    NonConvergenceError of its lowest-index failing replicate, the one that
+    fitting one replicate at a time would raise.
     """
     single = data.X.ndim == 2
     X, y, xi = (data.X[None], data.y[None], xi[None]) if single else (data.X, data.y, xi)
@@ -161,50 +165,41 @@ def _minimize(
     grad = gradient(X, y, xi, margins, beta)
     norm = np.sqrt(dots(grad, grad))
     tol = GRADIENT_TOL_SCALE * np.maximum(max(1.0, n), norm)
-    rows = np.arange(replicates)  # the replicates still running
-    failed = np.zeros(replicates, dtype=bool)
-    out_beta, out_norm = np.empty((replicates, d)), np.empty(replicates)
-    out_steps = np.empty(replicates, dtype=int)
-    failures = {}
+    steps, failures = np.zeros(replicates, dtype=int), {}
 
-    def fail(position, message):
-        failed[position] = True
-        failures[int(rows[position])] = NonConvergenceError(
-            message, last_iterate=beta[position].copy(), residual=float(norm[position]),
-            iterations=iterations,
+    def fail(r, message):
+        failures[r] = NonConvergenceError(
+            message, last_iterate=beta[r].copy(), residual=float(norm[r]), iterations=int(steps[r])
         )
 
-    iterations = 0
-    while True:
+    size = max(1, NEWTON_CHUNK_ENTRIES // (n * d))
+    running, pending = np.arange(replicates), np.arange(0)  # no line search has stalled yet
+    at, run_X, run_y, run_xi = slice(None), X, y, xi  # while every replicate runs, the stack
+    for iterations in range(MAX_NEWTON_STEPS + 1):
+        steps[at] = iterations
+        keep = norm[at] > tol[at]
+        keep[pending] = False  # the replicates whose line search stalled
         if iterations == MAX_NEWTON_STEPS:
-            for position in np.flatnonzero((norm > tol) & ~failed):
-                fail(position, "Newton hit the iteration cap")
-        done = (norm <= tol) & ~failed
-        if (done | failed).any():  # re-index the running rows only when some stop
-            finished = rows[done]
-            out_beta[finished], out_norm[finished], out_steps[finished] = (
-                beta[done], norm[done], iterations
-            )
-            keep = ~(done | failed)
-            rows, X, y, xi = rows[keep], X[keep], y[keep], xi[keep]
-            beta, margins, grad, norm, tol = (a[keep] for a in (beta, margins, grad, norm, tol))
-            failed = failed[keep]
-            if not len(rows):
+            for replicate in running[keep]:
+                fail(replicate, "Newton hit the iteration cap")
+            break
+        if not keep.all():  # take the running replicates' data only when some stop
+            running = running[keep]
+            if not len(running):
                 break
-        size = max(1, NEWTON_CHUNK_ENTRIES // (n * d))
-        chunks = [slice(start, start + size) for start in range(0, len(rows), size)]
-        step = np.concatenate([newton_step(X[c], y[c], margins[c], grad[c]) for c in chunks])
-        scale = np.ones(len(rows))
-        pending = np.arange(len(rows))  # the rows whose step is not yet taken
+            at, run_X, run_y, run_xi = running, X[running], y[running], xi[running]
+        state, starts = (run_X, run_y, margins[at], grad[at]), range(0, len(running), size)
+        step = np.concatenate([newton_step(*(a[s : s + size] for a in state)) for s in starts])
+        scale, pending = np.ones(len(running)), np.arange(len(running))  # steps not yet taken
         for _ in range(MAX_HALVINGS):
-            # while every row is pending, the stack itself: no copy of X
-            part = slice(None) if len(pending) == len(rows) else pending
-            trial = beta[part] + scale[part, None] * step[part]
-            trial_margins = matvec(X[part], trial)
-            trial_grad = gradient(X[part], y[part], xi[part], trial_margins, trial)
+            whole = len(pending) == len(running)  # then index as above: no copy of X
+            part, rows = (slice(None), at) if whole else (pending, running[pending])
+            trial = beta[rows] + scale[part, None] * step[part]
+            trial_margins = matvec(run_X[part], trial)
+            trial_grad = gradient(run_X[part], run_y[part], run_xi[part], trial_margins, trial)
             trial_norm = np.sqrt(dots(trial_grad, trial_grad))
-            accept = trial_norm <= (1.0 - ARMIJO_SLOPE * scale[part]) * norm[part]
-            took = pending[accept]
+            accept = trial_norm <= (1.0 - ARMIJO_SLOPE * scale[part]) * norm[rows]
+            took = running[pending[accept]]
             beta[took], margins[took], grad[took], norm[took] = (
                 trial[accept], trial_margins[accept], trial_grad[accept], trial_norm[accept]
             )
@@ -212,14 +207,11 @@ def _minimize(
             if not len(pending):
                 break
             scale[pending] *= 0.5
-        for position in pending:
-            fail(position, "Newton line search stalled")
-        iterations += 1
+        for replicate in running[pending]:
+            fail(replicate, "Newton line search stalled")
     if failures:
         raise failures[min(failures)]
-    if single:
-        return out_beta[0], float(out_norm[0]), int(out_steps[0])
-    return out_beta, out_norm, out_steps
+    return (beta[0], float(norm[0]), int(steps[0])) if single else (beta, norm, steps)
 
 
 def _fit(
@@ -268,19 +260,20 @@ def run_noisy_gd(
     step_size: float,
     nu: float,
     steps: int,
-    seed: int | list[int],
+    seed: int | list[int] | np.ndarray,
 ) -> np.ndarray:
     """Noisy full-batch gradient descent from zero; returns all T+1 iterates.
 
     Each step subtracts step_size times the summed (not averaged) per-sample
     gradient plus fresh Gaussian noise: no ridge term is involved.  A stack
-    of R replicates (``data.X`` of shape (R, n, d), one seed each) runs as
-    one block and returns (R, T+1, d); one replicate with one seed is a
-    stack of one and returns (T+1, d).  The block applies the loss and the
-    Box-Muller transform to all R replicates at once, stacks the products
-    X @ beta and X' g in one matmul, and takes the loss's label side and all
-    T steps' noise before its loop, but keeps each replicate's products and
-    noise streams its own, so its iterates are the same bits in any block.
+    of R replicates (``data.X`` of shape (R, n, d)) takes R seeds, a list or
+    any integer array of shape (R,), runs as one block and returns
+    (R, T+1, d); one replicate with an int seed is a stack of one and returns
+    (T+1, d).  The block applies the loss and the Box-Muller transform to all
+    R replicates at once, stacks the products X @ beta and X' g in one
+    matmul, and takes the loss's label side and all T steps' noise before its
+    loop, but keeps each replicate's products and noise streams its own, so
+    its iterates are the same bits in any block.
     """
     if not loss.is_conditional_expectation:
         raise ConfigError(
@@ -294,12 +287,11 @@ def run_noisy_gd(
         raise ConfigError("run_noisy_gd: steps must be >= 1")
     single = data.X.ndim == 2
     X, y = (data.X[None], data.y[None]) if single else (data.X, data.y)
-    seeds = [seed] if single else list(seed)
-    if len(seeds) != X.shape[0]:
+    if np.shape(seed) != data.X.shape[:-2]:
         raise ConfigError("run_noisy_gd: want one seed per replicate")
     replicates, _, d = X.shape
     if nu > 0:  # step t's noise is each replicate's (seed, "noisy-gd-xi", t) stream
-        (noise_keys,) = keys(("noisy-gd-xi",), seeds, np.arange(steps)[:, None])
+        (noise_keys,) = keys(("noisy-gd-xi",), seed, np.arange(steps)[:, None])
         noise = nu * box_muller(draw(noise_keys, d + d % 2), d)
     label_side = loss.label_side(y)
     trajectory = np.zeros((replicates, steps + 1, d))

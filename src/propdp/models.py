@@ -36,7 +36,8 @@ def _float_errors(what: str):
         with np.errstate(invalid="raise", over="raise", divide="raise"):
             yield
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        raise NumericError(f"{what}: {exc}") from None
+        # a Python float overflow carries (errno, text); the text is the reason
+        raise NumericError(f"{what}: {exc.args[-1] if exc.args else exc}") from None
 
 
 def step_size_at(delta: float, step_size: float | None = None) -> float:

@@ -101,8 +101,9 @@ def keys(tags, seeds, *indices) -> np.ndarray:
 
 def keyed(tag: str, seed) -> np.ndarray:
     """``tag``'s stream keys for ``seed``: an int gives one key (2,), a list
-    or int array of R seeds (R, 2); keys (``keys``' uint64) pass through."""
-    is_keys = isinstance(seed, np.ndarray) and seed.dtype == np.uint64
+    or integer array of R seeds (R, 2); keys, a uint64 array whose last axis
+    is 2 as ``keys`` returns them, pass through."""
+    is_keys = isinstance(seed, np.ndarray) and seed.dtype == np.uint64 and seed.shape[-1:] == (2,)
     return seed if is_keys else keys((tag,), seed)[0]
 
 

@@ -4,6 +4,7 @@ manifests, and bit-stable reruns."""
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -969,6 +970,25 @@ class TestInputBoundary:
         # an inf or nan that still reaches a CSV cell is refused
         with pytest.raises(NumericError, match="non-finite number in the output"):
             cli._fmt(math.inf)
+
+    def test_float_overflow_gives_its_reason_as_text(self):
+        # step_size**2 overflows a Python float, whose error carries (errno,
+        # text): the JSON error and the warning give the text alone
+        reason = f"huber_dpsgd_ce at delta=1.0: {os.strerror(errno.ERANGE)}"
+        overflow = ("--model", "huber_dpsgd_ce", "--steps", "2", "--mc-samples", "10000",
+                    "--step-size", "1e300")
+        code, stdout = run_in_process("theory", "--delta", "1", *overflow)
+        assert code == 0
+        (point,) = json.loads(stdout, parse_constant=_reject_constant)
+        assert point["error"] == f"NumericError: {reason}"
+        proc = run_cli(
+            "simulate", "--total", "16", "--ratios", "0.5", "--replicates", "1", "--jobs", "1",
+            *overflow,
+        )
+        assert proc.returncode == 3
+        warning, error = proc.stderr.splitlines()
+        assert warning == f"propdp: WARNING: huber_dpsgd_ce at n=4, d=4: no theory: {reason}"
+        assert error.startswith("propdp: numeric error: huber_dpsgd_ce replicate: ")
 
     @pytest.mark.parametrize("noise, L", [("gaussian:1e8", "1e9"), ("gaussian:1e10", "1e15")])
     def test_large_labels_are_certified(self, noise, L):

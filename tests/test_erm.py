@@ -335,10 +335,12 @@ class TestStack:
                 assert getattr(block, field)[row].tobytes() == getattr(single, field).tobytes()
             assert block.grad_norm[row].hex() == single.grad_norm.hex()
             assert block.iterations[row] == single.iterations
-        # the (R, 2) keys of the perturbation streams stand for the seeds
+        # the (R, 2) keys of the perturbation streams stand for the seeds,
+        # and a uint64 array of R seeds is seeds
         (xi_keys,) = keys((f"{mechanism}-perturbation-xi",), seeds)
-        keyed = fit_fn(stack, loss, lam=lam, nu=0.3, seed=xi_keys)
-        assert keyed.beta_hat.tobytes() == block.beta_hat.tobytes()
+        for given in (xi_keys, np.array(seeds, dtype=np.uint64)):
+            keyed = fit_fn(stack, loss, lam=lam, nu=0.3, seed=given)
+            assert keyed.beta_hat.tobytes() == block.beta_hat.tobytes()
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rows_differ_in_steps_and_halvings(self, shape):
@@ -351,6 +353,45 @@ class TestStack:
             counts.add((fit.iterations, CountingHuber.calls[0] - 1 - fit.iterations))
         assert len({steps for steps, _ in counts}) > 1
         assert len({halvings for _, halvings in counts}) > 1
+
+    @pytest.mark.parametrize(
+        "shape, L, seeds",
+        [
+            # alone, these take 3, 4, 1 and 4 Newton steps
+            ("d<n", 4.0, [9, 12, 0, 25]),
+            # and these 3, 6, 1 and 5
+            ("d>n", 0.5, [2, 4, 8, 0]),
+        ],
+    )
+    def test_rows_stop_apart_and_past_the_cap(self, monkeypatch, shape, L, seeds):
+        # rows 2 and 0 stop at steps 1 and 3, with none at step 2, while the
+        # others run on; every row is its own fit's bits
+        import propdp.erm as erm
+
+        stack, parts = make_stack("huber", *self.SHAPES[shape], seeds)
+
+        def fit(data, seed):
+            return fit_objective_perturbation(data, HuberLoss(L), lam=0.5, nu=0.3, seed=seed)
+
+        singles = [fit(part, seed) for part, seed in zip(parts, seeds)]
+        assert [single.iterations for single in singles[::2]] == [3, 1]
+        assert min(singles[1].iterations, singles[3].iterations) > 3
+        block = fit(stack, seeds)
+        for row, single in enumerate(singles):
+            assert block.beta_hat[row].tobytes() == single.beta_hat.tobytes()
+            assert block.grad_norm[row].hex() == single.grad_norm.hex()
+            assert block.iterations[row] == single.iterations
+        # capped at 3 steps, rows 0 and 2 still stop and rows 1 and 3 are
+        # held past the cap: the stack raises row 1's own error
+        monkeypatch.setattr(erm, "MAX_NEWTON_STEPS", 3)
+        with pytest.raises(NonConvergenceError, match="iteration cap") as alone:
+            fit(parts[1], seeds[1])
+        with pytest.raises(NonConvergenceError) as info:
+            fit(stack, seeds)
+        raised, expected = info.value, alone.value
+        assert str(raised) == str(expected) and raised.iterations == expected.iterations == 3
+        assert raised.residual == expected.residual
+        assert raised.last_iterate.tobytes() == expected.last_iterate.tobytes()
 
     def test_one_seed_per_replicate(self):
         stack, _ = make_stack("huber", 40, 10, self.SEEDS)
@@ -463,6 +504,9 @@ class TestNoisyGd:
         seeds = [11, 12, 13]
         block = run_noisy_gd(stack, loss, step_size=0.3, nu=0.2, steps=3, seed=seeds)
         assert block.shape == (3, 4, 12)
+        as_uint64 = np.array(seeds, dtype=np.uint64)  # seeds too
+        uint64_block = run_noisy_gd(stack, loss, step_size=0.3, nu=0.2, steps=3, seed=as_uint64)
+        assert uint64_block.tobytes() == block.tobytes()
         for part, seed, path in zip(parts, seeds, block):
             single = run_noisy_gd(part, loss, step_size=0.3, nu=0.2, steps=3, seed=seed)
             np.testing.assert_array_equal(path, single)
@@ -485,8 +529,9 @@ class TestNoisyGd:
 
     def test_stack_validation(self):
         stack, _ = self.make_stack()
-        with pytest.raises(ConfigError, match="one seed per replicate"):
-            run_noisy_gd(stack, self.loss, step_size=0.3, nu=0.1, steps=1, seed=[1, 2])
+        for seed in ([1, 2], 1):
+            with pytest.raises(ConfigError, match="one seed per replicate"):
+                run_noisy_gd(stack, self.loss, step_size=0.3, nu=0.1, steps=1, seed=seed)
         with pytest.raises(ConfigError):
             run_noisy_gd(stack, HuberLoss(1.0), step_size=0.3, nu=0.0, steps=1, seed=[1, 2, 3])
         for bad in ({"step_size": 0.0}, {"nu": -0.1}, {"steps": 0}):

@@ -197,12 +197,16 @@ class TestDesigns:
         assert stack[0].tobytes() == want.tobytes()
 
     def test_an_int_array_holds_seeds_and_only_keys_pass_through(self):
+        # any integer array is seeds, uint64 too, unless its last axis is a key's 2
         seeds = [3, 0, 2**40]
         law = ScalarLaw.gaussian(1.0)
         want = gen_signal(4, law, seeds)
         assert want.shape == (3, 4)
-        for given in (np.array(seeds), keys(("signal",), seeds)[0]):
+        as_uint64 = np.array(seeds, dtype=np.uint64)
+        for given in (np.array(seeds), as_uint64, keys(("signal",), seeds)[0]):
             assert gen_signal(4, law, given).tobytes() == want.tobytes()
+        design = gen_design(5, 4, "rademacher", seeds)
+        assert gen_design(5, 4, "rademacher", as_uint64).tobytes() == design.tobytes()
 
     @pytest.mark.parametrize("n, d", [(33, 30), (100, 10), (10, 100), (9, 111), (7, 1)])
     def test_rademacher_signs_are_numpys_integers(self, n, d):
