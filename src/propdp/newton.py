@@ -88,14 +88,14 @@ def multistart_seeds(k: int) -> list[np.ndarray]:
 
 
 def solve_with_multistart(f, x0) -> NewtonResult:
-    """Try x0 first, then the log-spaced restart seeds; raise if all fail."""
-    starts = [np.asarray(x0, dtype=float)] + multistart_seeds(len(x0))
-    failure: NonConvergenceError | None = None
-    for start in starts:
+    """Try x0, then (only if it fails) the restart seeds; raise the failure of least residual."""
+    try:
+        return damped_newton(f, np.asarray(x0, dtype=float))
+    except NonConvergenceError as exc:
+        failure = exc
+    for start in multistart_seeds(len(x0)):
         try:
             return damped_newton(f, start)
         except NonConvergenceError as exc:
-            if failure is None or (exc.residual or np.inf) < (failure.residual or np.inf):
-                failure = exc
-    assert failure is not None
+            failure = min(failure, exc, key=lambda e: e.residual or np.inf)
     raise failure

@@ -260,5 +260,7 @@ def build_report(
         raise
     except (ArithmeticError, ValueError) as exc:
         # a tiny nu (or a huge L, R or T) takes the privacy loss out of float
-        # range: a division by zero, an overflow, or a report invariant lost
-        raise NumericError(f"{mechanism}: privacy loss out of float range ({exc})") from None
+        # range: a division by zero, an overflow, or a report invariant lost;
+        # a Python float overflow carries (errno, text), and the text is the reason
+        reason = exc.args[-1] if exc.args else exc
+        raise NumericError(f"{mechanism}: privacy loss out of float range ({reason})") from None

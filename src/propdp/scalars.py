@@ -17,9 +17,8 @@ from .errors import NumericError
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-# prox_logistic's residual tolerance on |p + gamma*rho'(p) - x|, and its step cap
-PROX_TOL = 1e-12
-PROX_MAX_ITER = 200
+# prox_logistic's residual tolerance on |p + gamma*rho'(p) - x|, step cap, cache-sized chunk
+PROX_TOL, PROX_MAX_ITER, PROX_CHUNK = 1e-12, 200, 16_384
 
 
 def _check_finite(name: str, *values) -> None:
@@ -56,13 +55,13 @@ def logistic_rho_second(t):
 
 
 def prox_logistic(x, gamma):
-    """Unique p solving p + gamma * rho'(p) = x (gamma >= 0).
+    """Unique p solving p + gamma * rho'(p) = x (gamma >= 0), PROX_CHUNK points at a time.
 
-    Safeguarded Newton started at x - gamma*rho'(x), with the bracket
-    [x - gamma, x] forced by 0 <= gamma*rho'(p) <= gamma.  An element is
-    frozen once its residual g = p + gamma*rho'(p) - x has |g| <= PROX_TOL, and
-    only the rest are iterated; an element bisects its bracket whenever the
-    Newton step would leave it, or its last Newton step failed to halve |g|.
+    Safeguarded Newton from x - gamma*rho'(x) in the bracket [x - gamma, x], which
+    0 <= gamma*rho'(p) <= gamma forces.  An element is frozen once its residual
+    g = p + gamma*rho'(p) - x has |g| <= PROX_TOL; the rest bisect their bracket
+    whenever the Newton step would leave it or their last one failed to halve |g|.
+    A sweep takes one sigmoid: the next step's rho'' = rho'(1 - rho') reuses it.
     """
     if gamma < 0:
         raise ValueError("prox_logistic: gamma must be >= 0")
@@ -70,29 +69,30 @@ def prox_logistic(x, gamma):
     _check_finite("prox_logistic", x)
     if gamma == 0.0:
         return x + 0.0
-    p = np.array(x - gamma * logistic_rho_prime(x), order="C")
-    flat = p.reshape(-1)  # a view of the C-ordered p: writes below land in p
-    g = flat + gamma * logistic_rho_prime(flat) - x.reshape(-1)
-    idx = np.flatnonzero(np.abs(g) > PROX_TOL)
-    xa, pa, g = x.reshape(-1)[idx], flat[idx], g[idx]
-    lo, hi, fast = xa - gamma, xa.copy(), np.ones(idx.size, dtype=bool)
-    for _ in range(PROX_MAX_ITER):
-        if idx.size == 0:
-            return p
-        lo = np.where(g < 0, pa, lo)
-        hi = np.where(g > 0, pa, hi)
-        cand = pa - g / (1.0 + gamma * logistic_rho_second(pa))
-        newton = fast & (cand > lo) & (cand < hi)
-        pa = np.where(newton, cand, 0.5 * (lo + hi))
-        g_new = pa + gamma * logistic_rho_prime(pa) - xa
-        fast = ~newton | (np.abs(g_new) <= 0.5 * np.abs(g))
-        g = g_new
-        flat[idx] = pa
-        active = np.abs(g) > PROX_TOL
-        if not active.all():
-            idx, xa, pa, g, lo, hi, fast = (a[active] for a in (idx, xa, pa, g, lo, hi, fast))
-    if idx.size:
-        raise NumericError(f"prox_logistic: no convergence, residual {np.abs(g).max():.3e}")
+    p = np.empty(x.shape)
+    flat, xs = p.reshape(-1), x.reshape(-1)  # flat is a view: writes below land in p
+    for start in range(0, xs.size, PROX_CHUNK):
+        out, xa = flat[start:start + PROX_CHUNK], xs[start:start + PROX_CHUNK]
+        out[...] = pa = xa - gamma * logistic_rho_prime(xa)
+        g = pa + gamma * (r := logistic_rho_prime(pa)) - xa
+        idx, ag = np.arange(xa.size), np.abs(g)
+        lo, hi, fast = xa - gamma, xa.copy(), np.ones(xa.size, dtype=bool)
+        for _ in range(PROX_MAX_ITER):
+            if (keep := np.flatnonzero(ag > PROX_TOL)).size < idx.size:
+                idx, xa, pa, r, g, ag, lo, hi, fast = (
+                    a[keep] for a in (idx, xa, pa, r, g, ag, lo, hi, fast))
+            if idx.size == 0:
+                break
+            np.copyto(lo, pa, where=g < 0)
+            np.copyto(hi, pa, where=g > 0)
+            cand = pa - g / (1.0 + gamma * (r * (1.0 - r)))
+            newton = fast & (cand > lo) & (cand < hi)
+            out[idx] = pa = cand if newton.all() else np.where(newton, cand, 0.5 * (lo + hi))
+            g = pa + gamma * (r := logistic_rho_prime(pa)) - xa
+            half, ag = 0.5 * ag, np.abs(g)
+            fast = ~newton | (ag <= half)
+        if (ag > PROX_TOL).any():
+            raise NumericError(f"prox_logistic: no convergence, residual {ag.max():.3e}")
     return p
 
 

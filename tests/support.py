@@ -2,7 +2,8 @@
 
 The package solves with closed-form Jacobians only; the helpers here give
 tests an independent view: a central-difference Jacobian, root enumeration
-over a wide start set, the raw moments of a law, the Huber prox and the prox derivative, the closed
+over a wide start set, the raw moments of a law, the Huber prox, the whole-array logistic prox
+(the bit-for-bit reference of the chunked runtime kernel) and the prox derivative, the closed
 form of the centred clipped Gaussian second moment, the plain formulas of
 the Gaussian density, the clipped Gaussian mean, the clipped second moment,
 the interval probability and their gradients, and their mixture folds (the
@@ -31,7 +32,11 @@ from propdp.losses import HuberCeLoss, HuberLoss, LogisticCeLoss, LogisticLoss
 from propdp.newton import damped_newton, multistart_seeds
 from propdp.privacy import GlmSensitivity
 from propdp.rng import box_muller, draw, stream
+from propdp.errors import NumericError
 from propdp.scalars import (
+    PROX_MAX_ITER,
+    PROX_TOL,
+    _check_finite,
     clip,
     gaussian_cdf,
     gaussian_pdf,
@@ -100,6 +105,42 @@ def prox_huber(s, tau, L):
     """
     s = np.asarray(s, dtype=float)
     return s - tau * clip(s / (1.0 + tau), L)
+
+
+def prox_logistic_reference(x, gamma):
+    """The logistic prox on the whole input at once, with two sigmoids per sweep
+    (rho' for the residual, rho'' for the step): the bit-for-bit reference of
+    ``scalars.prox_logistic``, which carries rho' into the step and runs in chunks."""
+    if gamma < 0:
+        raise ValueError("prox_logistic: gamma must be >= 0")
+    x = np.asarray(x, dtype=float)
+    _check_finite("prox_logistic", x)
+    if gamma == 0.0:
+        return x + 0.0
+    p = np.array(x - gamma * logistic_rho_prime(x), order="C")
+    flat = p.reshape(-1)  # a view of the C-ordered p: writes below land in p
+    g = flat + gamma * logistic_rho_prime(flat) - x.reshape(-1)
+    idx = np.flatnonzero(np.abs(g) > PROX_TOL)
+    xa, pa, g = x.reshape(-1)[idx], flat[idx], g[idx]
+    lo, hi, fast = xa - gamma, xa.copy(), np.ones(idx.size, dtype=bool)
+    for _ in range(PROX_MAX_ITER):
+        if idx.size == 0:
+            return p
+        lo = np.where(g < 0, pa, lo)
+        hi = np.where(g > 0, pa, hi)
+        cand = pa - g / (1.0 + gamma * logistic_rho_second(pa))
+        newton = fast & (cand > lo) & (cand < hi)
+        pa = np.where(newton, cand, 0.5 * (lo + hi))
+        g_new = pa + gamma * logistic_rho_prime(pa) - xa
+        fast = ~newton | (np.abs(g_new) <= 0.5 * np.abs(g))
+        g = g_new
+        flat[idx] = pa
+        active = np.abs(g) > PROX_TOL
+        if not active.all():
+            idx, xa, pa, g, lo, hi, fast = (a[active] for a in (idx, xa, pa, g, lo, hi, fast))
+    if idx.size:
+        raise NumericError(f"prox_logistic: no convergence, residual {np.abs(g).max():.3e}")
+    return p
 
 
 def prox_logistic_derivative(x, gamma):

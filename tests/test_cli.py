@@ -990,6 +990,16 @@ class TestInputBoundary:
         assert warning == f"propdp: WARNING: huber_dpsgd_ce at n=4, d=4: no theory: {reason}"
         assert error.startswith("propdp: numeric error: huber_dpsgd_ce replicate: ")
 
+    def test_privacy_overflow_gives_its_reason_as_text(self):
+        # the privacy loss overflows a Python float: its errno is not the reason
+        proc = run_cli("privacy", "dpsgd", "--L", "1e200", "--nu", "1e-200", "--T", "3")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "propdp: numeric error: dpsgd: privacy loss out of float range "
+            f"({os.strerror(errno.ERANGE)})\n"
+        )
+
     @pytest.mark.parametrize("noise, L", [("gaussian:1e8", "1e9"), ("gaussian:1e10", "1e15")])
     def test_large_labels_are_certified(self, noise, L):
         # the rounding of X'g alone exceeds 1e-9*n at this label scale, so

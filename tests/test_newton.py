@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from propdp import newton
 from propdp.errors import Failure, NonConvergenceError
 from propdp.newton import (
     damped_newton,
@@ -141,6 +142,34 @@ class TestMultistart:
     def test_propagates_best_failure(self):
         with pytest.raises(NonConvergenceError):
             solve_with_multistart(no_real_root, np.array([1.0]))
+
+    def test_converging_start_builds_no_seeds(self, monkeypatch):
+        def no_seeds(k):
+            raise AssertionError("restart seeds built for a start that converges")
+
+        monkeypatch.setattr(newton, "multistart_seeds", no_seeds)
+        res = solve_with_multistart(coupled_system, np.array([0.5, 2.5]))
+        assert sorted(res.x) == pytest.approx([1.0, 2.0], abs=1e-9)
+
+    def test_failed_start_tries_every_seed_in_order(self, monkeypatch):
+        # x0 first, then the seeds from 1e-2 up; the failure with the least
+        # residual is raised, the earliest of equals
+        starts, failures = [], []
+
+        def recording(f, x0):
+            starts.append(x0.tolist())
+            try:
+                return damped_newton(f, x0)
+            except NonConvergenceError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(newton, "damped_newton", recording)
+        with pytest.raises(NonConvergenceError) as raised:
+            solve_with_multistart(no_real_root, np.array([1.0]))
+        assert starts == [[1.0]] + [seed.tolist() for seed in multistart_seeds(1)]
+        least = min(exc.residual for exc in failures)
+        assert raised.value is next(exc for exc in failures if exc.residual == least)
 
 
 class TestEnumerateRoots:

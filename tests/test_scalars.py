@@ -14,7 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import support
+from propdp import scalars
+from propdp.errors import NumericError
 from propdp.scalars import (
+    PROX_CHUNK,
     clip,
     clipped_mean_inside,
     clipped_moments,
@@ -35,6 +39,7 @@ from support import (
     logistic_rho,
     prox_huber,
     prox_logistic_derivative,
+    prox_logistic_reference,
     truncated_second_moment,
 )
 
@@ -189,6 +194,33 @@ class TestProxLogistic:
             p = prox_logistic(arr, 13.0)
             assert p.shape == arr.shape
             assert np.all(np.abs(p + 13.0 * logistic_rho_prime(p) - arr) <= 1e-12)
+
+
+    @pytest.mark.parametrize("g", [0.0, 0.33, 0.84, 0.98, 1.5, 8.0, 50.0])
+    def test_bits_of_the_whole_array_loop(self, g):
+        # one sigmoid per sweep, chunk by chunk: each element's arithmetic is
+        # the whole-array loop's, so every bit is the same
+        rng = np.random.default_rng(7)
+        inputs = [
+            np.float64(0.7), np.array(-4.18),  # 0-d
+            3.0 * rng.standard_normal((40, 50)),
+            rng.uniform(-30.0, 30.0, (50, 40)).T,  # a transposed view
+            3.0 * rng.standard_normal(3 * PROX_CHUNK + 7),  # three full chunks, one short
+        ]
+        for x in inputs:
+            got, want = prox_logistic(x, g), prox_logistic_reference(x, g)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_no_convergence_reports_the_largest_residual(self, monkeypatch):
+        x = np.linspace(-40.0, 40.0, 101)
+        for module in (scalars, support):
+            monkeypatch.setattr(module, "PROX_MAX_ITER", 1)
+        with pytest.raises(NumericError, match="no convergence") as got:
+            prox_logistic(x, 50.0)
+        with pytest.raises(NumericError) as want:
+            prox_logistic_reference(x, 50.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestProxLogisticDerivative:
