@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, figures, harness, models
 from . import privacy as privacy_mod
-from .errors import ConfigError, Failure, NumericError
+from .errors import ConfigError, NumericError, failure_fields
 from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 
 
@@ -210,7 +210,7 @@ def _theory_point(config: harness.ExperimentConfig, delta: float) -> dict:
     try:
         theory = spec.solve(config, delta, seed=config.seed, check=True)
     except NumericError as exc:
-        return {"inputs": inputs, **Failure.of(exc).fields}
+        return {"inputs": inputs, **failure_fields(exc)}
     return {"inputs": inputs, "solution": theory.solution, "predictions": theory.predictions}
 
 
@@ -273,7 +273,7 @@ def _points(config: harness.ExperimentConfig, jobs: int, failures: list, summary
             summary.extend(harness.summarize([point]))  # per point: a timer sees the reduction
         if point.theory_error is not None:
             failures.append({**tag, "grid_index": point.index, "n": point.n, "d": point.d,
-                             **point.theory_error.fields})
+                             **point.theory_error})
         yield point
         del point  # before the next point is made
 

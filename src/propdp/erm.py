@@ -220,7 +220,7 @@ def _fit(
 ) -> FitResult:
     """The objective- or output-perturbation fit: the tilt nu*<xi, beta> goes
     into the objective, or nu*xi is added to the unperturbed minimizer.  A
-    stack of R replicates takes R seeds, or the (R, 2) keys of their
+    stack of R replicates takes R seeds, or the (R, 2) ``rng.Keys`` of their
     perturbation streams (``rng.keyed``), and gives a stack of R fits."""
     where = f"fit_{mechanism}_perturbation"
     if lam <= 0:

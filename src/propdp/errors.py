@@ -30,19 +30,14 @@ class NonConvergenceError(NumericError):
         self.iterations = iterations
 
 
-class Failure(str):
-    """A failed solve's text, "<error class>: <message>"; ``fields`` is its
-    manifest entry, where a NonConvergenceError adds its last residual, None
-    where that is not finite (strict JSON has no inf), and the iterations it
-    took, where known."""
-
-    @classmethod
-    def of(cls, exc: NumericError) -> Failure:
-        failure = cls(f"{type(exc).__name__}: {exc}")
-        failure.fields = {"error": str(failure)}
-        if isinstance(exc, NonConvergenceError):
-            finite = exc.residual is not None and math.isfinite(exc.residual)
-            failure.fields["residual"] = float(exc.residual) if finite else None
-            if exc.iterations is not None:
-                failure.fields["iterations"] = int(exc.iterations)
-        return failure
+def failure_fields(exc: NumericError) -> dict:
+    """A failed solve's manifest entry: its text, "<error class>: <message>",
+    and for a NonConvergenceError its last residual, None where that is not
+    finite (strict JSON has no inf), and the iterations it took, where known."""
+    fields = {"error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(exc, NonConvergenceError):
+        finite = exc.residual is not None and math.isfinite(exc.residual)
+        fields["residual"] = float(exc.residual) if finite else None
+        if exc.iterations is not None:
+            fields["iterations"] = int(exc.iterations)
+    return fields

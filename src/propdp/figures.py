@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, privacy
-from .errors import ConfigError, Failure, NumericError
+from .errors import ConfigError, NumericError, failure_fields
 from .harness import ExperimentConfig
 from .laws import parse_law  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 from .rng import child_seed
@@ -86,7 +86,7 @@ def _curve_rows(
             logger.warning("%s %s: ratio %g left out: %s", name, label, ratio, exc)
             if failures is not None:
                 failures.append({"label": label, "ratio": ratio, "delta": delta,
-                                 **Failure.of(exc).fields})
+                                 **failure_fields(exc)})
             previous = guess = None
             continue
         previous, guess = guess, theory.guess

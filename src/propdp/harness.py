@@ -25,9 +25,9 @@ import numpy as np
 
 from . import models
 from .erm import matvec
-from .errors import ConfigError, Failure, NumericError
+from .errors import ConfigError, NumericError, failure_fields
 from .laws import ScalarLaw, parse_law
-from .rng import box_muller, child_seed, draw, keyed, keys, raw_words, uniforms
+from .rng import box_muller, child_seed, draw, keyed, raw_words, uniforms
 from .rng import stream  # noqa: F401 -- unused here, but the benchmark's tracer wraps it
 from .scalars import logistic_rho_prime
 
@@ -165,9 +165,9 @@ class GridPoint:
     each replicate's ``(seed, empirical, fit_iterations, grad_norm)``, the
     last two being the fit's certificate (Newton steps and final ||grad F||;
     None for noisy GD).  A point whose theory solve failed has no
-    predictions and its ``Failure`` in ``theory_error``.  The sweep's ``config``
-    fixes every other setting (``settings_echo`` derives the ones a row
-    repeats)."""
+    predictions, and the failure's manifest fields (``failure_fields``) in
+    ``theory_error``.  The sweep's ``config`` fixes every other setting
+    (``settings_echo`` derives the ones a row repeats)."""
 
     config: ExperimentConfig
     index: int
@@ -175,7 +175,7 @@ class GridPoint:
     d: int
     theory: dict | None
     replicates: list[tuple]
-    theory_error: Failure | None = None
+    theory_error: dict | None = None
 
 
 def settings_echo(config: ExperimentConfig) -> dict:
@@ -252,15 +252,15 @@ def gen_logistic_labels(X: np.ndarray, beta_star: np.ndarray, seed: int | np.nda
 
 def solve_theory(
     config: ExperimentConfig, n: int, d: int, grid_index: int
-) -> tuple[dict | None, Failure | None]:
-    """Predictions for one grid point and None; or None and the failure,
-    when the solve fails numerically."""
+) -> tuple[dict | None, dict | None]:
+    """Predictions for one grid point and None; or None and the failure's
+    manifest fields, when the solve fails numerically."""
     spec = models.get(config.model)
     try:
         theory = spec.solve(config, d / n, seed=child_seed(config.seed, grid_index))
     except NumericError as exc:
         logger.warning("%s at n=%d, d=%d: no theory: %s", config.model, n, d, exc)
-        return None, Failure.of(exc)
+        return None, failure_fields(exc)
     return theory.predictions, None
 
 
@@ -268,15 +268,8 @@ def _run_cell(args) -> list[tuple]:
     """One block of a grid point's replicates, ``start <= replicate < stop``:
     each replicate's seed, metrics and fit certificate."""
     config, grid_index, n, d, start, stop = args
-    spec = models.get(config.model)
     seeds = [child_seed(config.seed, grid_index, replicate) for replicate in range(start, stop)]
-    # one hashing pass for the design, signal and model streams of the block
-    design, signal, *stream_keys = keys(("design", "signal", *spec.stream_tags), seeds)
-    X = gen_design(n, d, config.design, design)
-    beta_star = gen_signal(d, config.signal_law, signal)
-    scored = spec.replicate(
-        config, X, beta_star, design_radius(X, config.design), seeds, stream_keys
-    )
+    scored = models.get(config.model).replicate(config, n, d, seeds)
     return [(seed, *replicate) for seed, replicate in zip(seeds, scored)]
 
 

@@ -6,9 +6,9 @@ Everything that depends on the model is decided here; the harness, the CLI
 and the figures look a model up by name and never test the name, so adding
 a model means adding one entry to ``SPECS``.  Output perturbation is "solve
 the non-private system at nu = 0, then shift by nu" (Chaudhuri, Monteleoni &
-Sarwate, JMLR 2011).  Solvers, learners and label generators are reached
-through their module attributes at call time, never stored in the table, so
-instrumentation that replaces those attributes sees every call.
+Sarwate, JMLR 2011).  Solvers, learners and the harness's data generators
+are reached through their module attributes at call time, never stored in
+the table, so instrumentation that replaces those attributes sees every call.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # harness imports this module for its model table and is only used here at
-# call time (for its label generators), so the import cycle is harmless
+# call time (for its data generators), so the import cycle is harmless
 from . import erm, harness, huber_theory, logistic_theory, losses, state_evolution
 from .errors import ConfigError, NumericError
 from .laws import ScalarLaw
 from .newton import MIN_LAMBDA
+from .rng import keys
 from .scalars import clip, logistic_rho_prime
 
 
@@ -198,34 +199,32 @@ class ModelSpec:
             return Theory(sol.as_dict(), output_perturbation_predictions(sol, config.nu), guess)
         return Theory(sol.as_dict(), _predictions(sol, metrics), guess)
 
-    @property
-    def stream_tags(self) -> tuple[str, ...]:
-        """The tags of the streams a replicate draws besides its design and
-        signal, which the harness keys with those: the perturbation's and the
-        labels'; noisy GD keys its per-step noise itself."""
-        if self.mechanism == "dpsgd":
-            return ()
-        return (f"{self.mechanism}-perturbation-xi", "noise" if self.loss == "huber" else "labels")
-
     def replicate(
-        self, config, X, beta_star, radius: float, seeds, stream_keys
+        self, config, n: int, d: int, seeds
     ) -> list[tuple[dict, int | None, float | None]]:
-        """Label, fit and score a block of replicates of ``config`` (an
-        ExperimentConfig): X is a stack of R designs (R, n, d), beta_star
-        (R, d) their signals, with one seed each, and ``stream_keys`` the (R, 2)
-        keys of each stream in ``self.stream_tags``.  Returns each replicate's
-        metrics and fit certificate, its Newton steps and final ||grad F||
-        (None for noisy GD, which has none).  Both noisy GD and the
-        perturbation fits run the block as one stack.  Floating-point failures
-        raise NumericError, as in ``solve``."""
+        """Draw, label, fit and score a block of replicates of ``config`` (an
+        ExperimentConfig) at n samples and d features, one per seed.  The
+        block's design and signal streams, and a perturbation model's xi and
+        label streams, are keyed in one pass; noisy GD keys its per-step
+        noise itself.  Returns each replicate's metrics and fit certificate,
+        its Newton steps and final ||grad F|| (None for noisy GD, which has
+        none).  Both noisy GD and the perturbation fits run the block as one
+        stack.  Floating-point failures raise NumericError, as in ``solve``."""
+        tags = ("design", "signal")
+        if self.mechanism != "dpsgd":
+            label = "noise" if self.loss == "huber" else "labels"
+            tags += (f"{self.mechanism}-perturbation-xi", label)
+        design_keys, signal_keys, *fit_keys = keys(tags, seeds)
+        X = harness.gen_design(n, d, config.design, design_keys)
+        beta_star = harness.gen_signal(d, config.signal_law, signal_keys)
+        radius = harness.design_radius(X, config.design)
         with _float_errors(f"{self.name} replicate"):
-            d = beta_star.shape[-1]
             if self.mechanism == "dpsgd":  # noisy GD is analysed on noiseless margins
                 if self.loss == "huber":
                     loss = losses.HuberCeLoss(config.L, config.noise_law)
                 else:
                     loss = losses.LogisticCeLoss()
-                step = step_size_at(d / X.shape[1], config.step_size)
+                step = step_size_at(d / n, config.step_size)
                 margins = erm.matvec(X, beta_star)
                 trajectories = erm.run_noisy_gd(
                     erm.Dataset(X, margins, radius), loss, step, config.nu, config.steps, seeds
@@ -234,7 +233,7 @@ class ModelSpec:
                 mse = erm.dots(errors, errors) / d
                 bias = erm.dots(trajectories, beta_star[:, None, :]) / d
                 return [(_per_step(m, b), None, None) for m, b in zip(mse, bias)]
-            xi_keys, label_keys = stream_keys
+            xi_keys, label_keys = fit_keys
             if self.loss == "huber":
                 y = harness.gen_linear_labels(X, beta_star, config.noise_law, label_keys)
                 loss = losses.HuberLoss(config.L)

@@ -4,7 +4,8 @@ Every random draw in the package flows through a Philox counter generator
 keyed by (seed, purpose tag, indices), so results are reproducible bit for
 bit regardless of execution order or worker count.  ``keys`` derives every
 key, numpy's ``SeedSequence(entropy).generate_state(2, uint64)`` of those
-integers, for many cells in one vectorized pass.  ``draw`` reads each keyed
+integers, for many cells in one vectorized pass, as ``Keys``: the type, not
+the dtype or shape, tells keys from seeds.  ``draw`` reads each keyed
 stream's first raw 64-bit words from one Philox, re-keyed per stream to the
 state a fresh Generator starts in (counter 0, the key, buffer position 4, no
 spare 32-bit half); it also reads a ``stream``, one stream as a Generator
@@ -74,7 +75,12 @@ def _hash_keys(words: np.ndarray) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-def keys(tags, seeds, *indices) -> np.ndarray:
+class Keys(np.ndarray):
+    """Philox keys as ``keys`` returns them, a (..., 2) uint64 array; its
+    views (an index, an unpacked tag) are keys too."""
+
+
+def keys(tags, seeds, *indices) -> Keys:
     """The Philox keys of the cells (seed, tag, *indices), shape
     (len(tags), *shape, 2) uint64: one per tag in ``tags`` and per entry of
     ``seeds`` and ``indices`` (any sign, each taken mod 2**64) broadcast
@@ -96,15 +102,13 @@ def keys(tags, seeds, *indices) -> np.ndarray:
     for count in set(counts.tolist()):  # not np.unique, which imports numpy.ma
         rows = counts == count
         out[rows] = _hash_keys(halves[rows][used[rows]].reshape(-1, count).T.astype(np.uint32))
-    return out.reshape(*shape, 2)
+    return out.reshape(*shape, 2).view(Keys)
 
 
-def keyed(tag: str, seed) -> np.ndarray:
+def keyed(tag: str, seed) -> Keys:
     """``tag``'s stream keys for ``seed``: an int gives one key (2,), a list
-    or integer array of R seeds (R, 2); keys, a uint64 array whose last axis
-    is 2 as ``keys`` returns them, pass through."""
-    is_keys = isinstance(seed, np.ndarray) and seed.dtype == np.uint64 and seed.shape[-1:] == (2,)
-    return seed if is_keys else keys((tag,), seed)[0]
+    or any integer array of R seeds (R, 2); ``Keys`` pass through."""
+    return seed if isinstance(seed, Keys) else keys((tag,), seed)[0]
 
 
 def stream(seed: int, tag: str, *indices: int) -> np.random.Generator:

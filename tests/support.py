@@ -195,7 +195,8 @@ def clipped_second_moment(mu, s, L):
         + safe * safe * (a * fa - b * fb)
         + L * L * (pa + 1.0 - pb)
     )
-    return np.where(s > 0, val, clip(mu, L) ** 2)
+    clipped = clip(mu, L)  # squared by multiplication: ** on a numpy scalar is libm pow
+    return np.where(s > 0, val, clipped * clipped)
 
 
 def clipped_moment_gradients(mu, s, L):

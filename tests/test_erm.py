@@ -393,6 +393,17 @@ class TestStack:
         assert raised.residual == expected.residual
         assert raised.last_iterate.tobytes() == expected.last_iterate.tobytes()
 
+    def test_a_uint64_pair_is_two_seeds(self):
+        # two seeds as uint64 of a key's shape (2,) are two seeds, not one key
+        stack, _ = make_stack("huber", 40, 10, [1, 2])
+
+        def fit(seed):
+            return fit_objective_perturbation(stack, HuberLoss(0.3), lam=0.5, nu=0.3, seed=seed)
+
+        want, got = fit([1, 2]), fit(np.array([1, 2], dtype=np.uint64))
+        for field in ("beta_hat", "xi", "grad_norm", "iterations"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
     def test_one_seed_per_replicate(self):
         stack, _ = make_stack("huber", 40, 10, self.SEEDS)
         for seed in ([1, 2], 3, keys(("objective-perturbation-xi",), [1, 2])[0]):

@@ -11,7 +11,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from propdp import harness
+from propdp import harness, models
 from propdp.erm import FitResult
 from propdp.errors import ConfigError, NumericError
 from propdp.harness import (
@@ -197,7 +197,8 @@ class TestDesigns:
         assert stack[0].tobytes() == want.tobytes()
 
     def test_an_int_array_holds_seeds_and_only_keys_pass_through(self):
-        # any integer array is seeds, uint64 too, unless its last axis is a key's 2
+        # any integer array is seeds, uint64 of a key's shape (2,) too; only
+        # rng.Keys, as rng.keys returns them, pass through
         seeds = [3, 0, 2**40]
         law = ScalarLaw.gaussian(1.0)
         want = gen_signal(4, law, seeds)
@@ -207,6 +208,13 @@ class TestDesigns:
             assert gen_signal(4, law, given).tobytes() == want.tobytes()
         design = gen_design(5, 4, "rademacher", seeds)
         assert gen_design(5, 4, "rademacher", as_uint64).tobytes() == design.tobytes()
+        two = np.array([1, 2], dtype=np.uint64)
+        signals = gen_signal(4, law, two)
+        assert signals.shape == (2, 4)
+        assert signals.tobytes() == gen_signal(4, law, [1, 2]).tobytes()
+        designs = gen_design(5, 4, "rademacher", two)
+        assert designs.shape == (2, 5, 4)
+        assert designs.tobytes() == gen_design(5, 4, "rademacher", [1, 2]).tobytes()
 
     @pytest.mark.parametrize("n, d", [(33, 30), (100, 10), (10, 100), (9, 111), (7, 1)])
     def test_rademacher_signs_are_numpys_integers(self, n, d):
@@ -359,7 +367,7 @@ class TestSolveTheory:
         monkeypatch.setattr(ModelSpec, "solve", fail)
         with caplog.at_level("WARNING", logger="propdp.harness"):
             out = solve_theory(ExperimentConfig(model="huber_objective"), 40, 20, 0)
-        assert out == (None, "NumericError: injected failure")
+        assert out == (None, {"error": "NumericError: injected failure"})
         assert "huber_objective at n=40, d=20" in caplog.text
         assert "injected failure" in caplog.text
 
@@ -810,6 +818,23 @@ class TestSummarize:
 
 
 class TestModelsCatalog:
+    @pytest.mark.parametrize("model", SPECS)
+    def test_a_block_keys_its_streams_in_one_pass(self, model, monkeypatch):
+        # the model table keys a block's design, signal, perturbation and label
+        # streams in one rng.keys call; noisy GD's per-step noise is keyed in erm
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return keys(*args, **kwargs)
+
+        monkeypatch.setattr(models, "keys", counted)
+        cfg = ExperimentConfig(model=model, grid=((16, 8),), replicates=3, nu=0.1, steps=2)
+        cells = harness._run_cell((cfg, 0, 16, 8, 0, 3))
+        assert len(cells) == 3
+        assert len(calls) == 1
+        assert calls[0][:2] == ("design", "signal")
+
     def test_all_models_run_one_replicate(self):
         for model in SPECS:
             cfg = ExperimentConfig(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from propdp import newton
-from propdp.errors import Failure, NonConvergenceError
+from propdp.errors import NonConvergenceError, failure_fields
 from propdp.newton import (
     damped_newton,
     multistart_seeds,
@@ -63,7 +63,7 @@ class TestDampedNewton:
         with pytest.raises(NonConvergenceError, match="stalled") as exc_info:
             damped_newton(f, np.array([10.0]))
         assert exc_info.value.iterations == 3
-        assert Failure.of(exc_info.value).fields == {
+        assert failure_fields(exc_info.value) == {
             "error": "NonConvergenceError: newton: stalled at residual 2.500e-01",
             "residual": 0.25,
             "iterations": 3,

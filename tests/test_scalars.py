@@ -449,6 +449,7 @@ class TestClippedMomentsKernel:
     @example(1.0, 5e-324, 1.0)  # |mu| = L and a subnormal s: dP/dmu overflows to -inf
     @example(40.0, 0.01, 1.0)  # |mu| >> L*s: the CDFs and densities saturate
     @example(-55.0, 1e-3, 0.02)
+    @example(41.633182346314996, 0.0, 42.0)  # s = 0: pow(c, 2) is one ulp above c * c here
     @settings(max_examples=300)
     def test_bits_of_the_separate_formulas(self, mu, s, L):
         (second, inside), grad = clipped_moments(mu, s, L)
